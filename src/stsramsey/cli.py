@@ -18,7 +18,6 @@ the documented exception: the clock may flip ``exact`` itself).
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
@@ -51,18 +50,6 @@ def _emit(doc: dict) -> None:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("STS_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def _budget(max_nodes: int, max_seconds: float, jobs: int | None) -> SearchBudget:
-    return SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds,
-                        parallelism=jobs or _default_jobs())
 
 
 @click.group()
@@ -181,12 +168,11 @@ def _reverify_certificates(ts: TripleSystem, alpha_res, astar_res, mc_res) -> No
               default="all")
 @click.option("--max-nodes", type=int, default=100_000_000)
 @click.option("--max-seconds", type=float, default=60.0)
-@click.option("--jobs", type=int, default=None, help="Worker count (STS_JOBS).")
-def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float, jobs: int | None):
+def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     """Compute Ramsey-type parameters of a system file and report JSON."""
     t_start = time.monotonic()
     ts = _read_system_or_exit(in_path)
-    budget = _budget(max_nodes, max_seconds, jobs)
+    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
     steiner = is_steiner(ts)
     want = {"alpha", "alpha-star3", "mc3"} if param == "all" else {param}
 
@@ -340,7 +326,8 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
                     _fail(f"cannot read hole file: {exc}", 3)
             else:
                 click.echo("searching 3-partite hole...", err=True)
-                hole = alpha_star(ts, 3, _budget(max_nodes, max_seconds, None)).lower_certificate
+                budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
+                hole = alpha_star(ts, 3, budget).lower_certificate
             if hole.a == 0:
                 raise InvalidHole("no non-trivial hole available")
             coloring = col.hole_coloring(ts, hole)

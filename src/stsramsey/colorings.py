@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .core import (
     EdgeColoring,
     EmptyClass,
@@ -43,12 +41,10 @@ from .core import (
     LABEL_TYPE3,
     SteinerSystem,
     TripleSystem,
+    as_triple_system,
+    components,
     verify_hole,
 )
-
-
-def _base(s: TripleSystem | SteinerSystem) -> TripleSystem:
-    return s.base if isinstance(s, SteinerSystem) else s
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +59,7 @@ def hole_coloring(s: TripleSystem | SteinerSystem, h: HoleCertificate) -> EdgeCo
     Ties (a triple avoiding several parts) go to the smallest index; any
     choice preserves the bound.
     """
-    ts = _base(s)
+    ts = as_triple_system(s)
     try:
         if not verify_hole(ts, h):
             raise InvalidHole("certificate admits a crossing triple")
@@ -154,7 +150,7 @@ class Bicoloring:
 
 def verify_bicoloring(s: TripleSystem | SteinerSystem, phi) -> Bicoloring:
     """Accept phi iff no triple is monochromatic or rainbow."""
-    ts = _base(s)
+    ts = as_triple_system(s)
     classes = tuple(phi)
     if len(classes) != ts.n:
         raise ValueError("one class per vertex required")
@@ -178,7 +174,7 @@ def bicoloring_search(s: TripleSystem | SteinerSystem) -> Bicoloring | None:
     degenerate 3-vertex system is allowed an empty class.  Intended for
     n <= 15.
     """
-    ts = _base(s)
+    ts = as_triple_system(s)
     n = ts.n
     require_nonempty = n > 3
     by_max: list[list[int]] = [[] for _ in range(n)]
@@ -274,27 +270,6 @@ def _pair_colorsets(ts: TripleSystem, c: EdgeColoring) -> dict[tuple[int, int], 
     return pc
 
 
-def _color_components(n: int, pc: dict[tuple[int, int], set[int]], col: int) -> list[frozenset[int]]:
-    """Components of one color of the multicolored shadow, singletons included."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v), cs in pc.items():
-        if col in cs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(g) for g in groups.values()]
-
-
 def _select(cands: list[tuple[frozenset[int], int]]) -> tuple[frozenset[int], int]:
     # largest first, then lowest color, then lexicographically smallest set
     return min(cands, key=lambda item: (-len(item[0]), item[1], sorted(item[0])))
@@ -309,7 +284,7 @@ def decompose_3coloring(s: TripleSystem | SteinerSystem, c: EdgeColoring) -> Dec
     and emit L2 on (B&R, B-R, U&R, U-R) when U-R is non-empty, else L3 via
     the third-color component G containing U + (B-R).
     """
-    ts = _base(s)
+    ts = as_triple_system(s)
     for u in range(ts.n):
         for v in range(u + 1, ts.n):
             if (u, v) not in ts.pair_index:
@@ -322,7 +297,9 @@ def decompose_3coloring(s: TripleSystem | SteinerSystem, c: EdgeColoring) -> Dec
                                    component=frozenset(range(n)),
                                    summary=("trivial system",))
     pc = _pair_colorsets(ts, c)
-    comps_by_color = {col: _color_components(n, pc, col) for col in range(3)}
+    # components of each color of the multicolored shadow, singletons included
+    comps_by_color = {col: components(n, range(n), [p for p, cs in pc.items() if col in cs])
+                      for col in range(3)}
     allcomps = [(comp, col) for col in range(3) for comp in comps_by_color[col]
                 if len(comp) >= 2]
     maximal = [(comp, col) for (comp, col) in allcomps
@@ -372,31 +349,14 @@ def _never_color(pc, A, B, col) -> bool:
 
 
 def _connected_induced(n, pc, col, S: frozenset[int]) -> bool:
-    if not S:
-        return False
-    verts = sorted(S)
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in combinations(verts, 2):
-        p = (u, v) if u < v else (v, u)
-        if col in pc.get(p, set()):
-            ru, rv = find(index[u]), find(index[v])
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(i) for i in range(len(verts))}) == 1
+    edges = [p for p in combinations(sorted(S), 2) if col in pc.get(p, ())]
+    return len(components(n, S, edges)) == 1
 
 
 def verify_decomposition(s: TripleSystem | SteinerSystem, c: EdgeColoring,
                          d: DecompositionResult) -> CheckResult:
     """Check every clause of the emitted case against the multicolored shadow."""
-    ts = _base(s)
+    ts = as_triple_system(s)
     n = ts.n
     pc = _pair_colorsets(ts, c)
 
@@ -404,7 +364,7 @@ def verify_decomposition(s: TripleSystem | SteinerSystem, c: EdgeColoring,
         return CheckResult(ok=False, failed_clause=clause)
 
     if d.case == "L1":
-        if d.component is None or len(d.component) != n:
+        if d.component != frozenset(range(n)):
             return fail("L1: component does not span")
         if not _connected_induced(n, pc, d.role_colors[0], d.component):
             return fail("L1: component not connected in its color")
@@ -485,10 +445,18 @@ def closed_form_bounds(n: int, alpha_star3: int | None = None) -> BoundsRecord:
 
 
 def verify_z2_range(n_max: int, n_min: int = 3) -> bool:
-    """Vectorized check that z2(n) > (2n+1)/3 on [n_min, n_max]."""
-    ns = np.arange(n_min, n_max + 1, dtype=np.float64)
-    z2 = ns / 2 + (ns / 6) * np.sqrt(1 + 8 / ns)
-    return bool(np.all(z2 > (2 * ns + 1) / 3))
+    """Check z2(n) > (2n+1)/3 for every n in [n_min, n_max].
+
+    Each n is evaluated in the same float expression that
+    :func:`closed_form_bounds` reports.  Over the reals the inequality
+    reduces to n > 1: multiplying by 6 gives n*sqrt(1 + 8/n) > n + 2, and
+    squaring gives n^2 + 8n > n^2 + 4n + 4.
+    """
+    sqrt = math.sqrt
+    for n in range(n_min, n_max + 1):
+        if not n / 2 + (n / 6) * sqrt(1 + 8 / n) > (2 * n + 1) / 3:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

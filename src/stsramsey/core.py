@@ -229,6 +229,11 @@ class SteinerSystem:
         return self.n == 3
 
 
+def as_triple_system(s: TripleSystem | SteinerSystem) -> TripleSystem:
+    """The underlying TripleSystem of either system type."""
+    return s.base if isinstance(s, SteinerSystem) else s
+
+
 def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> SteinerSystem:
     """Check the Steiner property: every vertex pair in exactly one triple.
 
@@ -322,44 +327,47 @@ class ComponentSet:
     spanned: tuple[frozenset[int], ...]
 
 
-class _UnionFind:
-    """Union-find with path compression over a fixed vertex range."""
+def components(n: int, vertices: Iterable[int],
+               edges: Iterable[Sequence[int]]) -> list[frozenset[int]]:
+    """Connected components of the graph on ``vertices``, in arbitrary order.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    Vertices lie in [0, n).  Each edge (a pair, or a triple read as its
+    shadow) joins all of its vertices and must lie inside ``vertices``;
+    a listed vertex on no edge comes back as a singleton.  Union-find with
+    path compression over a list-indexed parent.
+    """
+    parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        p = self.parent
+    def find(x: int) -> int:
         root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+    for edge in edges:
+        it = iter(edge)
+        rx = find(next(it))
+        for y in it:
+            ry = find(y)
+            if ry != rx:
+                parent[ry] = rx
+    groups: dict[int, set[int]] = {}
+    for v in vertices:
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(g) for g in groups.values()]
 
 
 def mono_components(c: EdgeColoring) -> ComponentSet:
     """Connected components of each color's shadow graph."""
-    n = c.system.n
+    triples = c.system.triples
     per_color: list[tuple[frozenset[int], ...]] = []
     spans: list[frozenset[int]] = []
     for color in range(c.r):
-        uf = _UnionFind(n)
-        touched: set[int] = set()
-        for i in c.class_indices(color):
-            a, b, d = c.system.triples[i]
-            uf.union(a, b)
-            uf.union(a, d)
-            touched.update((a, b, d))
-        groups: dict[int, set[int]] = {}
-        for v in touched:
-            groups.setdefault(uf.find(v), set()).add(v)
-        comps = sorted((frozenset(g) for g in groups.values()), key=lambda s: sorted(s))
+        class_triples = [triples[i] for i in c.class_indices(color)]
+        touched = {v for t in class_triples for v in t}
+        comps = sorted(components(c.system.n, touched, class_triples), key=sorted)
         per_color.append(tuple(comps))
         spans.append(frozenset(touched))
     return ComponentSet(components=tuple(per_color), spanned=tuple(spans))

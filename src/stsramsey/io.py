@@ -30,6 +30,7 @@ from .core import (
     HoleCertificate,
     SteinerSystem,
     TripleSystem,
+    as_triple_system,
     build_system,
 )
 
@@ -41,7 +42,7 @@ class FormatError(ValueError):
 
 
 def format_system(s: TripleSystem | SteinerSystem) -> str:
-    ts = s.base if isinstance(s, SteinerSystem) else s
+    ts = as_triple_system(s)
     lines = ["# sts v1", f"{ts.n} {ts.m}"]
     lines.extend(f"{t.a} {t.b} {t.c}" for t in ts.triples)
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from .core import (
     build_system,
     validate_steiner,
 )
-from .search import ParamResult, SearchBudget, alpha_star
+from .search import SearchBudget, alpha_star
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,6 @@ def write_experiment_csv(rows: Iterable[ExperimentRow], path) -> None:
         fh.write(rows_to_csv(rows))
 
 
-def _measure_alpha_star3(ts: TripleSystem | SteinerSystem,
-                         budget: SearchBudget | None) -> ParamResult:
-    return alpha_star(ts, 3, budget)
-
-
 def experiment_discrepancy(n: int, samples: int, seed: int,
                            budget: SearchBudget | None = None,
                            ) -> tuple[list[ExperimentRow], dict]:
@@ -328,14 +323,14 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
             outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
         partial = outcome.system.to_triple_system()
         t0 = time.monotonic()
-        res = _measure_alpha_star3(partial, budget)
+        res = alpha_star(partial, 3, budget)
         rows.append(ExperimentRow(seed=seed, n=n, model=MODEL_PARTIAL, m_or_p=m_half,
                                   sample=i, alpha_star3=res.value, exact=res.exact,
                                   nodes=res.budget_spent.nodes,
                                   seconds=round(time.monotonic() - t0)))
         full = random_sts(n, derive_seed(seed, i, 2))
         t0 = time.monotonic()
-        res = _measure_alpha_star3(full, budget)
+        res = alpha_star(full, 3, budget)
         rows.append(ExperimentRow(seed=seed, n=n, model=MODEL_FULL,
                                   m_or_p=n * (n - 1) // 6,
                                   sample=i, alpha_star3=res.value, exact=res.exact,

@@ -186,3 +186,28 @@ def brute_pasch_count(triples):
         if len(degree) == 6 and all(d == 2 for d in degree.values()):
             count += 1
     return count
+
+
+def brute_components(triples):
+    """Components of the shadow graph of ``triples`` on the vertices they
+    touch, as a set of frozensets, by breadth-first search."""
+    adj = {}
+    for t in triples:
+        for u in t:
+            adj.setdefault(u, set()).update(v for v in t if v != u)
+    seen = set()
+    out = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in adj[u]:
+                if v not in comp:
+                    comp.add(v)
+                    queue.append(v)
+        seen |= comp
+        out.add(frozenset(comp))
+    return out

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import stsramsey
 from stsramsey import bose
 from stsramsey.cli import cli
 from stsramsey.io import read_system
@@ -9,6 +14,14 @@ from stsramsey.io import read_system
 
 def run(*args):
     return CliRunner().invoke(cli, list(args))
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(stsramsey.__file__).resolve().parents[1])
+    code = "import stsramsey, stsramsey.cli, sys; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestGen:

@@ -25,7 +25,7 @@ from stsramsey import (
 )
 from stsramsey.core import _build_pair_index
 
-from oracles import brute_hole_ok
+from oracles import brute_components, brute_hole_ok
 
 
 def fano_lines():
@@ -144,6 +144,23 @@ class TestMonoComponents:
         size, color, verts = largest_mono_component(c)
         assert (size, color) == (3, 0)
         assert verts == frozenset(fano_sys.triples[0])
+
+    @pytest.mark.parametrize("system", [s9(), bose(15), skolem(19)],
+                             ids=["s9", "bose15", "skolem19"])
+    def test_components_match_bfs_oracle(self, system):
+        rng = random.Random(system.n)
+        for trial in range(60):
+            palette = [0, 1, 2]
+            if trial % 3 == 0:  # every third coloring leaves one color unused
+                palette.remove(trial // 3 % 3)
+            colors = tuple(rng.choice(palette) for _ in range(system.m))
+            comps = mono_components(EdgeColoring(system=system.base, r=3, colors=colors))
+            for color in range(3):
+                tris = [t for t, c in zip(system.triples, colors) if c == color]
+                expected = brute_components(tris)
+                assert len(comps.components[color]) == len(expected)
+                assert set(comps.components[color]) == expected
+                assert comps.spanned[color] == frozenset(v for t in tris for v in t)
 
 
 class TestVerifyHole:

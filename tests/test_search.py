@@ -5,6 +5,7 @@ import pytest
 from stsramsey import (
     BadK,
     EdgeColoring,
+    InvalidHole,
     SearchBudget,
     alpha_star,
     bose,
@@ -96,6 +97,13 @@ class TestAlphaStar:
         assert res.value >= 6
         assert verify_hole(system.base, res.lower_certificate)
         assert res.lower_certificate.a == res.value
+
+    def test_rejected_certificate_raises_even_under_optimization(self, s9_sys, monkeypatch):
+        # the certificate check must be an explicit raise, not an assert
+        # that python -O strips
+        monkeypatch.setattr("stsramsey.search.verify_hole", lambda ts, h: False)
+        with pytest.raises(InvalidHole):
+            alpha_star(s9_sys, 3)
 
     def test_partial_system_uses_trivial_upper_bound(self):
         # half a system: the Steiner cap does not apply
