@@ -7,7 +7,8 @@ error.  Exit codes partition the failure classes:
 * 2 - construction-level failure (bad order, bad quasigroup)
 * 3 - unreadable or invalid input file
 * 4 - scheme/label mismatch (no labels, no hole, no bicoloring)
-* 5 - parameter violation in random processes and experiments
+* 5 - parameter violation in random processes and experiments, or a
+  non-positive search budget (``--max-nodes``, ``--max-seconds``)
 
 JSON reports carry ``"schema": "sts-report/1"``; readers should tolerate
 unknown fields.  Timing fields are rounded to whole seconds so identical
@@ -114,6 +115,14 @@ def _read_system_or_exit(path: str) -> TripleSystem:
         raise AssertionError  # unreachable
 
 
+def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
+    try:
+        return SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
+    except ValueError as exc:
+        _fail(str(exc), 5)
+        raise AssertionError  # unreachable
+
+
 def _candidate_upper_colorings(ts: TripleSystem,
                                hole_cert) -> list[tuple[str, EdgeColoring]]:
     """Colorings usable to seed/bound the mc search, best effort."""
@@ -171,8 +180,8 @@ def _reverify_certificates(ts: TripleSystem, alpha_res, astar_res, mc_res) -> No
 def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     """Compute Ramsey-type parameters of a system file and report JSON."""
     t_start = time.monotonic()
+    budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
-    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
     steiner = is_steiner(ts)
     want = {"alpha", "alpha-star3", "mc3"} if param == "all" else {param}
 
@@ -303,6 +312,7 @@ def _coloring_summary(coloring: EdgeColoring, scheme: str, bound: int | None) ->
 def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
           max_nodes: int, max_seconds: float):
     """Build one of the explicit colorings and print its span/component table."""
+    budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
     bound: int | None = None
     try:
@@ -326,7 +336,6 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
                     _fail(f"cannot read hole file: {exc}", 3)
             else:
                 click.echo("searching 3-partite hole...", err=True)
-                budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
                 hole = alpha_star(ts, 3, budget).lower_certificate
             if hole.a == 0:
                 raise InvalidHole("no non-trivial hole available")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import (
@@ -24,7 +25,6 @@ from .core import (
     InvalidHole,
     SteinerSystem,
     TripleSystem,
-    Triple,
     as_triple_system,
     is_steiner,
     largest_mono_component,
@@ -72,11 +72,12 @@ class _Meter:
         self.nodes = 0
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+        """Count one node, or raise without counting it when the budget is spent."""
+        nodes = self.nodes
+        if nodes >= self.max_nodes or (nodes & 4095 == 4095
+                                       and time.monotonic() > self.deadline):
             raise _OutOfBudget
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfBudget
+        self.nodes = nodes + 1
 
     def spent(self) -> BudgetSpent:
         return BudgetSpent(nodes=self.nodes, seconds=time.monotonic() - self.t0)
@@ -343,39 +344,39 @@ def alpha_star(s: TripleSystem | SteinerSystem, k: int,
 # Monochromatic-component number
 # ---------------------------------------------------------------------------
 
-def _merge_order(ts: TripleSystem) -> list[int]:
-    """Order triples so each next one overlaps the span so far as much as
-    possible; components then grow early and the incumbent prunes hard.
-    Ordering affects speed only, never the value."""
-    m = ts.m
-    used = [False] * m
-    span: set[int] = set()
-    order: list[int] = []
-    for _ in range(m):
-        best_i, best_key = -1, (-1, 0)
-        for i in range(m):
-            if used[i]:
-                continue
-            key = (len(span & set(ts.triples[i])), -i)
-            if key > best_key:
-                best_key, best_i = key, i
-        used[best_i] = True
-        order.append(best_i)
-        span.update(ts.triples[best_i])
-    return order
-
-
 def mc_exact(s: TripleSystem | SteinerSystem, r: int,
              budget: SearchBudget | None = None,
              initial: EdgeColoring | None = None) -> ParamResult:
     """Minimize the largest monochromatic component over all r-colorings.
 
-    Depth-first color assignment in a merge-friendly triple order, with color
-    symmetry breaking (triple t may use at most one more color than any
-    earlier triple) and monotone pruning (components only grow as a color
-    gains triples, so a partial largest component at or above the incumbent
-    kills the branch).  ``initial`` may supply any valid coloring of the same
-    system to seed the incumbent.  On budget exhaustion the incumbent is
+    Depth-first color assignment with forward checking (Haralick & Elliott
+    1980, "Increasing tree search efficiency for constraint satisfaction
+    problems"):
+
+    * Components are bitmasks: for each color, every vertex holds the mask of
+      its component, so coloring a triple ORs three masks, and restoring the
+      old masks undoes it exactly.
+    * Every pending triple keeps a domain of the colors it may still take.
+      When a color's component grows, each pending triple touching it loses
+      that color if taking it would give a component at least as large as
+      the incumbent; a triple left with no color kills the branch.
+    * The next triple is the pending one with the fewest colors left; ties
+      go to the one whose remaining colors would give the largest
+      components in total (the nearest to losing another color), then to
+      the lowest index.
+    * Color symmetry is broken by offering only the used colors plus the
+      lowest fresh one.  A fresh color never loses a domain bit while the
+      incumbent exceeds 3, so this stays sound under the dynamic order.
+    * The tree is walked with an explicit stack, so search depth is not
+      limited by the interpreter's recursion limit at any number of triples.
+
+    A node is one color tried on one triple.  The node cap is checked before
+    a node is counted, so ``budget_spent.nodes`` never exceeds it.
+    ``initial`` may supply any valid coloring of the same system to seed the
+    incumbent.  The value is always the largest component of the returned
+    coloring, and ``exact=True`` means the search below it was exhausted:
+    the value never comes from a theorem such as Gyarfas's
+    ``mc_3 >= ceil(2n/3) + 1``.  On budget exhaustion the incumbent is
     returned as an upper bound with ``exact=False``.
     """
     if r < 1:
@@ -397,88 +398,130 @@ def mc_exact(s: TripleSystem | SteinerSystem, r: int,
     else:
         seed_colors = tuple([0] * m)
     seed = EdgeColoring(system=ts, r=r, colors=seed_colors)
-    incumbent = largest_mono_component(seed)[0]
-    witness = list(seed_colors)
+    best = largest_mono_component(seed)[0]
+    best_colors = list(seed_colors)
 
-    order = _merge_order(ts)
-    tris: list[Triple] = [ts.triples[i] for i in order]
-
-    parent = [list(range(n)) for _ in range(r)]
-    size = [[1] * n for _ in range(r)]
-    colors = [0] * m
-    best_value = incumbent
-    best_colors = list(witness)
+    tris = ts.triples
+    tri_at = _triples_at(ts)
+    comp = [[1 << v for v in range(n)] for _ in range(r)]
+    dom = [(1 << r) - 1] * m      # colors a pending triple may still take; 0 once colored
+    # reach[c][u]: size of the component that coloring pending triple u with c
+    # would give, kept while c is in dom[u]
+    reach = [[3] * m for _ in range(r)]
+    # urgency[u] = lose * (colors dropped from dom[u]) + sum of reach over dom[u]:
+    # fewest colors left first, then the triple nearest to losing another
+    lose = r * n + 1
+    urgency = [3 * r] * m
+    color = [0] * m
+    pend = list(range(m))         # pending triples in index order; ties go to the lowest
+    # frame: [triple, its domain, colors left to try, largest component and
+    #         used-color count before the triple, trail of its current color:
+    #         (component list, reach list, old component masks, color bit,
+    #         triples that lost the bit, (triple, old reach) pairs)]
+    stack: list[list] = []
     exact = True
     max_nodes = meter.max_nodes
     deadline = meter.deadline
     nodes = 0
+    cur_max = used = 0
 
-    def dfs(i: int, used: int, cur_max: int) -> None:
-        nonlocal best_value, best_colors, nodes
-        if cur_max >= best_value:
-            return
-        if i == m:
-            best_value = cur_max
-            out = [0] * m
-            for pos, col in enumerate(colors):
-                out[order[pos]] = col
-            best_colors = out
-            return
-        x, y, z = tris[i]
-        limit = used + 1 if used < r else r
-        for col in range(limit):
-            # the meter's check, inlined: a tick() call here costs ~5% of mc_exact
+    while True:
+        if pend:
+            t = max(pend, key=urgency.__getitem__)
+            pend.remove(t)
+            offered = (1 << (used + 1 if used < r else r)) - 1
+            stack.append([t, dom[t], dom[t] & offered, cur_max, used, None])
+            dom[t] = 0
+        else:
+            # every triple colored below the incumbent: a better coloring
+            best = cur_max
+            best_colors = list(color)
+        descended = False
+        while stack and not descended:
+            frame = stack[-1]
+            t, saved, todo, cur_max, used, trail = frame
+            if trail is not None:
+                cv, rc, olds, bit, dropped, grown = trail
+                for old in olds:
+                    rest = old
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        cv[low.bit_length() - 1] = old
+                for u in dropped:
+                    dom[u] |= bit
+                    urgency[u] += rc[u] - lose
+                for u, old in grown:
+                    urgency[u] += old - rc[u]
+                    rc[u] = old
+                frame[5] = None
+            # after a new incumbent, this path's largest component may reach
+            # it, and domains filtered against the old one may be too wide
+            if not todo or cur_max >= best:
+                stack.pop()
+                dom[t] = saved
+                insort(pend, t)
+                continue
+            bit = todo & -todo
+            frame[2] = todo ^ bit
+            # the meter's check, inlined: it runs once per node
+            if nodes >= max_nodes or (nodes & 4095 == 4095
+                                      and time.monotonic() > deadline):
+                exact = False
+                break
             nodes += 1
-            if nodes > max_nodes:
-                raise _OutOfBudget
-            if nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise _OutOfBudget
-            p = parent[col]
-            sz = size[col]
-            rx = x
-            while p[rx] != rx:
-                rx = p[rx]
-            undo_a = undo_b = -1
-            ry = y
-            while p[ry] != ry:
-                ry = p[ry]
-            if rx != ry:
-                if sz[rx] < sz[ry]:
-                    rx, ry = ry, rx
-                p[ry] = rx
-                sz[rx] += sz[ry]
-                undo_a = ry
-            rz = z
-            while p[rz] != rz:
-                rz = p[rz]
-            if rx != rz:
-                if sz[rx] < sz[rz]:
-                    rx, rz = rz, rx
-                p[rz] = rx
-                sz[rx] += sz[rz]
-                undo_b = rz
-            colors[i] = col
-            merged = sz[rx]
-            dfs(i + 1, used + 1 if col == used else used,
-                merged if merged > cur_max else cur_max)
-            # absorbed roots keep a direct link to their absorber (no path
-            # compression here), so undoing in LIFO order is exact
-            if undo_b >= 0:
-                t = p[undo_b]
-                sz[t] -= sz[undo_b]
-                p[undo_b] = undo_b
-            if undo_a >= 0:
-                t = p[undo_a]
-                sz[t] -= sz[undo_a]
-                p[undo_a] = undo_a
+            c = bit.bit_length() - 1
+            cv = comp[c]
+            x, y, z = tris[t]
+            cx, cy, cz = cv[x], cv[y], cv[z]
+            mask = cx | cy | cz
+            size = mask.bit_count()
+            if size >= best:
+                continue
+            color[t] = c
+            if mask != cx:
+                rc = reach[c]
+                dropped: list[int] = []
+                grown: list[tuple[int, int]] = []
+                frame[5] = (cv, rc, {cx, cy, cz}, bit, dropped, grown)
+                # relabel the merged component and forward-check the pending
+                # triples at each relabelled vertex; a triple's other vertices
+                # inside the mask still hold subsets of it, so the test is exact
+                wiped = False
+                rest = mask
+                while rest and not wiped:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    cv[v] = mask
+                    for u in tri_at[v]:
+                        if dom[u] & bit:
+                            p, q, w = tris[u]
+                            grow = (cv[p] | cv[q] | cv[w]).bit_count()
+                            if grow >= best:
+                                dom[u] ^= bit
+                                urgency[u] += lose - rc[u]
+                                dropped.append(u)
+                                if not dom[u]:
+                                    wiped = True
+                                    break
+                            elif grow != rc[u]:
+                                grown.append((u, rc[u]))
+                                urgency[u] += grow - rc[u]
+                                rc[u] = grow
+                if wiped:
+                    continue
+            if size > cur_max:
+                cur_max = size
+            if c == used:
+                used += 1
+            descended = True
+        if not descended:
+            break
 
-    try:
-        dfs(0, 0, 0)
-    except _OutOfBudget:
-        exact = False
     meter.nodes = nodes
     certificate = EdgeColoring(system=ts, r=r, colors=tuple(best_colors))
-    return ParamResult(value=best_value, exact=exact,
+    return ParamResult(value=best, exact=exact,
                        lower_certificate=certificate, budget_spent=meter.spent())
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import stsramsey
@@ -127,6 +128,14 @@ class TestAnalyze:
         res = run("analyze", "-i", str(path))
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-seconds"])
+    def test_non_positive_budget_exit_5(self, tmp_path, flag):
+        path = tmp_path / "f.sts"
+        run("gen", "--construction", "fano", "-o", str(path))
+        res = run("analyze", "-i", str(path), flag, "0")
+        assert res.exit_code == 5
+        assert res.output.strip() == "error: budget fields must be positive"
+
     def test_degenerate_single_triple(self, tmp_path):
         path = tmp_path / "n3.sts"
         path.write_text("3 1\n0 1 2\n")
@@ -173,6 +182,14 @@ class TestColor:
         run("gen", "--construction", "fano", "-o", str(path))
         res = run("color", "-i", str(path), "--scheme", "bose")
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-seconds"])
+    def test_non_positive_budget_exit_5(self, tmp_path, flag):
+        path = tmp_path / "s9.sts"
+        run("gen", "--construction", "s9", "-o", str(path))
+        res = run("color", "-i", str(path), "--scheme", "hole", flag, "-1")
+        assert res.exit_code == 5
+        assert res.output.strip() == "error: budget fields must be positive"
 
     def test_hole_file_input(self, tmp_path):
         path = tmp_path / "s9.sts"

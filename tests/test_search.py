@@ -21,7 +21,7 @@ from stsramsey import (
     verify_hole,
 )
 
-from oracles import brute_alpha, brute_alpha_star3, brute_mc3
+from oracles import brute_alpha, brute_alpha_star3, brute_mc2, brute_mc3, max_component_size
 
 
 def single_triple():
@@ -165,6 +165,46 @@ class TestMcExact:
         with pytest.raises(ValueError):
             mc_exact(s9_sys, 3, initial=wrong)
 
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        # bose(99) has 1617 triples, deeper than the default recursion limit
+        system = bose(99)
+        res = mc_exact(system, 3, SearchBudget(max_nodes=20_000))
+        assert not res.exact
+        assert res.budget_spent.nodes == 20_000
+        assert mc_upper_from_coloring(res.lower_certificate) == res.value
+
+    @pytest.mark.parametrize("system, cap, value", [
+        (skolem(13), 300_000, 10),
+        (bose(15), 500_000, 11),
+    ], ids=["skolem13", "bose15"])
+    def test_forward_checking_refutes_below_hole_coloring(self, system, cap, value):
+        # node caps pin the pruning: plain backtracking needs 1.77M nodes on
+        # skolem(13) and does not finish bose(15) in 20M
+        hole = alpha_star(system, 3).lower_certificate
+        res = mc_exact(system, 3, SearchBudget(max_nodes=cap),
+                       initial=hole_coloring(system, hole))
+        assert res.exact and res.value == value
+        assert res.budget_spent.nodes <= cap
+
+
+class TestBudgetCaps:
+    @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
+    def test_node_cap_is_never_exceeded(self, make):
+        system = make()
+        full_mc = mc_exact(system, 3).budget_spent.nodes
+        full_alpha = independence_number(system).budget_spent.nodes
+        for cap in range(1, 65):
+            budget = SearchBudget(max_nodes=cap)
+            for res, full in ((mc_exact(system, 3, budget), full_mc),
+                              (independence_number(system, budget), full_alpha)):
+                assert res.budget_spent.nodes <= cap
+                # an interrupted search spent exactly its cap; a finished
+                # one explored the same tree as an unlimited run
+                if res.exact:
+                    assert res.budget_spent.nodes == full <= cap
+                else:
+                    assert res.budget_spent.nodes == cap < full
+
 
 class TestDifferentialAgainstOracles:
     """Randomized cross-checks of the engines against plain enumeration."""
@@ -180,6 +220,23 @@ class TestDifferentialAgainstOracles:
             res = mc_exact(ts, 3)
             assert res.exact
             assert res.value == brute_mc3(7, ts.triples)
+        # partial systems at n = 8, 9 for every color count, with and without
+        # a random seed coloring (the tight-incumbent path analyze takes)
+        oracles = {1: lambda n, t: max_component_size(n, t, [0] * len(t), r=1),
+                   2: brute_mc2, 3: brute_mc3}
+        for n in (8, 9):
+            all_triples = list(combinations(range(n), 3))
+            for _ in range(12):
+                triples = rng.sample(all_triples, rng.randrange(1, 10))
+                ts = build_system(n, triples)
+                for r in (1, 2, 3):
+                    expected = oracles[r](n, ts.triples)
+                    seed = EdgeColoring(system=ts, r=r,
+                                        colors=tuple(rng.randrange(r) for _ in triples))
+                    for initial in (None, seed):
+                        res = mc_exact(ts, r, initial=initial)
+                        assert res.exact and res.value == expected
+                        assert mc_upper_from_coloring(res.lower_certificate) == expected
 
     def test_alpha_star3_on_random_small_systems(self):
         rng = random.Random(4048)
