@@ -1,4 +1,4 @@
-"""Exact and heuristic computation of alpha, alpha*_k, and mc_r.
+"""Exact computation of alpha, alpha*_k, and mc_r by budgeted search.
 
 All three searches return a :class:`ParamResult`.  ``exact=True`` means the
 search ran to completion: the certificate proves the value from one side and
@@ -13,7 +13,6 @@ deterministic device); node budgets cannot.
 
 from __future__ import annotations
 
-import random
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -61,7 +60,13 @@ class _OutOfBudget(Exception):
 
 
 class _Meter:
-    """Node and wall-time accounting shared across one search call."""
+    """Node and wall-time accounting shared across one search call.
+
+    Each engine runs the meter's check inline, once per node, before
+    counting it: a node is refused when ``nodes`` has reached ``max_nodes``,
+    or, every 4096 nodes, when the clock has passed ``deadline``.  The
+    engine writes its count back to ``nodes``.
+    """
 
     __slots__ = ("max_nodes", "deadline", "nodes", "t0")
 
@@ -70,14 +75,6 @@ class _Meter:
         self.t0 = time.monotonic()
         self.deadline = self.t0 + budget.max_seconds
         self.nodes = 0
-
-    def tick(self) -> None:
-        """Count one node, or raise without counting it when the budget is spent."""
-        nodes = self.nodes
-        if nodes >= self.max_nodes or (nodes & 4095 == 4095
-                                       and time.monotonic() > self.deadline):
-            raise _OutOfBudget
-        self.nodes = nodes + 1
 
     def spent(self) -> BudgetSpent:
         return BudgetSpent(nodes=self.nodes, seconds=time.monotonic() - self.t0)
@@ -99,9 +96,12 @@ def independence_number(s: TripleSystem | SteinerSystem,
                         budget: SearchBudget | None = None) -> ParamResult:
     """Largest vertex set containing no full triple, by branch and bound.
 
-    Branches on vertex inclusion in index order; prunes when even taking all
-    remaining vertices cannot beat the incumbent.  A greedy scan seeds the
-    incumbent.
+    Branches on vertex inclusion in index order, taking a vertex before
+    leaving it out; prunes when even taking all remaining vertices cannot
+    beat the incumbent.  A greedy scan seeds the incumbent.  The tree is
+    walked with an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.  A node is one vertex decided; the node
+    cap is checked before a node is counted.
     """
     ts = as_triple_system(s)
     budget = budget or SearchBudget()
@@ -122,30 +122,45 @@ def independence_number(s: TripleSystem | SteinerSystem,
     chosen_count = [0] * ts.m
     current: list[int] = []
     exact = True
-
-    def extend(v: int) -> None:
-        nonlocal best
-        if len(current) + (n - v) <= len(best):
-            return
-        if v == n:
-            best = list(current)
-            return
-        meter.tick()
-        blocked = any(chosen_count[i] == 2 for i in tri_at[v])
-        if not blocked:
-            current.append(v)
-            for i in tri_at[v]:
-                chosen_count[i] += 1
-            extend(v + 1)
-            for i in tri_at[v]:
-                chosen_count[i] -= 1
-            current.pop()
-        extend(v + 1)
-
-    try:
-        extend(0)
-    except _OutOfBudget:
-        exact = False
+    # the decisions on the current path: (vertex, taken); a taken vertex
+    # still has its leave-out branch to come
+    path: list[tuple[int, bool]] = []
+    v = 0
+    max_nodes = meter.max_nodes
+    deadline = meter.deadline
+    nodes = 0
+    while True:
+        if len(current) + (n - v) > len(best):
+            if v == n:
+                best = list(current)
+            else:
+                # the meter's check, inlined: it runs once per node
+                if nodes >= max_nodes or (nodes & 4095 == 4095
+                                          and time.monotonic() > deadline):
+                    exact = False
+                    break
+                nodes += 1
+                taken = all(chosen_count[i] < 2 for i in tri_at[v])
+                if taken:
+                    current.append(v)
+                    for i in tri_at[v]:
+                        chosen_count[i] += 1
+                path.append((v, taken))
+                v += 1
+                continue
+        # backtrack to the deepest vertex whose leave-out branch is open
+        while path:
+            u, taken = path.pop()
+            if taken:
+                current.pop()
+                for i in tri_at[u]:
+                    chosen_count[i] -= 1
+                path.append((u, False))
+                v = u + 1
+                break
+        else:
+            break
+    meter.nodes = nodes
     return ParamResult(value=len(best), exact=exact,
                        lower_certificate=frozenset(best), budget_spent=meter.spent())
 
@@ -154,149 +169,178 @@ def independence_number(s: TripleSystem | SteinerSystem,
 # k-partite-hole number
 # ---------------------------------------------------------------------------
 
-def _hole_feasible(ts: TripleSystem, k: int, a: int, meter: _Meter,
-                   tri_at: list[list[int]]) -> tuple[frozenset[int], ...] | None:
-    """Find k disjoint parts of size a with no crossing triple, or refute.
+def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
+               meter: _Meter) -> tuple[frozenset[int], ...] | None:
+    """k disjoint parts of size a that no triple meets all of, or None.
 
-    Vertices are scanned in index order; each is left out or put in a part.
-    Parts are interchangeable, so a vertex may only open the lowest-indexed
-    empty part.  A branch dies when a triple has vertices in k distinct parts.
+    Raises _OutOfBudget when the meter refuses a node; see alpha_star.
     """
-    n = ts.n
-    part = [0] * n            # 0 = out, 1..k
-    sizes = [0] * (k + 1)
-    triples = ts.triples
-
-    def bt(v: int, used: int) -> bool:
-        if sizes[1:k + 1].count(a) == k:
-            return True
-        if v == n:
-            return False
-        deficit = k * a - sum(sizes[1:k + 1])
-        if n - v < deficit:
-            return False
-        if bt(v + 1, used):
-            return True
-        for j in range(1, min(used + 1, k) + 1):
-            if sizes[j] >= a:
-                continue
-            meter.tick()
-            part[v] = j
-            sizes[j] += 1
-            ok = True
-            for ti in tri_at[v]:
-                x, y, z = triples[ti]
-                met = {part[x], part[y], part[z]} - {0}
-                if len(met) == k:
-                    ok = False
-                    break
-            if ok and bt(v + 1, max(used, j)):
-                return True
-            part[v] = 0
-            sizes[j] -= 1
-        return False
-
-    if a > 0 and bt(0, 0):
-        return tuple(frozenset(v for v in range(n) if part[v] == j) for j in range(1, k + 1))
-    return None
-
-
-def _hole_local_search(ts: TripleSystem, k: int, a: int, meter: _Meter,
-                       tri_at: list[list[int]], max_moves: int,
-                       restarts: int = 64) -> tuple[frozenset[int], ...] | None:
-    """Swap/move hill climbing for a feasible hole of size a.
-
-    Each restart builds a greedy assignment (vertices in random order, each
-    placed in the part adding fewest crossing triples) topped up to exact
-    part sizes, then swaps vertices out of violating triples, accepting
-    non-worsening moves.  Seeded from (n, k, a), so outcomes depend only on
-    the move budget.
-    """
-    n = ts.n
-    if k * a > n or a == 0:
-        return None
-    triples = ts.triples
-    rng = random.Random(0x5EED + 1_000_003 * n + 101 * k + a)
-    moves = 0
-
-    def crossing_count(part: list[int], v: int) -> int:
-        cnt = 0
-        for ti in tri_at[v]:
-            x, y, z = triples[ti]
-            met = {part[x], part[y], part[z]} - {0}
-            if len(met) == k:
-                cnt += 1
-        return cnt
-
-    def as_parts(part: list[int]) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(v for v in range(n) if part[v] == j)
-                     for j in range(1, k + 1))
-
-    for _ in range(restarts):
-        part = [0] * n
-        sizes = [0] * (k + 1)
-        order = list(range(n))
-        rng.shuffle(order)
-        placed = 0
-        for v in order:
-            if placed == k * a:
+    bits = [1 << v for v in range(n)]
+    rk = range(k)
+    # lose[j][p + 1]: the part a vertex loses when it shares a triple with a
+    # vertex just placed in part j and a vertex in part p (-1: in no part),
+    # or -1; it loses one when those two meet k - 1 distinct parts
+    lose = []
+    for j in rk:
+        row = []
+        for p in range(-1, k):
+            rest = [q for q in rk if q != j and q != p]
+            row.append(rest[0] if len(rest) == 1 else -1)
+        lose.append(row)
+    out = 1 << k
+    down = range(k - 1, 0, -1)
+    has = [(1 << n) - 1] * k    # has[j]: undecided vertices that may still join part j
+    size = [0] * k
+    part = [-1] * n             # -1: undecided or left out
+    placed = used = 0
+    goal = k * a
+    # frame: [vertex, has and size before it, placed and used before it,
+    #         options left: a bit per part, then bit k for leaving it out]
+    stack: list[list] = []
+    nodes = meter.nodes
+    max_nodes = meter.max_nodes
+    deadline = meter.deadline
+    while True:
+        if placed == goal:
+            meter.nodes = nodes
+            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk)
+        # prune when a part, or all parts together, can no longer be filled
+        deficit = 0
+        union = 0
+        for h, c in zip(has, size):
+            need = a - c
+            if h.bit_count() < need:
                 break
-            open_parts = [j for j in range(1, k + 1) if sizes[j] < a]
-            rng.shuffle(open_parts)
-            best_j, best_viol = 0, None
-            for j in open_parts:
-                part[v] = j
-                viol = crossing_count(part, v)
-                part[v] = 0
-                if best_viol is None or viol < best_viol:
-                    best_viol, best_j = viol, j
-                    if viol == 0:
+            deficit += need
+            union |= h
+        else:
+            if union.bit_count() >= deficit:
+                # branch on a vertex with the fewest parts left, the lowest
+                # first; cnt[m]: undecided vertices that may join more than m
+                cnt = [0] * k
+                for h in has:
+                    for m in down:
+                        cnt[m] |= cnt[m - 1] & h
+                    cnt[0] |= h
+                for m in range(1, k):
+                    pool = cnt[m - 1] & ~cnt[m]
+                    if pool:
                         break
-            part[v] = best_j
-            sizes[best_j] += 1
+                else:
+                    pool = cnt[k - 1]
+                low = pool & -pool
+                dom = 0
+                for j in rk:
+                    if has[j] & low:
+                        dom |= 1 << j
+                # parts are interchangeable while empty: offer the used parts
+                # and the lowest empty one
+                offered = (1 << (used + 1 if used < k else k)) - 1
+                stack.append([low.bit_length() - 1, tuple(has), tuple(size), placed, used,
+                              (dom & offered) | out])
+        while stack:
+            frame = stack[-1]
+            v, saved_has, saved_size, placed, used, opts = frame
+            part[v] = -1
+            if not opts:
+                stack.pop()
+                continue
+            has[:] = saved_has
+            size[:] = saved_size
+            # the emptiest part first, the lowest on ties; leaving out last
+            bit = opts & -opts
+            if bit != out:
+                least = size[bit.bit_length() - 1]
+                rest = (opts ^ bit) & (out - 1)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = size[low.bit_length() - 1]
+                    if c < least:
+                        least = c
+                        bit = low
+            frame[5] = opts ^ bit
+            vb = bits[v]
+            if bit == out:
+                for j in rk:
+                    if has[j] & vb:
+                        has[j] ^= vb
+                break
+            # the meter's check, inlined: it runs once per node
+            if nodes >= max_nodes or (nodes & 4095 == 4095 and time.monotonic() > deadline):
+                meter.nodes = nodes
+                raise _OutOfBudget
+            nodes += 1
+            j = bit.bit_length() - 1
+            part[v] = j
+            size[j] += 1
             placed += 1
-        bad = {i for i, (x, y, z) in enumerate(triples)
-               if len({part[x], part[y], part[z]} - {0}) == k}
-        while moves < max_moves:
-            if not bad:
-                return as_parts(part)
-            try:
-                meter.tick()
-            except _OutOfBudget:
-                return None
-            moves += 1
-            ti = rng.choice(sorted(bad))
-            u = rng.choice([v for v in triples[ti] if part[v] != 0])
-            w = rng.choice([v for v in range(n) if part[v] != part[u]])
-            part[u], part[w] = part[w], part[u]
-            affected = set(tri_at[u]) | set(tri_at[w])
-            before = len(bad & affected)
-            after = set()
-            for i in affected:
-                x, y, z = triples[i]
-                met = {part[x], part[y], part[z]} - {0}
-                if len(met) == k:
-                    after.add(i)
-            if len(after) <= before:
-                bad = (bad - affected) | after
-            else:
-                part[u], part[w] = part[w], part[u]
-        if not bad:
-            return as_parts(part)
-        if moves >= max_moves:
+            if j == used:
+                used += 1
+            # forward check: the undecided vertices of v's triples lose parts
+            lost = [vb] * k
+            row = lose[j]
+            for x, y in pairs[v]:
+                px = part[x]
+                py = part[y]
+                if py < 0:
+                    r = row[px + 1]
+                    if r >= 0:
+                        lost[r] |= bits[y]
+                if px < 0:
+                    r = row[py + 1]
+                    if r >= 0:
+                        lost[r] |= bits[x]
+            for i in rk:
+                has[i] &= ~lost[i]
+            if size[j] == a:
+                has[j] = 0
+            break
+        else:
+            meter.nodes = nodes
             return None
-    return None
 
 
 def alpha_star(s: TripleSystem | SteinerSystem, k: int,
                budget: SearchBudget | None = None) -> ParamResult:
     """The k-partite-hole number with a verified certificate.
 
-    Exact mode walks candidate sizes downward from the proven upper bound
-    (floor(n/3) - 1 for 3-partite holes in a Steiner system on more than 3
-    vertices, floor(n/k) otherwise), so the first feasible size is optimal.
-    If the budget runs out mid-refutation the search degrades to local-search
-    lower bounds and reports ``exact=False``.
+    A k-partite hole of size a is k disjoint parts of a vertices each that no
+    triple meets all of.  The search climbs a ladder from the empty hole,
+    asking at each level for a hole one vertex per part larger than the best
+    found so far.  It stops at the cap, floor(n/3) - 1 for 3-partite holes
+    in a Steiner system on more than 3 vertices and floor(n/k) otherwise,
+    both proven bounds; or at the first refuted level.  Holes are monotone:
+    dropping one vertex from each part of an (a+1)-hole leaves an a-hole, so
+    once a level is refuted no higher level is feasible, and at most one
+    level is ever refuted.
+
+    Each level is a depth-first search with forward checking (Haralick &
+    Elliott 1980, "Increasing tree search efficiency for constraint
+    satisfaction problems"):
+
+    * Every undecided vertex keeps a domain of the parts it may still join,
+      held as one bitmask of vertices per part.  A vertex loses part j once
+      the other vertices of one of its triples meet k - 1 distinct parts,
+      none of them j, and every vertex loses a part once it is full.
+    * A branch dies when some part, or all parts together, can no longer be
+      filled from the vertices that may still join them.
+    * The next vertex is one with the fewest parts left, the lowest first.
+      It is placed in each of its parts, the emptiest first (balanced parts
+      constrain each other early), and then left out.
+    * Parts are interchangeable while empty, so only the used parts and the
+      lowest empty one are offered.
+    * The tree is walked with an explicit stack, so search depth is not
+      limited by the interpreter's recursion limit.
+
+    A node is one vertex placed in one part; leaving a vertex out is not a
+    node.  Every level draws on the one meter of ``budget``, whose node cap
+    is checked before a node is counted, so ``budget_spent.nodes`` never
+    exceeds it.  ``exact=True`` means the value is the cap or the next level
+    was refuted by an exhausted search.  When the budget runs out, the
+    largest hole found so far is returned with ``exact=False``.  The
+    certificate is re-checked by ``verify_hole``; a failure raises
+    ``InvalidHole``, also under ``python -O``.
     """
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
@@ -304,40 +348,29 @@ def alpha_star(s: TripleSystem | SteinerSystem, k: int,
     budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
-    tri_at = _triples_at(ts)
     steiner = isinstance(s, SteinerSystem) or is_steiner(ts)
     ub = n // 3 - 1 if (k == 3 and steiner and n > 3) else n // k
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, y, z in ts.triples:
+        pairs[x].append((y, z))
+        pairs[y].append((x, z))
+        pairs[z].append((x, y))
 
-    def cert(parts: tuple[frozenset[int], ...]) -> HoleCertificate:
-        h = HoleCertificate(k=k, a=len(parts[0]) if parts else 0, parts=parts)
-        if not verify_hole(ts, h):
-            raise InvalidHole("search produced a hole with a crossing triple")
-        return h
-
-    trivial = HoleCertificate(k=k, a=0, parts=tuple(frozenset() for _ in range(k)))
-    a = ub
-    while a >= 1:
+    best = tuple(frozenset() for _ in range(k))
+    exact = True
+    while len(best[0]) < ub:
         try:
-            parts = _hole_feasible(ts, k, a, meter, tri_at)
+            parts = _find_hole(n, k, len(best[0]) + 1, pairs, meter)
         except _OutOfBudget:
-            # Refutation interrupted: fall back to heuristic lower bounds with
-            # a small fresh allotment (a tenth of the nodes, a quarter of the
-            # wall time), sliced per size so a hard level cannot starve the
-            # easier ones below it.
-            fresh = _Meter(SearchBudget(max_nodes=max(budget.max_nodes // 10, 50_000),
-                                        max_seconds=max(budget.max_seconds / 4, 0.5)))
-            per_level = max(fresh.max_nodes // max(a, 1), 10_000)
-            for ah in range(a, 0, -1):
-                parts = _hole_local_search(ts, k, ah, fresh, tri_at, max_moves=per_level)
-                if parts is not None:
-                    spent = BudgetSpent(meter.nodes + fresh.nodes, meter.spent().seconds)
-                    return ParamResult(ah, False, cert(parts), spent)
-            spent = BudgetSpent(meter.nodes + fresh.nodes, meter.spent().seconds)
-            return ParamResult(0, False, trivial, spent)
-        if parts is not None:
-            return ParamResult(a, True, cert(parts), meter.spent())
-        a -= 1
-    return ParamResult(0, True, trivial, meter.spent())
+            exact = False
+            break
+        if parts is None:
+            break
+        best = parts
+    h = HoleCertificate(k=k, a=len(best[0]), parts=best)
+    if not verify_hole(ts, h):
+        raise InvalidHole("search produced a hole with a crossing triple")
+    return ParamResult(h.a, exact, h, meter.spent())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from stsramsey import (
     verify_hole,
 )
 
-from oracles import brute_alpha, brute_alpha_star3, brute_mc2, brute_mc3, max_component_size
+from oracles import (
+    brute_alpha,
+    brute_alpha_star2,
+    brute_alpha_star3,
+    brute_mc2,
+    brute_mc3,
+    max_component_size,
+)
 
 
 def single_triple():
@@ -50,6 +57,13 @@ class TestIndependenceNumber:
         res = independence_number(s9_sys, SearchBudget(max_nodes=3))
         assert not res.exact
         assert res.value >= 1  # greedy seed survives
+
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        # 1100 vertices, deeper than the default recursion limit
+        res = independence_number(build_system(1100, [(1097, 1098, 1099)]),
+                                  SearchBudget(max_nodes=100_000))
+        assert res.exact and res.value == 1099
+        assert res.budget_spent.nodes == 1100
 
     def test_alpha_star_at_least_alpha_over_k(self):
         for system in (fano(), s9(), skolem(13)):
@@ -90,8 +104,8 @@ class TestAlphaStar:
         assert res.exact and res.value == 7 // 4
 
     def test_bose27_hole_at_least_two_ninths(self):
-        # refuting the trivial cap at n=27 exceeds any desk budget; the
-        # heuristic fallback still has to certify a hole of size >= 2n/9
+        # refuting 8 at n=27 exceeds any desk budget; the ladder still has
+        # to climb to a certified hole of size >= 2n/9 within it
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
         assert res.value >= 6
@@ -104,6 +118,27 @@ class TestAlphaStar:
         monkeypatch.setattr("stsramsey.search.verify_hole", lambda ts, h: False)
         with pytest.raises(InvalidHole):
             alpha_star(s9_sys, 3)
+
+    @pytest.mark.parametrize("system, cap, value, nodes", [
+        (skolem(25), 150_000, 7, 2_100),
+        (bose(21), 500_000, 5, 264_704),
+    ], ids=["skolem25", "bose21"])
+    def test_forward_checking_settles_within_cap(self, system, cap, value, nodes):
+        # index-order backtracking left both inexact at these caps; skolem(25)
+        # ends at the cap floor(n/3) - 1, bose(21) by refuting 6.  The node
+        # counts pin the pruning and the branching order
+        res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
+        assert res.exact and res.value == value
+        assert res.budget_spent.nodes == nodes
+        assert verify_hole(system.base, res.lower_certificate)
+
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        # 1100 vertices, deeper than the default recursion limit
+        system = build_system(1100, [(0, 1, 2)])
+        res = alpha_star(system, 3, SearchBudget(max_nodes=100_000))
+        assert not res.exact and res.budget_spent.nodes == 100_000
+        assert res.value > 0 and res.lower_certificate.a == res.value
+        assert verify_hole(system, res.lower_certificate)
 
     def test_partial_system_uses_trivial_upper_bound(self):
         # half a system: the Steiner cap does not apply
@@ -193,10 +228,12 @@ class TestBudgetCaps:
         system = make()
         full_mc = mc_exact(system, 3).budget_spent.nodes
         full_alpha = independence_number(system).budget_spent.nodes
+        full_hole = alpha_star(system, 3).budget_spent.nodes
         for cap in range(1, 65):
             budget = SearchBudget(max_nodes=cap)
             for res, full in ((mc_exact(system, 3, budget), full_mc),
-                              (independence_number(system, budget), full_alpha)):
+                              (independence_number(system, budget), full_alpha),
+                              (alpha_star(system, 3, budget), full_hole)):
                 assert res.budget_spent.nodes <= cap
                 # an interrupted search spent exactly its cap; a finished
                 # one explored the same tree as an unlimited run
@@ -249,6 +286,19 @@ class TestDifferentialAgainstOracles:
             res = alpha_star(ts, 3)
             assert res.exact
             assert res.value == brute_alpha_star3(8, ts.triples)
+        # partial systems at n = 9, arbitrary and linear (triples of s9), for
+        # k = 2, 3, 4; no triple meets four parts, so alpha*_4 = floor(n/4)
+        pools = (list(combinations(range(9), 3)), list(s9().triples))
+        for _ in range(12):
+            for pool in pools:
+                ts = build_system(9, rng.sample(pool, rng.randrange(1, min(len(pool), 15))))
+                for k, expected in ((2, brute_alpha_star2(9, ts.triples)),
+                                    (3, brute_alpha_star3(9, ts.triples)),
+                                    (4, 9 // 4)):
+                    res = alpha_star(ts, k)
+                    assert res.exact and res.value == expected
+                    assert res.lower_certificate.a == expected
+                    assert verify_hole(ts, res.lower_certificate)
 
     def test_alpha_on_random_small_systems(self):
         rng = random.Random(555)
