@@ -123,18 +123,19 @@ def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
         raise AssertionError  # unreachable
 
 
-def _candidate_upper_colorings(ts: TripleSystem,
+def _candidate_upper_colorings(ts: TripleSystem, labeled: TripleSystem | None,
                                hole_cert) -> list[tuple[str, EdgeColoring]]:
-    """Colorings usable to seed/bound the mc search, best effort."""
+    """Colorings usable to seed/bound the mc search, best effort.
+
+    ``labeled`` is ``ts`` with its Bose or Skolem labels, or None when the
+    system matches neither pattern.
+    """
     out: list[tuple[str, EdgeColoring]] = []
-    try:
-        labeled = cons.infer_labels(ts)
+    if labeled is not None:
         if ts.n % 6 == 3:
             out.append(("bose_coloring", col.bose_coloring(labeled)))
         else:
             out.append(("skolem_coloring", col.skolem_coloring(labeled)))
-    except (MissingLabels, StsError):
-        pass
     if hole_cert is not None and hole_cert.a > 0:
         try:
             out.append(("hole_coloring", col.hole_coloring(ts, hole_cert)))
@@ -183,6 +184,12 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
     steiner = is_steiner(ts)
+    labeled = None
+    if steiner:
+        try:
+            labeled = cons.infer_labels(ts)
+        except MissingLabels:
+            pass
     want = {"alpha", "alpha-star3", "mc3"} if param == "all" else {param}
 
     parameters: dict = {}
@@ -203,7 +210,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     if "mc3" in want:
         click.echo("searching monochromatic-component number...", err=True)
         hole_cert = astar_res.lower_certificate if astar_res else None
-        candidates = _candidate_upper_colorings(ts, hole_cert)
+        candidates = _candidate_upper_colorings(ts, labeled, hole_cert)
         initial = None
         initial_name = "search"
         best_ub = None
@@ -242,13 +249,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             None if (hole_a is None or hole_a == 0 or mc_exact_val is None)
             else mc_exact_val <= n - hole_a))
 
-    construction = None
-    if steiner:
-        try:
-            cons.infer_labels(ts)
-            construction = "bose" if ts.n % 6 == 3 else "skolem"
-        except (MissingLabels, StsError):
-            pass
+    construction = None if labeled is None else ("bose" if ts.n % 6 == 3 else "skolem")
     report = {
         "schema": REPORT_SCHEMA,
         "input": {
@@ -383,9 +384,8 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
                 doc.update({"stuck": True, "m": m})
                 _emit(doc)
                 return
-            system = outcome.system.to_triple_system()
-            doc.update({"stuck": False, "m": m, "triples": system.m,
-                        "linear": outcome.system.linear})
+            system = outcome.system
+            doc.update({"stuck": False, "m": m, "triples": system.m, "linear": system.linear})
         elif process == "binomial":
             if p is None:
                 raise ValueError("--p is required for binomial")
@@ -394,12 +394,10 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
         elif process == "linearized":
             if p is None:
                 raise ValueError("--p is required for linearized")
-            partial = rnd.linearize(rnd.binomial_3graph(n, p, seed))
-            system = partial.to_triple_system()
-            doc.update({"p": p, "triples": system.m, "linear": partial.linear})
+            system = rnd.linearize(rnd.binomial_3graph(n, p, seed))
+            doc.update({"p": p, "triples": system.m, "linear": system.linear})
         else:  # sts
-            full = rnd.random_sts(n, seed)
-            system = full.base
+            system = rnd.random_sts(n, seed)
             doc.update({"triples": system.m, "steiner": True})
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)

@@ -39,9 +39,7 @@ from .core import (
     LABEL_TYPE1,
     LABEL_TYPE2,
     LABEL_TYPE3,
-    SteinerSystem,
     TripleSystem,
-    as_triple_system,
     components,
     verify_hole,
 )
@@ -51,7 +49,7 @@ from .core import (
 # Hole-based coloring (one color per part it avoids)
 # ---------------------------------------------------------------------------
 
-def hole_coloring(s: TripleSystem | SteinerSystem, h: HoleCertificate) -> EdgeColoring:
+def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
     """Color each triple with the smallest part index it avoids.
 
     Such an index exists by the hole property, and every color-i component
@@ -59,7 +57,6 @@ def hole_coloring(s: TripleSystem | SteinerSystem, h: HoleCertificate) -> EdgeCo
     Ties (a triple avoiding several parts) go to the smallest index; any
     choice preserves the bound.
     """
-    ts = as_triple_system(s)
     try:
         if not verify_hole(ts, h):
             raise InvalidHole("certificate admits a crossing triple")
@@ -81,7 +78,7 @@ def hole_coloring(s: TripleSystem | SteinerSystem, h: HoleCertificate) -> EdgeCo
 # Construction colorings
 # ---------------------------------------------------------------------------
 
-def bose_coloring(s: SteinerSystem) -> EdgeColoring:
+def bose_coloring(s: TripleSystem) -> EdgeColoring:
     """Color a Bose-labeled system so each color avoids one point layer.
 
     A type-2 triple with its doubled layer i gets color (i - 1) mod 3, so
@@ -102,10 +99,10 @@ def bose_coloring(s: SteinerSystem) -> EdgeColoring:
             if not doubled:
                 raise MissingLabels(f"triple {tuple(t)} labeled type2 has no doubled layer")
             colors.append((doubled[0] - 1) % 3)
-    return EdgeColoring(system=s.base, r=3, colors=tuple(colors))
+    return EdgeColoring(system=s, r=3, colors=tuple(colors))
 
 
-def skolem_coloring(s: SteinerSystem) -> EdgeColoring:
+def skolem_coloring(s: TripleSystem) -> EdgeColoring:
     """Color a Skolem-labeled system with the layer its triple misses.
 
     Type-2 and type-3 triples use second coordinates {i, i+1} (ignoring the
@@ -129,7 +126,7 @@ def skolem_coloring(s: SteinerSystem) -> EdgeColoring:
         else:  # [0, 2]: the pair is {2, 0} = {i, i+1} for i = 2
             missing = 1
         colors.append(missing)
-    return EdgeColoring(system=s.base, r=3, colors=tuple(colors))
+    return EdgeColoring(system=s, r=3, colors=tuple(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +145,8 @@ class Bicoloring:
         return [v for v, c in enumerate(self.classes) if c == color]
 
 
-def verify_bicoloring(s: TripleSystem | SteinerSystem, phi) -> Bicoloring:
+def verify_bicoloring(ts: TripleSystem, phi) -> Bicoloring:
     """Accept phi iff no triple is monochromatic or rainbow."""
-    ts = as_triple_system(s)
     classes = tuple(phi)
     if len(classes) != ts.n:
         raise ValueError("one class per vertex required")
@@ -166,7 +162,7 @@ def verify_bicoloring(s: TripleSystem | SteinerSystem, phi) -> Bicoloring:
     return Bicoloring(system=ts, classes=classes, sizes=sizes)
 
 
-def bicoloring_search(s: TripleSystem | SteinerSystem) -> Bicoloring | None:
+def bicoloring_search(ts: TripleSystem) -> Bicoloring | None:
     """First bicoloring in lexicographic order, or None.
 
     Vertex 0 is pinned to color 1 (colors are interchangeable).  For systems
@@ -174,7 +170,6 @@ def bicoloring_search(s: TripleSystem | SteinerSystem) -> Bicoloring | None:
     degenerate 3-vertex system is allowed an empty class.  Intended for
     n <= 15.
     """
-    ts = as_triple_system(s)
     n = ts.n
     require_nonempty = n > 3
     by_max: list[list[int]] = [[] for _ in range(n)]
@@ -275,7 +270,7 @@ def _select(cands: list[tuple[frozenset[int], int]]) -> tuple[frozenset[int], in
     return min(cands, key=lambda item: (-len(item[0]), item[1], sorted(item[0])))
 
 
-def decompose_3coloring(s: TripleSystem | SteinerSystem, c: EdgeColoring) -> DecompositionResult:
+def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResult:
     """Decompose a 3-coloring by following maximal monochromatic components.
 
     Pick a containment-maximal monochromatic component B (largest, ties to
@@ -284,7 +279,6 @@ def decompose_3coloring(s: TripleSystem | SteinerSystem, c: EdgeColoring) -> Dec
     and emit L2 on (B&R, B-R, U&R, U-R) when U-R is non-empty, else L3 via
     the third-color component G containing U + (B-R).
     """
-    ts = as_triple_system(s)
     for u in range(ts.n):
         for v in range(u + 1, ts.n):
             if (u, v) not in ts.pair_index:
@@ -353,10 +347,9 @@ def _connected_induced(n, pc, col, S: frozenset[int]) -> bool:
     return len(components(n, S, edges)) == 1
 
 
-def verify_decomposition(s: TripleSystem | SteinerSystem, c: EdgeColoring,
+def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
                          d: DecompositionResult) -> CheckResult:
     """Check every clause of the emitted case against the multicolored shadow."""
-    ts = as_triple_system(s)
     n = ts.n
     pc = _pair_colorsets(ts, c)
 

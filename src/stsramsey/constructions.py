@@ -28,7 +28,6 @@ from .core import (
     NonHalfIdempotentQuasigroup,
     NonIdempotentQuasigroup,
     OddOrder,
-    SteinerSystem,
     TripleSystem,
     build_system,
     validate_steiner,
@@ -140,7 +139,7 @@ def _require(cond: bool, exc: Exception) -> None:
         raise exc
 
 
-def bose(n: int, quasigroup: Quasigroup | None = None) -> SteinerSystem:
+def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     """Bose construction on n = 6k+3 vertices.
 
     Type 1 triples bundle the three copies of each quasigroup element; type 2
@@ -172,7 +171,7 @@ def bose(n: int, quasigroup: Quasigroup | None = None) -> SteinerSystem:
     return validate_steiner(build_system(n, triples), labels=tuple(labels))
 
 
-def skolem(n: int, quasigroup: Quasigroup | None = None) -> SteinerSystem:
+def skolem(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     """Skolem construction on n = 6k+1 vertices.
 
     Type 2 here is {inf, (k+a, i), (a, i+1 mod 3)} for 0 <= a < k.  The other
@@ -212,13 +211,13 @@ def skolem(n: int, quasigroup: Quasigroup | None = None) -> SteinerSystem:
     return validate_steiner(build_system(n, triples), labels=tuple(labels))
 
 
-def fano() -> SteinerSystem:
+def fano() -> TripleSystem:
     """The 7-point system with lines {i, i+1, i+3} mod 7."""
     triples = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
     return validate_steiner(build_system(7, triples))
 
 
-def s9() -> SteinerSystem:
+def s9() -> TripleSystem:
     """The 9-point system: lines of the affine plane of order 3."""
     lines = []
     for slope in range(3):
@@ -299,7 +298,7 @@ def _infer_skolem(ts: TripleSystem) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def infer_labels(ts: TripleSystem) -> SteinerSystem:
+def infer_labels(ts: TripleSystem) -> TripleSystem:
     """Attach Bose or Skolem labels to a bare system by pattern matching.
 
     The span guarantees of the scheme colorings only rely on the patterns

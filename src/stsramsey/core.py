@@ -1,9 +1,14 @@
 """Data model for 3-uniform triple systems and their coloring machinery.
 
-Vertices are dense 0-based integers.  A :class:`TripleSystem` is an ordered
-list of sorted triples together with a pair index (unordered vertex pair ->
-indices of the triples containing it).  A :class:`SteinerSystem` wraps a
-validated system in which every pair is covered exactly once.
+Vertices are dense 0-based integers.  One type, :class:`TripleSystem`,
+models every system: an ordered list of sorted triples together with a pair
+index (unordered vertex pair -> indices of the triples containing it).  A
+Steiner triple system is a TripleSystem in which every pair lies in exactly
+one triple (:func:`validate_steiner`, :func:`is_steiner`); the partial
+systems of the triangle-removal process are linear: every pair lies in at
+most one triple (``TripleSystem.linear``).  The explicit constructions
+attach per-triple ``labels``, which equality ignores, so a labeled
+construction equals the same triples read back from a file.
 
 Connectivity is always meant through the shadow graph: two vertices are
 adjacent when they share a triple, and components of one color class of an
@@ -15,7 +20,7 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -145,16 +150,34 @@ class TripleSystem:
 
     ``pair_index`` maps each covered unordered pair (u, v), u < v, to the
     tuple of indices of triples containing it.  It is derived data: rebuilding
-    it from ``triples`` must reproduce it exactly.
+    it from ``triples`` must reproduce it exactly.  ``labels``, when present,
+    tags each triple with its construction type (one label per triple, in
+    triple order); equality and hashing ignore it.
     """
 
     n: int
     triples: tuple[Triple, ...]
     pair_index: Mapping[Pair, tuple[int, ...]] = field(compare=False, repr=False)
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.triples)
+
+    @property
+    def linear(self) -> bool:
+        """True when no vertex pair lies in two triples."""
+        return all(len(ix) == 1 for ix in self.pair_index.values())
+
+    @property
+    def base(self) -> "TripleSystem":
+        """This system itself.
+
+        An alias kept only for the frozen benchmark under ``bench/``, which
+        reads ``.base`` on construction and sampler outputs; nothing in the
+        package reads it.
+        """
+        return self
 
 
 def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
@@ -200,46 +223,13 @@ LABEL_TYPE3 = "type3"
 LABEL_UNTYPED = "untyped"
 
 
-@dataclass(frozen=True)
-class SteinerSystem:
-    """A validated Steiner triple system, optionally with per-triple labels."""
-
-    base: TripleSystem
-    labels: tuple[str, ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        return self.base.triples
-
-    @property
-    def pair_index(self) -> Mapping[Pair, tuple[int, ...]]:
-        return self.base.pair_index
-
-    @property
-    def degenerate(self) -> bool:
-        """True for the accepted single-triple system on 3 vertices."""
-        return self.n == 3
-
-
-def as_triple_system(s: TripleSystem | SteinerSystem) -> TripleSystem:
-    """The underlying TripleSystem of either system type."""
-    return s.base if isinstance(s, SteinerSystem) else s
-
-
-def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> SteinerSystem:
+def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> TripleSystem:
     """Check the Steiner property: every vertex pair in exactly one triple.
 
     n must be congruent to 1 or 3 mod 6 (which admits the degenerate n = 3
     single-triple system).  The first violating pair, in lexicographic order,
-    is reported.
+    is reported.  Returns ``s``, or a copy of it carrying ``labels`` when
+    they are given.
     """
     n = s.n
     if n % 6 not in (1, 3):
@@ -253,7 +243,7 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
                 raise PairMulticovered(u, v, cnt)
     if labels is not None and len(labels) != s.m:
         raise ValueError("label count differs from triple count")
-    return SteinerSystem(base=s, labels=labels)
+    return s if labels is None else replace(s, labels=labels)
 
 
 def is_steiner(s: TripleSystem) -> bool:
@@ -306,12 +296,6 @@ class HoleCertificate:
     k: int
     a: int
     parts: tuple[frozenset[int], ...]
-
-    @classmethod
-    def from_parts(cls, parts: Iterable[Iterable[int]]) -> "HoleCertificate":
-        ps = tuple(frozenset(p) for p in parts)
-        size = len(ps[0]) if ps else 0
-        return cls(k=len(ps), a=size, parts=ps)
 
 
 @dataclass(frozen=True)
@@ -395,8 +379,8 @@ def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
     """True iff no triple of s intersects all k parts.
 
     Structural defects of the certificate itself (overlapping parts, unequal
-    sizes, vertices outside the system) raise MalformedCertificate; failure of
-    the hole property returns False.
+    sizes, vertices that are not ints or lie outside the system) raise
+    MalformedCertificate; failure of the hole property returns False.
     """
     if h.k != len(h.parts):
         raise MalformedCertificate(f"k={h.k} but {len(h.parts)} parts given")
@@ -408,6 +392,8 @@ def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
             raise MalformedCertificate("parts must be pairwise disjoint")
         seen |= part
         for v in part:
+            if type(v) is not int:
+                raise MalformedCertificate(f"vertex {v!r} is not an int")
             if not (0 <= v < s.n):
                 raise MalformedCertificate(f"vertex {v} not in [0, {s.n})")
     for t in s.triples:

@@ -28,9 +28,7 @@ from typing import Union
 from .core import (
     EdgeColoring,
     HoleCertificate,
-    SteinerSystem,
     TripleSystem,
-    as_triple_system,
     build_system,
 )
 
@@ -41,8 +39,7 @@ class FormatError(ValueError):
     """Raised when a file does not follow the declared text contract."""
 
 
-def format_system(s: TripleSystem | SteinerSystem) -> str:
-    ts = as_triple_system(s)
+def format_system(ts: TripleSystem) -> str:
     lines = ["# sts v1", f"{ts.n} {ts.m}"]
     lines.extend(f"{t.a} {t.b} {t.c}" for t in ts.triples)
     return "\n".join(lines) + "\n"
@@ -78,9 +75,9 @@ def parse_system(text: str) -> TripleSystem:
     return build_system(n, triples)
 
 
-def write_system(s: TripleSystem | SteinerSystem, path: PathLike) -> None:
+def write_system(ts: TripleSystem, path: PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_system(s))
+        fh.write(format_system(ts))
 
 
 def read_system(path: PathLike) -> TripleSystem:
@@ -132,12 +129,18 @@ def format_hole(h: HoleCertificate) -> str:
 
 
 def parse_hole(text: str) -> HoleCertificate:
+    """Read a hole certificate; every vertex must be a JSON integer."""
     try:
         doc = json.loads(text)
         parts = tuple(frozenset(p) for p in doc["parts"])
-        return HoleCertificate(k=int(doc["k"]), a=int(doc["a"]), parts=parts)
+        hole = HoleCertificate(k=int(doc["k"]), a=int(doc["a"]), parts=parts)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad hole certificate: {exc}") from exc
+    for part in parts:
+        for v in part:
+            if type(v) is not int:
+                raise FormatError(f"bad hole certificate: vertex {v!r} is not an integer")
+    return hole
 
 
 def write_hole(h: HoleCertificate, path: PathLike) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -27,7 +27,6 @@ from .core import (
     BadM,
     BadOrder,
     RestartsExhausted,
-    SteinerSystem,
     Triple,
     TripleSystem,
     build_system,
@@ -60,63 +59,22 @@ def derive_seed(master: int, *path: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ordered partial systems
+# Processes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OrderedPartialSystem:
-    """A linear system whose triple order records the process history."""
-
-    n: int
-    triples: tuple[Triple, ...]
-    linear: bool = field(init=False)
-
-    def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
-        linear = True
-        for t in self.triples:
-            for p in combinations(t, 2):
-                if p in seen:
-                    linear = False
-                    break
-                seen.add(p)
-            if not linear:
-                break
-        object.__setattr__(self, "linear", linear)
-
-    @property
-    def m(self) -> int:
-        return len(self.triples)
-
-    def prefix(self, i: int) -> "OrderedPartialSystem":
-        return OrderedPartialSystem(n=self.n, triples=self.triples[:i])
-
-    def to_triple_system(self) -> TripleSystem:
-        return build_system(self.n, self.triples)
-
-
-@dataclass(frozen=True)
 class ProcessOutcome:
-    """Either a completed ordered partial system or a stuck marker."""
+    """A process result: the system built, or None when the process got stuck.
 
-    system: OrderedPartialSystem | None
+    The system lists its triples in the order the process chose them.
+    """
+
+    system: TripleSystem | None
 
     @property
     def stuck(self) -> bool:
         return self.system is None
 
-    @classmethod
-    def of(cls, system: OrderedPartialSystem) -> "ProcessOutcome":
-        return cls(system=system)
-
-    @classmethod
-    def stuck_marker(cls) -> "ProcessOutcome":
-        return cls(system=None)
-
-
-# ---------------------------------------------------------------------------
-# Processes
-# ---------------------------------------------------------------------------
 
 def triangle_removal(n: int, m: int, seed: int) -> ProcessOutcome:
     """Delete m uniformly random edge-disjoint triangles from the complete graph.
@@ -136,7 +94,7 @@ def triangle_removal(n: int, m: int, seed: int) -> ProcessOutcome:
     removed: list[tuple[int, int, int]] = []
     for _ in range(m):
         if not triangles:
-            return ProcessOutcome.stuck_marker()
+            return ProcessOutcome(system=None)
         chosen = triangles[rng.randrange(len(triangles))]
         a, b, c = chosen
         affected: set[tuple[int, int, int]] = set()
@@ -157,8 +115,7 @@ def triangle_removal(n: int, m: int, seed: int) -> ProcessOutcome:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
         removed.append(chosen)
-    return ProcessOutcome.of(
-        OrderedPartialSystem(n=n, triples=tuple(Triple.of(*t) for t in removed)))
+    return ProcessOutcome(system=build_system(n, removed))
 
 
 def binomial_3graph(n: int, p: float, seed: int) -> TripleSystem:
@@ -174,7 +131,7 @@ def binomial_3graph(n: int, p: float, seed: int) -> TripleSystem:
     return build_system(n, triples)
 
 
-def linearize(g: TripleSystem) -> OrderedPartialSystem:
+def linearize(g: TripleSystem) -> TripleSystem:
     """Drop every triple sharing two or more vertices with another triple.
 
     Both members of a conflicting pair go; what survives is linear.  Order is
@@ -184,8 +141,7 @@ def linearize(g: TripleSystem) -> OrderedPartialSystem:
     for indices in g.pair_index.values():
         if len(indices) > 1:
             conflicted.update(indices)
-    kept = tuple(t for i, t in enumerate(g.triples) if i not in conflicted)
-    return OrderedPartialSystem(n=g.n, triples=kept)
+    return build_system(g.n, (t for i, t in enumerate(g.triples) if i not in conflicted))
 
 
 def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] | None:
@@ -240,7 +196,7 @@ def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] 
     return sorted(blocks)
 
 
-def random_sts(n: int, seed: int, max_restarts: int = 1000) -> SteinerSystem:
+def random_sts(n: int, seed: int, max_restarts: int = 1000) -> TripleSystem:
     """A validated, approximately random Steiner triple system.
 
     Pure restart-until-complete runs of the triangle removal process have
@@ -321,9 +277,8 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
             if attempt > 1000:
                 raise RestartsExhausted(f"partial process stuck 1000 times at n={n}")
             outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
-        partial = outcome.system.to_triple_system()
         t0 = time.monotonic()
-        res = alpha_star(partial, 3, budget)
+        res = alpha_star(outcome.system, 3, budget)
         rows.append(ExperimentRow(seed=seed, n=n, model=MODEL_PARTIAL, m_or_p=m_half,
                                   sample=i, alpha_star3=res.value, exact=res.exact,
                                   nodes=res.budget_spent.nodes,

@@ -22,9 +22,7 @@ from .core import (
     EdgeColoring,
     HoleCertificate,
     InvalidHole,
-    SteinerSystem,
     TripleSystem,
-    as_triple_system,
     is_steiner,
     largest_mono_component,
     verify_hole,
@@ -92,7 +90,7 @@ def _triples_at(ts: TripleSystem) -> list[list[int]]:
 # Independence number
 # ---------------------------------------------------------------------------
 
-def independence_number(s: TripleSystem | SteinerSystem,
+def independence_number(ts: TripleSystem,
                         budget: SearchBudget | None = None) -> ParamResult:
     """Largest vertex set containing no full triple, by branch and bound.
 
@@ -103,7 +101,6 @@ def independence_number(s: TripleSystem | SteinerSystem,
     interpreter's recursion limit.  A node is one vertex decided; the node
     cap is checked before a node is counted.
     """
-    ts = as_triple_system(s)
     budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
@@ -301,7 +298,7 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
             return None
 
 
-def alpha_star(s: TripleSystem | SteinerSystem, k: int,
+def alpha_star(ts: TripleSystem, k: int,
                budget: SearchBudget | None = None) -> ParamResult:
     """The k-partite-hole number with a verified certificate.
 
@@ -344,12 +341,10 @@ def alpha_star(s: TripleSystem | SteinerSystem, k: int,
     """
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
-    ts = as_triple_system(s)
     budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
-    steiner = isinstance(s, SteinerSystem) or is_steiner(ts)
-    ub = n // 3 - 1 if (k == 3 and steiner and n > 3) else n // k
+    ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x, y, z in ts.triples:
         pairs[x].append((y, z))
@@ -377,7 +372,7 @@ def alpha_star(s: TripleSystem | SteinerSystem, k: int,
 # Monochromatic-component number
 # ---------------------------------------------------------------------------
 
-def mc_exact(s: TripleSystem | SteinerSystem, r: int,
+def mc_exact(ts: TripleSystem, r: int,
              budget: SearchBudget | None = None,
              initial: EdgeColoring | None = None) -> ParamResult:
     """Minimize the largest monochromatic component over all r-colorings.
@@ -414,7 +409,6 @@ def mc_exact(s: TripleSystem | SteinerSystem, r: int,
     """
     if r < 1:
         raise ValueError("need at least one color")
-    ts = as_triple_system(s)
     budget = budget or SearchBudget()
     meter = _Meter(budget)
     n, m = ts.n, ts.m

@@ -58,11 +58,11 @@ def test_criterion_01_construction_validity():
     t0 = time.monotonic()
     for n in range(9, 100, 6):
         system = bose(n)
-        validate_steiner(system.base)
+        validate_steiner(system)
         assert system.m == n * (n - 1) // 6
     for n in range(7, 100, 6):
         system = skolem(n)
-        validate_steiner(system.base)
+        validate_steiner(system)
         assert system.m == n * (n - 1) // 6
     elapsed = time.monotonic() - t0
     report(1, "construction validity n<=99", elapsed < 1.0,
@@ -168,7 +168,7 @@ def test_criterion_06_decomposition_soundness():
         gyarfas = -(-2 * n // 3) + 1
         for _ in range(count):
             colors = tuple(rng.randrange(3) for _ in range(system.m))
-            c = EdgeColoring(system=system.base, r=3, colors=colors)
+            c = EdgeColoring(system=system, r=3, colors=colors)
             d = decompose_3coloring(system, c)
             check = verify_decomposition(system, c, d)
             assert check, f"decomposition clause failed: {check.failed_clause}"

@@ -45,7 +45,7 @@ class TestGen:
     def test_round_trip_matches_in_memory(self, tmp_path):
         out = tmp_path / "b15.sts"
         run("gen", "--construction", "bose", "--n", "15", "-o", str(out))
-        assert read_system(out) == bose(15).base
+        assert read_system(out) == bose(15)
 
     def test_random_quasigroup_variant(self, tmp_path):
         out = tmp_path / "b15r.sts"
@@ -53,7 +53,7 @@ class TestGen:
                   "--quasigroup", "random", "--qseed", "5")
         assert res.exit_code == 0
         system = read_system(out)
-        assert system.m == 35 and system != bose(15).base
+        assert system.m == 35 and system != bose(15)
 
     def test_random_quasigroup_rejected_for_skolem(self):
         res = run("gen", "--construction", "skolem", "--n", "13",
@@ -202,6 +202,20 @@ class TestColor:
         # the specific parts may or may not form a hole; accept either exit 0
         # with a bound or exit 4 if the certificate is invalid
         assert res.exit_code in (0, 4)
+
+    @pytest.mark.parametrize("parts", ["[[0.5], [1.5], [2.5]]", '[["x"], ["y"], ["z"]]',
+                                       "[[true], [false], [2]]"])
+    def test_hole_file_with_non_integer_vertices_exit_3(self, tmp_path, parts):
+        # 0.5, 1.5, 2.5 meet no triple, so accepting them would claim the
+        # bound n - 1 = 8 for a coloring whose largest component is 9
+        path = tmp_path / "b9.sts"
+        run("gen", "--construction", "bose", "--n", "9", "-o", str(path))
+        hole_path = tmp_path / "h.json"
+        hole_path.write_text('{"k": 3, "a": 1, "parts": %s}\n' % parts)
+        res = run("color", "-i", str(path), "--scheme", "hole",
+                  "--hole-file", str(hole_path))
+        assert res.exit_code == 3
+        assert "is not an integer" in res.output
 
     def test_bicolor_scheme_on_s9(self, tmp_path):
         path = tmp_path / "s9.sts"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from stsramsey import (
     MonochromaticTriple,
     PairUncovered,
     RainbowTriple,
-    SteinerSystem,
     alpha_star,
     bicoloring_search,
     bicoloring_to_bound,
@@ -95,7 +95,7 @@ class TestConstructionColorings:
         assert largest_mono_component(coloring)[0] <= 6
 
     def test_unlabeled_rejected(self, fano_sys):
-        bare = SteinerSystem(base=fano_sys.base, labels=None)
+        bare = replace(fano_sys, labels=None)
         with pytest.raises(MissingLabels):
             bose_coloring(bare)
         with pytest.raises(MissingLabels):
@@ -136,7 +136,7 @@ class TestBicolorings:
         bi = bicoloring_search(s9_sys)
         hole, bound = bicoloring_to_bound(bi)
         assert hole.a == 1 and bound == 8
-        assert verify_hole(s9_sys.base, hole)
+        assert verify_hole(s9_sys, hole)
 
     def test_bound_arithmetic_for_24_24_33(self):
         # class sizes (24, 24, 33) on 81 vertices give bound 24 + 33 = 57
@@ -165,7 +165,7 @@ L2_COLORS = (0,) * 7 + (1,) * 6 + (2,) * 6
 
 class TestDecomposition:
     def test_all_one_color_is_spanning(self, fano_sys):
-        c = EdgeColoring(system=fano_sys.base, r=3, colors=(0,) * 7)
+        c = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
         d = decompose_3coloring(fano_sys, c)
         assert d.case == "L1"
         assert verify_decomposition(fano_sys, c, d)
@@ -200,7 +200,7 @@ class TestDecomposition:
         # exhaustive: all 3^7 edge colorings of the 7-point system
         from itertools import product
         for colors in product(range(3), repeat=7):
-            c = EdgeColoring(system=fano_sys.base, r=3, colors=colors)
+            c = EdgeColoring(system=fano_sys, r=3, colors=colors)
             d = decompose_3coloring(fano_sys, c)
             check = verify_decomposition(fano_sys, c, d)
             assert check, (colors, d.case, check.failed_clause)
@@ -220,7 +220,7 @@ class TestDecomposition:
         astar = alpha_star(system, 3).value
         for _ in range(600):
             colors = tuple(rng.randrange(3) for _ in range(system.m))
-            c = EdgeColoring(system=system.base, r=3, colors=colors)
+            c = EdgeColoring(system=system, r=3, colors=colors)
             d = decompose_3coloring(system, c)
             check = verify_decomposition(system, c, d)
             assert check, check.failed_clause
@@ -235,14 +235,14 @@ class TestDecomposition:
             decompose_3coloring(ts, c)
 
     def test_bogus_l1_claim_fails(self, fano_sys):
-        c = EdgeColoring(system=fano_sys.base, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
+        c = EdgeColoring(system=fano_sys, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         bogus = DecompositionResult(case="L1", role_colors=(0, 1, 2),
                                     component=frozenset(range(6)))
         check = verify_decomposition(fano_sys, c, bogus)
         assert not check and "span" in check.failed_clause
 
     def test_bogus_l2_empty_part_fails(self, fano_sys):
-        c = EdgeColoring(system=fano_sys.base, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
+        c = EdgeColoring(system=fano_sys, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         bogus = DecompositionResult(
             case="L2", role_colors=(0, 1, 2),
             parts=(frozenset(), frozenset([0, 1]), frozenset([2, 3]),

@@ -19,7 +19,7 @@ def test_system_round_trip(tmp_path):
     path = tmp_path / "b15.sts"
     write_system(system, path)
     back = read_system(path)
-    assert back == system.base
+    assert back == system
 
 
 def test_system_format_is_canonical():
@@ -51,16 +51,16 @@ def test_unsorted_triple_rejected():
 
 def test_coloring_round_trip():
     system = fano()
-    c = EdgeColoring(system=system.base, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
+    c = EdgeColoring(system=system, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
     text = format_coloring(c)
     assert text.startswith("colors 3\n")
-    assert parse_coloring(text, system.base) == c
+    assert parse_coloring(text, system) == c
 
 
 def test_coloring_wrong_length():
     system = fano()
     with pytest.raises(FormatError):
-        parse_coloring("colors 3\n0\n1\n", system.base)
+        parse_coloring("colors 3\n0\n1\n", system)
 
 
 def test_hole_round_trip():

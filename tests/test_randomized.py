@@ -6,6 +6,7 @@ from stsramsey import (
     BadM,
     BadOrder,
     binomial_3graph,
+    build_system,
     derive_seed,
     experiment_discrepancy,
     linearize,
@@ -39,13 +40,13 @@ class TestTriangleRemoval:
             assert not out.stuck
             assert out.system.linear
             for i in range(out.system.m + 1):
-                assert out.system.prefix(i).linear
+                assert build_system(13, out.system.triples[:i]).linear
 
     def test_complete_run_is_steiner(self):
         # seed 1 completes all 7 steps on 7 vertices (measured)
         out = triangle_removal(7, 7, 1)
         assert not out.stuck
-        validate_steiner(out.system.to_triple_system())
+        validate_steiner(out.system)
 
     def test_stuck_is_reported(self):
         # seed 0 gets stuck before 7 steps (measured)
@@ -86,12 +87,10 @@ class TestBinomial3Graph:
 
 class TestLinearize:
     def test_mutual_conflict_removes_both(self):
-        from stsramsey import build_system
         g = build_system(4, [(0, 1, 2), (0, 1, 3)])
         assert linearize(g).m == 0
 
     def test_disjoint_triples_kept(self):
-        from stsramsey import build_system
         g = build_system(6, [(0, 1, 2), (3, 4, 5)])
         out = linearize(g)
         assert out.m == 2 and out.linear

@@ -80,7 +80,7 @@ class TestAlphaStar:
     def test_s9(self, s9_sys):
         res = alpha_star(s9_sys, 3)
         assert res.exact and res.value == 2
-        assert verify_hole(s9_sys.base, res.lower_certificate)
+        assert verify_hole(s9_sys, res.lower_certificate)
 
     def test_single_triple(self):
         res = alpha_star(single_triple(), 3)
@@ -109,7 +109,7 @@ class TestAlphaStar:
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
         assert res.value >= 6
-        assert verify_hole(system.base, res.lower_certificate)
+        assert verify_hole(system, res.lower_certificate)
         assert res.lower_certificate.a == res.value
 
     def test_rejected_certificate_raises_even_under_optimization(self, s9_sys, monkeypatch):
@@ -130,7 +130,7 @@ class TestAlphaStar:
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
-        assert verify_hole(system.base, res.lower_certificate)
+        assert verify_hole(system, res.lower_certificate)
 
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
         # 1100 vertices, deeper than the default recursion limit
@@ -143,7 +143,7 @@ class TestAlphaStar:
     def test_partial_system_uses_trivial_upper_bound(self):
         # half a system: the Steiner cap does not apply
         from stsramsey import triangle_removal
-        partial = triangle_removal(13, 13, 5).system.to_triple_system()
+        partial = triangle_removal(13, 13, 5).system
         res = alpha_star(partial, 3)
         assert res.exact and res.value <= 13 // 3
 
@@ -196,7 +196,7 @@ class TestMcExact:
         assert res.exact and res.value == 7
 
     def test_initial_for_other_system_rejected(self, fano_sys, s9_sys):
-        wrong = EdgeColoring(system=fano_sys.base, r=3, colors=(0,) * 7)
+        wrong = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
         with pytest.raises(ValueError):
             mc_exact(s9_sys, 3, initial=wrong)
 
@@ -324,7 +324,7 @@ class TestDifferentialAgainstOracles:
 
 class TestMcUpper:
     def test_single_color_fano(self, fano_sys):
-        c = EdgeColoring(system=fano_sys.base, r=1, colors=(0,) * 7)
+        c = EdgeColoring(system=fano_sys, r=1, colors=(0,) * 7)
         assert mc_upper_from_coloring(c) == 7
 
     def test_bose27_coloring_bound(self):
