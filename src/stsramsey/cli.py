@@ -234,15 +234,15 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     if steiner and n > 3:
         verdicts.append(_verdict(
             "alpha_star3_upper", "alpha*_3 <= floor(n/3) - 1",
-            None if a_exact is None else a_exact <= n // 3 - 1))
+            None if a_exact is None else a_exact <= bounds.alpha_upper))
         mc_exact_val = mc_res.value if (mc_res and mc_res.exact) else None
         verdicts.append(_verdict(
             "mc3_gyarfas_lower", "mc_3 >= ceil(2n/3) + 1",
-            None if mc_exact_val is None else mc_exact_val >= -(-2 * n // 3) + 1))
+            None if mc_exact_val is None else mc_exact_val >= bounds.gyarfas))
         verdicts.append(_verdict(
             "mc3_hole_chain", "n - 2*alpha*_3 <= mc_3 <= n - alpha*_3",
             None if (a_exact is None or mc_exact_val is None)
-            else (n - 2 * a_exact <= mc_exact_val <= n - a_exact)))
+            else (bounds.hole_lower <= mc_exact_val <= bounds.hole_upper)))
         hole_a = astar_res.lower_certificate.a if astar_res else None
         verdicts.append(_verdict(
             "mc3_le_n_minus_hole", "mc_3 <= n - a for the verified hole",

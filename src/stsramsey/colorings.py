@@ -16,7 +16,9 @@ monochromatic components, every 3-coloring lands in one of three cases:
 
 :func:`decompose_3coloring` builds the witness; :func:`verify_decomposition`
 checks every clause of the emitted case literally and is the ground truth the
-randomized tests lean on.
+randomized tests lean on.  Both read the shadow straight off the colored
+triples: a pair carries color c exactly when some c-colored triple holds both
+of its vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .core import (
     EdgeColoring,
@@ -41,6 +42,7 @@ from .core import (
     LABEL_TYPE3,
     TripleSystem,
     components,
+    mono_components,
     verify_hole,
 )
 
@@ -239,7 +241,6 @@ class DecompositionResult:
     role_colors: tuple[int, int, int]          # colors playing (blue, red, green)
     component: frozenset[int] | None = None    # L1: the spanning component
     parts: tuple[frozenset[int], ...] | None = None   # L2/L3: (W, X, Y, Z)
-    summary: tuple[str, ...] = ()
 
     def t2_partition(self) -> T2Partition:
         if self.case != "L2" or self.parts is None:
@@ -255,14 +256,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _pair_colorsets(ts: TripleSystem, c: EdgeColoring) -> dict[tuple[int, int], set[int]]:
-    pc: dict[tuple[int, int], set[int]] = {}
-    for t, col in zip(ts.triples, c.colors):
-        for p in combinations(t, 2):
-            pc.setdefault(p, set()).add(col)
-    return pc
 
 
 def _select(cands: list[tuple[frozenset[int], int]]) -> tuple[frozenset[int], int]:
@@ -285,17 +278,14 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
                 raise PairUncovered(u, v)
     if c.r != 3:
         raise ValueError("decomposition needs exactly 3 colors")
+    if c.system is not ts and c.system != ts:
+        raise ValueError("coloring belongs to another system")
     n = ts.n
     if n <= 1:
         return DecompositionResult(case="L1", role_colors=(0, 1, 2),
-                                   component=frozenset(range(n)),
-                                   summary=("trivial system",))
-    pc = _pair_colorsets(ts, c)
-    # components of each color of the multicolored shadow, singletons included
-    comps_by_color = {col: components(n, range(n), [p for p, cs in pc.items() if col in cs])
-                      for col in range(3)}
-    allcomps = [(comp, col) for col in range(3) for comp in comps_by_color[col]
-                if len(comp) >= 2]
+                                   component=frozenset(range(n)))
+    comps_by_color = mono_components(c).components
+    allcomps = [(comp, col) for col in range(3) for comp in comps_by_color[col]]
     maximal = [(comp, col) for (comp, col) in allcomps
                if not any(comp < other for (other, _) in allcomps)]
     B, bcol = _select(maximal)
@@ -303,7 +293,7 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
     if B == V:
         return DecompositionResult(
             case="L1", role_colors=(bcol, (bcol + 1) % 3, (bcol + 2) % 3),
-            component=B, summary=(f"color {bcol} has a spanning component",))
+            component=B)
     U = V - B
     crossing = [(comp, col) for (comp, col) in maximal if (comp & B) and (comp & U)]
     R, rcol = _select(crossing)
@@ -311,47 +301,36 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
     if U - R:
         W, X, Y, Z = B & R, B - R, U & R, U - R
         return DecompositionResult(
-            case="L2", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z),
-            summary=(f"blue={bcol} red={rcol} green={gcol}",
-                     "cross classes forced; no triple touches three parts"))
+            case="L2", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z))
     seed = U | (B - R)
     v0 = min(seed)
+    # v0 lies on a green triple.  B-R is non-empty, else the maximal R would
+    # strictly contain B.  A pair from U to B-R is covered by some triple; it
+    # is not blue (U lies outside B) and not red (B-R lies outside R), so it
+    # is green.
     G = next(comp for comp in comps_by_color[gcol] if v0 in comp)
     W, X, Y, Z = B & R & G, B - G, B - R, U
     return DecompositionResult(
-        case="L3", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z),
-        summary=(f"blue={bcol} red={rcol} green={gcol}",
-                 "W+X+Y, W+X+Z, W+Y+Z connected in blue, red, green"))
-
-
-def _only_color(pc, A, B, col) -> bool:
-    for u in A:
-        for v in B:
-            p = (u, v) if u < v else (v, u)
-            if not (pc.get(p, set()) <= {col}):
-                return False
-    return True
-
-
-def _never_color(pc, A, B, col) -> bool:
-    for u in A:
-        for v in B:
-            p = (u, v) if u < v else (v, u)
-            if col in pc.get(p, set()):
-                return False
-    return True
-
-
-def _connected_induced(n, pc, col, S: frozenset[int]) -> bool:
-    edges = [p for p in combinations(sorted(S), 2) if col in pc.get(p, ())]
-    return len(components(n, S, edges)) == 1
+        case="L3", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z))
 
 
 def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
                          d: DecompositionResult) -> CheckResult:
     """Check every clause of the emitted case against the multicolored shadow."""
     n = ts.n
-    pc = _pair_colorsets(ts, c)
+    colored = list(zip(ts.triples, c.colors))
+    palette = frozenset(range(c.r))
+
+    def joins(A, B, cols) -> bool:
+        # Some triple colored in cols meets both A and B.  The parts are
+        # checked disjoint before any call, so such a triple holds a pair
+        # from A to B carrying its color.
+        return any(col in cols and not A.isdisjoint(t) and not B.isdisjoint(t)
+                   for t, col in colored)
+
+    def connected(col, S) -> bool:
+        cut = [S.intersection(t) for t, tcol in colored if tcol == col]
+        return len(components(n, S, [e for e in cut if e])) == 1
 
     def fail(clause: str) -> CheckResult:
         return CheckResult(ok=False, failed_clause=clause)
@@ -359,7 +338,7 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     if d.case == "L1":
         if d.component != frozenset(range(n)):
             return fail("L1: component does not span")
-        if not _connected_induced(n, pc, d.role_colors[0], d.component):
+        if not connected(d.role_colors[0], d.component):
             return fail("L1: component not connected in its color")
         return CheckResult(ok=True)
 
@@ -377,7 +356,7 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
         for A, Bs, col, name in ((W, X, blue, "[W,X] blue"), (Y, Z, blue, "[Y,Z] blue"),
                                  (W, Y, red, "[W,Y] red"), (X, Z, red, "[X,Z] red"),
                                  (W, Z, green, "[W,Z] green"), (X, Y, green, "[X,Y] green")):
-            if not _only_color(pc, A, Bs, col):
+            if joins(A, Bs, palette - {col}):
                 return fail(f"L2: {name} violated")
         for t in ts.triples:
             vs = t.as_set()
@@ -388,20 +367,20 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     if d.case == "L3":
         if not (X and Y and Z):
             return fail("L3: X, Y, Z must be non-empty")
-        if not _connected_induced(n, pc, blue, W | X | Y):
+        if not connected(blue, W | X | Y):
             return fail("L3: W+X+Y not connected in blue")
-        if not _connected_induced(n, pc, red, W | X | Z):
+        if not connected(red, W | X | Z):
             return fail("L3: W+X+Z not connected in red")
-        if not _connected_induced(n, pc, green, W | Y | Z):
+        if not connected(green, W | Y | Z):
             return fail("L3: W+Y+Z not connected in green")
         for A, Bs, col, name in ((X, Y, blue, "[X,Y] blue"), (X, Z, red, "[X,Z] red"),
                                  (Y, Z, green, "[Y,Z] green")):
-            if not _only_color(pc, A, Bs, col):
+            if joins(A, Bs, palette - {col}):
                 return fail(f"L3: {name} violated")
         for A, Bs, col, name in ((W, X, green, "[W,X] has green"),
                                  (W, Y, red, "[W,Y] has red"),
                                  (W, Z, blue, "[W,Z] has blue")):
-            if not _never_color(pc, A, Bs, col):
+            if joins(A, Bs, {col}):
                 return fail(f"L3: {name}")
         return CheckResult(ok=True)
 
@@ -437,8 +416,8 @@ def closed_form_bounds(n: int, alpha_star3: int | None = None) -> BoundsRecord:
     )
 
 
-def verify_z2_range(n_max: int, n_min: int = 3) -> bool:
-    """Check z2(n) > (2n+1)/3 for every n in [n_min, n_max].
+def verify_z2_range(n_max: int) -> bool:
+    """Check z2(n) > (2n+1)/3 for every n in [3, n_max].
 
     Each n is evaluated in the same float expression that
     :func:`closed_form_bounds` reports.  Over the reals the inequality
@@ -446,7 +425,7 @@ def verify_z2_range(n_max: int, n_min: int = 3) -> bool:
     squaring gives n^2 + 8n > n^2 + 4n + 4.
     """
     sqrt = math.sqrt
-    for n in range(n_min, n_max + 1):
+    for n in range(3, n_max + 1):
         if not n / 2 + (n / 6) * sqrt(1 + 8 / n) > (2 * n + 1) / 3:
             return False
     return True

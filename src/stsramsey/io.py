@@ -129,18 +129,21 @@ def format_hole(h: HoleCertificate) -> str:
 
 
 def parse_hole(text: str) -> HoleCertificate:
-    """Read a hole certificate; every vertex must be a JSON integer."""
+    """Read a hole certificate; k, a and every vertex must be JSON integers."""
     try:
         doc = json.loads(text)
+        k, a = doc["k"], doc["a"]
         parts = tuple(frozenset(p) for p in doc["parts"])
-        hole = HoleCertificate(k=int(doc["k"]), a=int(doc["a"]), parts=parts)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad hole certificate: {exc}") from exc
+    for name, value in (("k", k), ("a", a)):
+        if type(value) is not int:
+            raise FormatError(f"bad hole certificate: {name} {value!r} is not an integer")
     for part in parts:
         for v in part:
             if type(v) is not int:
                 raise FormatError(f"bad hole certificate: vertex {v!r} is not an integer")
-    return hole
+    return HoleCertificate(k=k, a=a, parts=parts)
 
 
 def write_hole(h: HoleCertificate, path: PathLike) -> None:

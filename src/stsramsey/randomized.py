@@ -196,7 +196,10 @@ def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] 
     return sorted(blocks)
 
 
-def random_sts(n: int, seed: int, max_restarts: int = 1000) -> TripleSystem:
+_MAX_RESTARTS = 1000
+
+
+def random_sts(n: int, seed: int) -> TripleSystem:
     """A validated, approximately random Steiner triple system.
 
     Pure restart-until-complete runs of the triangle removal process have
@@ -209,12 +212,12 @@ def random_sts(n: int, seed: int, max_restarts: int = 1000) -> TripleSystem:
         raise BadOrder(n)
     if n == 3:
         return validate_steiner(build_system(3, [(0, 1, 2)]))
-    for attempt in range(max_restarts):
+    for attempt in range(_MAX_RESTARTS):
         rng = random.Random(derive_seed(seed, attempt))
         blocks = _hill_climb_sts(n, rng, max_iters=200 * n * n)
         if blocks is not None:
             return validate_steiner(build_system(n, blocks))
-    raise RestartsExhausted(f"no complete system on n={n} within {max_restarts} restarts")
+    raise RestartsExhausted(f"no complete system on n={n} within {_MAX_RESTARTS} restarts")
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,69 @@ def brute_components(triples):
         seen |= comp
         out.add(frozenset(comp))
     return out
+
+
+def brute_decomposition_ok(n, triples, colors, d):
+    """Check a claimed L1/L2/L3 decomposition clause by clause.
+
+    Builds the multicolored shadow literally, as a table from each vertex
+    pair to the set of colors of the triples holding it, and tests every
+    clause of the claimed case on that table with breadth-first search for
+    connectivity.
+    """
+    table = {}
+    for t, col in zip(triples, colors):
+        for u, v in combinations(sorted(t), 2):
+            table.setdefault((u, v), set()).add(col)
+
+    def pair_colors(u, v):
+        return table.get((min(u, v), max(u, v)), set())
+
+    def only(A, B, col):
+        return all(pair_colors(u, v) <= {col} for u in A for v in B)
+
+    def never(A, B, col):
+        return all(col not in pair_colors(u, v) for u in A for v in B)
+
+    def connected(col, S):
+        if not S:
+            return False
+        start = min(S)
+        seen = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in S:
+                if v not in seen and col in pair_colors(u, v):
+                    seen.add(v)
+                    queue.append(v)
+        return seen == set(S)
+
+    everything = set(range(n))
+    if d.case == "L1":
+        return (d.component is not None and set(d.component) == everything
+                and connected(d.role_colors[0], everything))
+    if d.parts is None or len(d.parts) != 4:
+        return False
+    W, X, Y, Z = (set(p) for p in d.parts)
+    if W | X | Y | Z != everything or len(W) + len(X) + len(Y) + len(Z) != n:
+        return False
+    blue, red, green = d.role_colors
+    if d.case == "L2":
+        if not (W and X and Y and Z):
+            return False
+        forced = ((W, X, blue), (Y, Z, blue), (W, Y, red), (X, Z, red),
+                  (W, Z, green), (X, Y, green))
+        if not all(only(A, B, col) for A, B, col in forced):
+            return False
+        return all(sum(1 for P in (W, X, Y, Z) if set(t) & P) < 3 for t in triples)
+    if d.case == "L3":
+        if not (X and Y and Z):
+            return False
+        if not (connected(blue, W | X | Y) and connected(red, W | X | Z)
+                and connected(green, W | Y | Z)):
+            return False
+        if not (only(X, Y, blue) and only(X, Z, red) and only(Y, Z, green)):
+            return False
+        return never(W, X, green) and never(W, Y, red) and never(W, Z, blue)
+    return False

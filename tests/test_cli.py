@@ -217,6 +217,18 @@ class TestColor:
         assert res.exit_code == 3
         assert "is not an integer" in res.output
 
+    @pytest.mark.parametrize("k, a", [("3.9", "1"), ('"3"', "1"), ("true", "1"),
+                                      ("3", "1.0"), ("3", '"1"'), ("3", "true")])
+    def test_hole_file_with_non_integer_k_or_a_exit_3(self, tmp_path, k, a):
+        path = tmp_path / "b9.sts"
+        run("gen", "--construction", "bose", "--n", "9", "-o", str(path))
+        hole_path = tmp_path / "h.json"
+        hole_path.write_text('{"k": %s, "a": %s, "parts": [[0], [1], [2]]}\n' % (k, a))
+        res = run("color", "-i", str(path), "--scheme", "hole",
+                  "--hole-file", str(hole_path))
+        assert res.exit_code == 3
+        assert "is not an integer" in res.output
+
     def test_bicolor_scheme_on_s9(self, tmp_path):
         path = tmp_path / "s9.sts"
         run("gen", "--construction", "s9", "-o", str(path))

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -36,7 +37,7 @@ from stsramsey import (
 )
 from stsramsey.colorings import DecompositionResult
 
-from oracles import max_component_size
+from oracles import brute_decomposition_ok, max_component_size
 
 
 class TestHoleColoring:
@@ -234,6 +235,11 @@ class TestDecomposition:
         with pytest.raises(PairUncovered):
             decompose_3coloring(ts, c)
 
+    def test_coloring_of_another_system_rejected(self, fano_sys):
+        c = EdgeColoring(system=skolem(7), r=3, colors=(0, 1, 2, 0, 1, 2, 0))
+        with pytest.raises(ValueError, match="another system"):
+            decompose_3coloring(fano_sys, c)
+
     def test_bogus_l1_claim_fails(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         bogus = DecompositionResult(case="L1", role_colors=(0, 1, 2),
@@ -260,6 +266,51 @@ class TestDecomposition:
         swapped = DecompositionResult(case="L2", role_colors=(r, g, b),
                                       parts=d.parts)
         assert not verify_decomposition(ts, c, swapped)
+
+    @pytest.mark.parametrize("system", [fano(), s9(), bose(15), skolem(19),
+                                        build_system(8, L2_TRIPLES)],
+                             ids=["fano", "s9", "bose15", "skolem19", "l2"])
+    def test_checker_agrees_with_brute_oracle(self, system):
+        # the true decomposition of seeded colorings and bogus variants of it
+        rng = random.Random(2024)
+        n = system.n
+        colorings = [tuple(rng.randrange(3) for _ in range(system.m)) for _ in range(150)]
+        if system.m == len(L2_COLORS):
+            colorings.append(L2_COLORS)
+        verdicts = set()
+        for colors in colorings:
+            c = EdgeColoring(system=system, r=3, colors=colors)
+            d = decompose_3coloring(system, c)
+            for claim in [d] + _decomposition_variants(d, n, rng):
+                got = bool(verify_decomposition(system, c, claim))
+                assert got == brute_decomposition_ok(n, system.triples, colors, claim), \
+                    (colors, claim)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def _decomposition_variants(d, n, rng):
+    """Claims derived from a true decomposition, mostly bogus."""
+    out = [replace(d, role_colors=perm) for perm in permutations(d.role_colors)
+           if perm != d.role_colors]
+    if d.parts is not None:
+        # one vertex moved between parts
+        parts = [set(p) for p in d.parts]
+        src = rng.choice([i for i, p in enumerate(parts) if p])
+        v = rng.choice(sorted(parts[src]))
+        parts[src].remove(v)
+        parts[rng.choice([i for i in range(4) if i != src])].add(v)
+        out.append(replace(d, parts=tuple(frozenset(p) for p in parts)))
+    for case in ("L1", "L2", "L3"):
+        # a random 4-partition under each case label
+        label = [rng.randrange(4) for _ in range(n)]
+        parts = tuple(frozenset(v for v in range(n) if label[v] == i) for i in range(4))
+        out.append(DecompositionResult(case=case, role_colors=tuple(rng.sample(range(3), 3)),
+                                       parts=parts))
+    # an L1 claim missing one vertex
+    out.append(DecompositionResult(case="L1", role_colors=d.role_colors,
+                                   component=frozenset(range(n)) - {rng.randrange(n)}))
+    return out
 
 
 class TestClosedFormBounds:

@@ -72,3 +72,10 @@ def test_hole_round_trip():
 def test_hole_bad_json():
     with pytest.raises(FormatError):
         parse_hole("{\"k\": 3}")
+
+
+@pytest.mark.parametrize("k, a", [("3.9", "1"), ('"3"', "1"), ("true", "1"),
+                                  ("3", "1.0"), ("3", '"1"'), ("3", "true")])
+def test_hole_non_integer_k_or_a_rejected(k, a):
+    with pytest.raises(FormatError, match="is not an integer"):
+        parse_hole('{"k": %s, "a": %s, "parts": [[0], [1], [2]]}' % (k, a))
