@@ -6,7 +6,8 @@ error.  Exit codes partition the failure classes:
 
 * 2 - construction-level failure (bad order, bad quasigroup)
 * 3 - unreadable or invalid input file
-* 4 - scheme/label mismatch (no labels, no hole, no bicoloring)
+* 4 - scheme/label mismatch (no labels, no hole, no bicoloring), or a
+  bicoloring search that ran out of budget
 * 5 - parameter violation in random processes and experiments, or a
   non-positive search budget (``--max-nodes``, ``--max-seconds``)
 
@@ -31,6 +32,7 @@ from . import randomized as rnd
 from .core import (
     EdgeColoring,
     InvalidHole,
+    LABEL_TYPE1,
     MissingLabels,
     StsError,
     TripleSystem,
@@ -317,18 +319,14 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
     ts = _read_system_or_exit(in_path)
     bound: int | None = None
     try:
-        if scheme == "bose":
-            if ts.n % 6 != 3:
-                raise MissingLabels(f"n={ts.n} is not a Bose order (need n = 3 mod 6)")
-            coloring = col.bose_coloring(cons.infer_labels(ts))
-            k = (ts.n - 3) // 6
-            bound = 4 * k + 2 + -(-(2 * k + 1) // 3)
-        elif scheme == "skolem":
-            if ts.n % 6 != 1:
-                raise MissingLabels(f"n={ts.n} is not a Skolem order (need n = 1 mod 6)")
-            coloring = col.skolem_coloring(cons.infer_labels(ts))
-            k = ts.n // 6
-            bound = -(-k // 3) + 4 * k + 1
+        if scheme in ("bose", "skolem"):
+            name, residue = ("Bose", 3) if scheme == "bose" else ("Skolem", 1)
+            if ts.n % 6 != residue:
+                raise MissingLabels(f"n={ts.n} is not a {name} order (need n = {residue} mod 6)")
+            labeled = cons.infer_labels(ts)
+            coloring = (col.bose_coloring if scheme == "bose" else col.skolem_coloring)(labeled)
+            # each color misses a layer of n//3 points except at its type-1 triples
+            bound = ts.n - ts.n // 3 + -(-labeled.labels.count(LABEL_TYPE1) // 3)
         elif scheme == "hole":
             if hole_file:
                 try:
@@ -344,7 +342,7 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             bound = ts.n - hole.a
         else:  # bicolor
             click.echo("searching bicoloring...", err=True)
-            bi = col.bicoloring_search(ts)
+            bi = col.bicoloring_search(ts, budget)
             if bi is None:
                 raise MissingLabels("system admits no bicoloring")
             hole, bicolor_bound = col.bicoloring_to_bound(bi)

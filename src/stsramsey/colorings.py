@@ -24,10 +24,12 @@ of its vertices.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    BudgetExhausted,
     EdgeColoring,
     EmptyClass,
     HoleCertificate,
@@ -45,6 +47,7 @@ from .core import (
     mono_components,
     verify_hole,
 )
+from .search import SearchBudget
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,28 @@ def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
 # Construction colorings
 # ---------------------------------------------------------------------------
 
+def _layer_coloring(s: TripleSystem, off: int) -> EdgeColoring:
+    """Color each triple of a labeled layered system with a layer it misses.
+
+    Point (a, i) is vertex off + 3a + i; the Skolem extra point, vertex 0,
+    lies in no layer.  A type-1 triple {(a,0), (a,1), (a,2)} gets color
+    a mod 3; every other triple must meet exactly two layers and gets the
+    third.  Color c meets layer c only at its type-1 triples, so it spans at
+    most n - n//3 + ceil(#type-1 / 3) vertices.
+    """
+    colors = []
+    for t, lab in zip(s.triples, s.labels):
+        if lab == LABEL_TYPE1:
+            colors.append(((t.a - off) // 3) % 3)
+            continue
+        layers = {(v - off) % 3 for v in t if v >= off}
+        if len(layers) != 2:
+            raise MissingLabels(
+                f"triple {tuple(t)} labeled {lab} does not meet exactly two layers")
+        colors.append(3 - sum(layers))  # the one of 0, 1, 2 not in layers
+    return EdgeColoring(system=s, r=3, colors=tuple(colors))
+
+
 def bose_coloring(s: TripleSystem) -> EdgeColoring:
     """Color a Bose-labeled system so each color avoids one point layer.
 
@@ -91,17 +116,7 @@ def bose_coloring(s: TripleSystem) -> EdgeColoring:
     """
     if s.labels is None or not set(s.labels) <= {LABEL_TYPE1, LABEL_TYPE2}:
         raise MissingLabels("Bose coloring needs type1/type2 labels")
-    colors = []
-    for t, lab in zip(s.triples, s.labels):
-        if lab == LABEL_TYPE1:
-            colors.append((t.a // 3) % 3)
-        else:
-            layers = [v % 3 for v in t]
-            doubled = [i for i in range(3) if layers.count(i) == 2]
-            if not doubled:
-                raise MissingLabels(f"triple {tuple(t)} labeled type2 has no doubled layer")
-            colors.append((doubled[0] - 1) % 3)
-    return EdgeColoring(system=s, r=3, colors=tuple(colors))
+    return _layer_coloring(s, 0)
 
 
 def skolem_coloring(s: TripleSystem) -> EdgeColoring:
@@ -115,20 +130,7 @@ def skolem_coloring(s: TripleSystem) -> EdgeColoring:
         raise MissingLabels("Skolem coloring needs type1/type2/type3 labels")
     if LABEL_TYPE3 not in set(s.labels):
         raise MissingLabels("Skolem coloring needs type3 labels")
-    colors = []
-    for t, lab in zip(s.triples, s.labels):
-        if lab == LABEL_TYPE1:
-            colors.append(((t.a - 1) // 3) % 3)
-            continue
-        layers = sorted({(v - 1) % 3 for v in t if v != 0})
-        if layers == [0, 1]:
-            missing = 2
-        elif layers == [1, 2]:
-            missing = 0
-        else:  # [0, 2]: the pair is {2, 0} = {i, i+1} for i = 2
-            missing = 1
-        colors.append(missing)
-    return EdgeColoring(system=s, r=3, colors=tuple(colors))
+    return _layer_coloring(s, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,45 +166,50 @@ def verify_bicoloring(ts: TripleSystem, phi) -> Bicoloring:
     return Bicoloring(system=ts, classes=classes, sizes=sizes)
 
 
-def bicoloring_search(ts: TripleSystem) -> Bicoloring | None:
+def bicoloring_search(ts: TripleSystem,
+                      budget: SearchBudget | None = None) -> Bicoloring | None:
     """First bicoloring in lexicographic order, or None.
 
     Vertex 0 is pinned to color 1 (colors are interchangeable).  For systems
     on more than 3 vertices all three classes must be non-empty; the
     degenerate 3-vertex system is allowed an empty class.  Intended for
-    n <= 15.
+    n <= 15.  The tree is walked with an explicit stack, so its depth is not
+    limited by the recursion limit.  A node is one vertex given one color;
+    the node cap is checked before a node is counted.  Running out of budget
+    raises BudgetExhausted.
     """
+    budget = budget or SearchBudget()
     n = ts.n
     require_nonempty = n > 3
     by_max: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(ts.triples):
         by_max[t.c].append(i)
+    # classes[v] is the color vertex v holds or last held; 0 before its first
     classes = [0] * n
-
-    def bt(v: int) -> bool:
+    deadline = time.monotonic() + budget.max_seconds
+    nodes = 0
+    v = 0
+    while v >= 0:
         if v == n:
-            return (not require_nonempty) or all(c in classes for c in (1, 2, 3))
-        if require_nonempty:
-            missing = sum(1 for c in (1, 2, 3) if c not in classes[:v])
-            if n - v < missing:
-                return False
-        choices = (1,) if v == 0 else (1, 2, 3)
-        for c in choices:
-            classes[v] = c
-            ok = True
-            for i in by_max[v]:
-                t = ts.triples[i]
-                distinct = len({classes[t.a], classes[t.b], classes[t.c]})
-                if distinct != 2:
-                    ok = False
-                    break
-            if ok and bt(v + 1):
-                return True
+            if (not require_nonempty) or all(c in classes for c in (1, 2, 3)):
+                return verify_bicoloring(ts, tuple(classes))
+            v -= 1
+            continue
+        c = classes[v] + 1
+        # on arrival at v: too few vertices left for the classes still empty
+        pruned = (c == 1 and require_nonempty
+                  and n - v < sum(1 for x in (1, 2, 3) if x not in classes[:v]))
+        if pruned or c > (1 if v == 0 else 3):
             classes[v] = 0
-        return False
-
-    if bt(0):
-        return verify_bicoloring(ts, tuple(classes))
+            v -= 1
+            continue
+        if nodes >= budget.max_nodes or (nodes & 4095 == 4095 and time.monotonic() > deadline):
+            raise BudgetExhausted(f"bicoloring search ran out of budget after {nodes} nodes")
+        nodes += 1
+        classes[v] = c
+        if all(len({classes[t.a], classes[t.b], classes[t.c]}) == 2
+               for t in (ts.triples[i] for i in by_max[v])):
+            v += 1
     return None
 
 

@@ -28,6 +28,7 @@ from .core import (
     NonHalfIdempotentQuasigroup,
     NonIdempotentQuasigroup,
     OddOrder,
+    Triple,
     TripleSystem,
     build_system,
     validate_steiner,
@@ -139,6 +140,13 @@ def _require(cond: bool, exc: Exception) -> None:
         raise exc
 
 
+def _latin_triples(quasigroup: Quasigroup, off: int) -> list[tuple[int, int, int]]:
+    """{(a,i), (b,i), (a*b, i+1 mod 3)} for a < b, point (a, i) at vertex off + 3a + i."""
+    q = quasigroup.order
+    return [(off + 3 * a + i, off + 3 * b + i, off + 3 * quasigroup.mul(a, b) + (i + 1) % 3)
+            for a in range(q) for b in range(a + 1, q) for i in range(3)]
+
+
 def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     """Bose construction on n = 6k+3 vertices.
 
@@ -155,20 +163,10 @@ def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     _require(quasigroup.commutative and quasigroup.idempotent,
              NonIdempotentQuasigroup("Bose needs a commutative idempotent quasigroup"))
 
-    def enc(a: int, i: int) -> int:
-        return 3 * a + i
-
-    triples: list[tuple[int, int, int]] = []
-    labels: list[str] = []
-    for a in range(q):
-        triples.append((enc(a, 0), enc(a, 1), enc(a, 2)))
-        labels.append(LABEL_TYPE1)
-    for a in range(q):
-        for b in range(a + 1, q):
-            for i in range(3):
-                triples.append((enc(a, i), enc(b, i), enc(quasigroup.mul(a, b), (i + 1) % 3)))
-                labels.append(LABEL_TYPE2)
-    return validate_steiner(build_system(n, triples), labels=tuple(labels))
+    type1 = [(3 * a, 3 * a + 1, 3 * a + 2) for a in range(q)]
+    type2 = _latin_triples(quasigroup, 0)
+    labels = (LABEL_TYPE1,) * len(type1) + (LABEL_TYPE2,) * len(type2)
+    return validate_steiner(build_system(n, type1 + type2), labels=labels)
 
 
 def skolem(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
@@ -189,26 +187,14 @@ def skolem(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     _require(quasigroup.commutative and quasigroup.half_idempotent,
              NonHalfIdempotentQuasigroup("Skolem needs a commutative half-idempotent quasigroup"))
 
-    inf = 0
-
-    def enc(a: int, i: int) -> int:
-        return 1 + 3 * a + i
-
-    triples: list[tuple[int, int, int]] = []
-    labels: list[str] = []
-    for a in range(k):
-        triples.append((enc(a, 0), enc(a, 1), enc(a, 2)))
-        labels.append(LABEL_TYPE1)
-    for a in range(k):
-        for i in range(3):
-            triples.append((inf, enc(k + a, i), enc(a, (i + 1) % 3)))
-            labels.append(LABEL_TYPE2)
-    for a in range(q):
-        for b in range(a + 1, q):
-            for i in range(3):
-                triples.append((enc(a, i), enc(b, i), enc(quasigroup.mul(a, b), (i + 1) % 3)))
-                labels.append(LABEL_TYPE3)
-    return validate_steiner(build_system(n, triples), labels=tuple(labels))
+    # the extra point inf is vertex 0
+    type1 = [(1 + 3 * a, 2 + 3 * a, 3 + 3 * a) for a in range(k)]
+    type2 = [(0, 1 + 3 * (k + a) + i, 1 + 3 * a + (i + 1) % 3)
+             for a in range(k) for i in range(3)]
+    type3 = _latin_triples(quasigroup, 1)
+    labels = ((LABEL_TYPE1,) * len(type1) + (LABEL_TYPE2,) * len(type2)
+              + (LABEL_TYPE3,) * len(type3))
+    return validate_steiner(build_system(n, type1 + type2 + type3), labels=labels)
 
 
 def fano() -> TripleSystem:
@@ -233,26 +219,38 @@ def s9() -> TripleSystem:
 # re-derive the construction pattern from the fixed vertex encodings.
 # ---------------------------------------------------------------------------
 
+# _layer_pattern's verdict for a Latin triple {(a,i), (b,i), (c,i+1)}
+_LATIN = -1
+
+
+def _layer_pattern(t: Triple, off: int) -> int | None:
+    """Classify a triple whose point (a, i) sits at vertex off + 3a + i.
+
+    Returns the cell a of a type-1 triple {(a,0), (a,1), (a,2)}, ``_LATIN``
+    when two points share a layer i and the third lies in layer i+1 mod 3,
+    and None when the triple matches neither.
+    """
+    layers = sorted((v - off) % 3 for v in t)
+    if layers == [0, 1, 2]:
+        cells = {(v - off) // 3 for v in t}
+        return cells.pop() if len(cells) == 1 else None
+    # the doubled layer i, then i+1: i = 0, 1 and 2 (where i+1 = 0 sorts first)
+    return _LATIN if layers in ([0, 0, 1], [1, 1, 2], [0, 2, 2]) else None
+
+
 def _infer_bose(ts: TripleSystem) -> tuple[str, ...]:
     q = ts.n // 3
     labels = []
     type1_as: set[int] = set()
     for t in ts.triples:
-        layers = [v % 3 for v in t]
-        cells = [v // 3 for v in t]
-        if layers == [0, 1, 2] and cells[0] == cells[1] == cells[2]:
+        cell = _layer_pattern(t, 0)
+        if cell == _LATIN:
+            labels.append(LABEL_TYPE2)
+        elif cell is not None:
             labels.append(LABEL_TYPE1)
-            type1_as.add(cells[0])
-            continue
-        counts = {i: layers.count(i) for i in set(layers)}
-        doubled = [i for i, c in counts.items() if c == 2]
-        if len(doubled) != 1:
+            type1_as.add(cell)
+        else:
             raise MissingLabels(f"triple {tuple(t)} matches no Bose pattern")
-        i = doubled[0]
-        rest = [v for v in t if v % 3 != i]
-        if len(rest) != 1 or rest[0] % 3 != (i + 1) % 3:
-            raise MissingLabels(f"triple {tuple(t)} matches no Bose pattern")
-        labels.append(LABEL_TYPE2)
     if type1_as != set(range(q)):
         raise MissingLabels("Bose pattern needs one type-1 triple per quasigroup element")
     return tuple(labels)
@@ -265,34 +263,21 @@ def _infer_skolem(ts: TripleSystem) -> tuple[str, ...]:
     type2_count = 0
     for t in ts.triples:
         if 0 in t:
-            others = [v - 1 for v in t if v != 0]
-            if len(others) != 2:
-                raise MissingLabels(f"triple {tuple(t)} matches no Skolem pattern")
-            (a1, i1), (a2, i2) = ((v // 3, v % 3) for v in others)
-            pairs = {(a1, i1), (a2, i2)}
-            ok = any((ah >= k and al < k and il == (ih + 1) % 3)
-                     for (ah, ih) in pairs for (al, il) in pairs - {(ah, ih)})
-            if not ok:
+            # t is sorted, so its point with the larger cell comes last
+            (al, il), (ah, ih) = (divmod(v - 1, 3) for v in t[1:])
+            if not (ah >= k and al < k and il == (ih + 1) % 3):
                 raise MissingLabels(f"triple {tuple(t)} matches no Skolem pattern")
             labels.append(LABEL_TYPE2)
             type2_count += 1
             continue
-        coords = [((v - 1) // 3, (v - 1) % 3) for v in t]
-        layers = sorted(i for _, i in coords)
-        cells = [a for a, _ in coords]
-        if layers == [0, 1, 2] and cells[0] == cells[1] == cells[2] and cells[0] < k:
+        cell = _layer_pattern(t, 1)
+        if cell == _LATIN:
+            labels.append(LABEL_TYPE3)
+        elif cell is not None and cell < k:
             labels.append(LABEL_TYPE1)
-            type1_as.add(cells[0])
-            continue
-        counts = {i: layers.count(i) for i in set(layers)}
-        doubled = [i for i, c in counts.items() if c == 2]
-        if len(doubled) != 1:
+            type1_as.add(cell)
+        else:
             raise MissingLabels(f"triple {tuple(t)} matches no Skolem pattern")
-        i = doubled[0]
-        rest = [(a, j) for (a, j) in coords if j != i]
-        if len(rest) != 1 or rest[0][1] != (i + 1) % 3:
-            raise MissingLabels(f"triple {tuple(t)} matches no Skolem pattern")
-        labels.append(LABEL_TYPE3)
     if type1_as != set(range(k)) or type2_count != 3 * k:
         raise MissingLabels("Skolem pattern needs k type-1 and 3k type-2 triples")
     return tuple(labels)

@@ -1,8 +1,8 @@
 """Data model for 3-uniform triple systems and their coloring machinery.
 
 Vertices are dense 0-based integers.  One type, :class:`TripleSystem`,
-models every system: an ordered list of sorted triples together with a pair
-index (unordered vertex pair -> indices of the triples containing it).  A
+models every system: an ordered list of sorted triples; its pair index
+(vertex pair -> indices of the triples containing it) is derived on demand.  A
 Steiner triple system is a TripleSystem in which every pair lies in exactly
 one triple (:func:`validate_steiner`, :func:`is_steiner`); the partial
 systems of the triangle-removal process are linear: every pair lies in at
@@ -21,6 +21,7 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -121,6 +122,10 @@ class RestartsExhausted(StsError):
     pass
 
 
+class BudgetExhausted(StsError):
+    """A search that has no partial answer to report ran out of budget."""
+
+
 # ---------------------------------------------------------------------------
 # Core types
 # ---------------------------------------------------------------------------
@@ -149,16 +154,19 @@ class TripleSystem:
     """A 3-uniform hypergraph on n vertices with an ordered triple list.
 
     ``pair_index`` maps each covered unordered pair (u, v), u < v, to the
-    tuple of indices of triples containing it.  It is derived data: rebuilding
-    it from ``triples`` must reproduce it exactly.  ``labels``, when present,
-    tags each triple with its construction type (one label per triple, in
-    triple order); equality and hashing ignore it.
+    tuple of indices of triples containing it.  It is derived from
+    ``triples`` on first use and cached, so it cannot disagree with them.
+    ``labels``, when present, tags each triple with its construction type
+    (one label per triple, in triple order); equality and hashing ignore it.
     """
 
     n: int
     triples: tuple[Triple, ...]
-    pair_index: Mapping[Pair, tuple[int, ...]] = field(compare=False, repr=False)
     labels: tuple[str, ...] | None = field(default=None, compare=False)
+
+    @cached_property
+    def pair_index(self) -> Mapping[Pair, tuple[int, ...]]:
+        return _build_pair_index(self.triples)
 
     @property
     def m(self) -> int:
@@ -212,8 +220,7 @@ def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
             raise DuplicateTriple(f"triple {tuple(t)} listed twice")
         seen.add(t)
         norm.append(t)
-    tup = tuple(norm)
-    return TripleSystem(n=n, triples=tup, pair_index=_build_pair_index(tup))
+    return TripleSystem(n=n, triples=tuple(norm))
 
 
 # Per-triple construction tags attached by the explicit constructions.

@@ -237,6 +237,21 @@ class TestColor:
         doc = json.loads(res.stdout)
         assert doc["guaranteed_bound"] == 8
 
+    def test_bicolor_scheme_deeper_than_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.sts"
+        path.write_text("# sts v1\n1100 1\n0 1 2\n")
+        res = run("color", "-i", str(path), "--scheme", "bicolor")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["guaranteed_bound"] == 1099
+
+    def test_bicolor_scheme_out_of_budget_exit_4(self, tmp_path):
+        path = tmp_path / "r99.sts"
+        run("random", "--process", "sts", "--n", "99", "--seed", "1", "-o", str(path))
+        res = run("color", "-i", str(path), "--scheme", "bicolor", "--max-nodes", "1000")
+        assert res.exit_code == 4
+        assert "ran out of budget" in res.stderr
+        assert "admits no bicoloring" not in res.stderr
+
 
 class TestRandomCmd:
     def test_triangle_removal_file(self, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from stsramsey import (
+    BudgetExhausted,
     EdgeColoring,
     EmptyClass,
     HoleCertificate,
@@ -14,6 +17,7 @@ from stsramsey import (
     MonochromaticTriple,
     PairUncovered,
     RainbowTriple,
+    SearchBudget,
     alpha_star,
     bicoloring_search,
     bicoloring_to_bound,
@@ -25,8 +29,11 @@ from stsramsey import (
     decompose_3coloring,
     fano,
     hole_coloring,
+    infer_labels,
     largest_mono_component,
     mono_components,
+    random_idempotent_quasigroup,
+    random_sts,
     s9,
     skolem,
     skolem_coloring,
@@ -36,6 +43,8 @@ from stsramsey import (
     verify_z2_range,
 )
 from stsramsey.colorings import DecompositionResult
+from stsramsey.core import LABEL_TYPE1, LABEL_TYPE3
+from stsramsey.io import format_system
 
 from oracles import brute_decomposition_ok, max_component_size
 
@@ -103,6 +112,87 @@ class TestConstructionColorings:
             skolem_coloring(bare)
 
 
+# sha256 of the system file, the labels and the layer coloring of every Bose
+# and Skolem order from 7 to 99, plus a Bose system over a seeded random
+# quasigroup; any change to triple order, labels or colors shows here.
+LAYERED_DIGESTS = {
+    "bose9": "d54685c046d6aaadd1cdeddf6e4f26b9760455b726358e5514f13fff4cb689b8",
+    "bose15": "7d0132310e4cbf4c1c10cbef9aecf90be008d792f08fc12f46c1870bb4821aec",
+    "bose21": "195a9866e48bf79d3ac6d76886c27acb1c4da2c1338dce2d256c05e4b047a544",
+    "bose27": "3bf21ec09ec2d81c9003fe2bce05f87424002492be75eb9249acce57efe236e3",
+    "bose33": "f7bc17e56b465afe8fe79ceddd4bcc223288290846d346759c28b2db6146e49d",
+    "bose39": "8c918bb388cf249dc263bad47c63f097be8596225ec9b475b4e2232db812beca",
+    "bose45": "7ba6c59cb738972be993649b128d182dd89e2e0dc26075e1990bf5aba3e65835",
+    "bose51": "59280522cd0e0708a2f7dce2daaa4eefb64378ad120523f4963109016f0e4e52",
+    "bose57": "76d4a9d85ef9371b16b70fb1d7ab9a1475e1209c70a9dec2bf9a9542e646cf62",
+    "bose63": "85dcdda864db9ed7a7c4e5ec9aac0739b583c90cd801359f9de61a00b17b8f24",
+    "bose69": "873d367283a49e2de4b555a0980268a30d96e3f39910b5842ef9226b687ce2fd",
+    "bose75": "7714b3ec224be054de8749b63ccea10c20f579ef2e7b3bd0d500c2bb6528b2da",
+    "bose81": "79791c48964977615d589f74e4c1bd6a8d9a378ac05a6f375616a0e33020418c",
+    "bose87": "95e7716f62f55d0b5fdb63b399666b3b441e872744a6e33cc30144ab63eba139",
+    "bose93": "8b1f654c1847aa2214c4e5341b29e5a4075797466b4e71394fddb23a1f16a1d6",
+    "bose99": "f293dc12e60bc76eec805d32f207e38895964c12798444bdcbb30c6e48dabea1",
+    "skolem7": "296319cbe007d9dee967b9ed77b5ea69a248928645ecb495262a7d22c8f81bc4",
+    "skolem13": "6461547a856c93aae22464fa5c2c6239136c629c7cf71fe84e0d1ea036f7dba3",
+    "skolem19": "2214e2306e4fb33825c9dcdeb687c78a6a50d0a2bb5b6017f31f0adbfb5f3de8",
+    "skolem25": "aaed52d4d88e7169f2bd08049345c7ee46d828f92870b2f44a1dabd4b323235a",
+    "skolem31": "e67180c5b4a060d525c44b90a1b6ac08fedad4cc1da9af14d263a09f85674a6f",
+    "skolem37": "b9fdf45e5e5729a78b75e4c08e3c9e6e11acbe7cb91c4ed597fd93862ab77608",
+    "skolem43": "8c40926338aa2f42adac5a2af50fa6b701a8d606ba06ae0cbeb541bc40af15d2",
+    "skolem49": "7111813d8ca82dd056aebc0603370a4d3cb13ecef2ea5857836651cb7f587ae5",
+    "skolem55": "84ebd53efb375b541c211c58a4a1dbee9a2879d515a0221bcf099dd5d52e5fa8",
+    "skolem61": "d7008eaa82d2528176e10250375d062e289878725612946c4a3cfe5380f4f088",
+    "skolem67": "f4667640d8873eb8b4b9b12e128df47ab59bc599a3c5da333c2e812d494279ab",
+    "skolem73": "50ab9edf72b1b11c909843e5ac426298dc22e97943906f13e6c800f865b66798",
+    "skolem79": "b7c8bba1548a5d0a3a14eaf288131a1456a998ee3e9332a7c7a9f6c75856ef56",
+    "skolem85": "b47f4877f732b796d6453c080a92cbcd0a14fc46aa3f1c84d31cbe594199ddd4",
+    "skolem91": "23fb4489cbd77f71844cebfe8473c44de5ba8526b7f8ff1ea589d8dd6072dac6",
+    "skolem97": "ddb2bffa711ddeba449837017da15397d34d7d2cc8a25197d9acdee50af348ba",
+    "bose15-q77": "6e47c7daee8661b33d45c3f10889cfded48614d6f5dd1279aa434f9112ac5e17",
+}
+
+
+def layered_system(name):
+    if name == "bose15-q77":
+        return bose(15, random_idempotent_quasigroup(5, 77))
+    if name.startswith("bose"):
+        return bose(int(name[4:]))
+    return skolem(int(name[6:]))
+
+
+def layer_coloring(s):
+    return bose_coloring(s) if s.n % 6 == 3 else skolem_coloring(s)
+
+
+class TestLayerColorings:
+    @pytest.mark.parametrize("name", list(LAYERED_DIGESTS))
+    def test_pinned_digest(self, name):
+        s = layered_system(name)
+        text = "\n--\n".join([format_system(s), " ".join(s.labels),
+                              " ".join(map(str, layer_coloring(s).colors))])
+        assert hashlib.sha256(text.encode()).hexdigest() == LAYERED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(LAYERED_DIGESTS))
+    def test_each_color_misses_its_layer(self, name):
+        s = layered_system(name)
+        off = int(s.n % 6 == 1)  # Skolem's extra point is vertex 0
+        coloring = layer_coloring(s)
+        for t, label, c in zip(s.triples, s.labels, coloring.colors):
+            if label != LABEL_TYPE1:
+                assert all((v - off) % 3 != c for v in t if v >= off)
+        bound = s.n - s.n // 3 + math.ceil(s.labels.count(LABEL_TYPE1) / 3)
+        assert all(len(sp) <= bound for sp in mono_components(coloring).spanned)
+        assert infer_labels(replace(s, labels=None)).labels == s.labels
+
+    def test_skolem_type1_relabelled_type3_rejected(self):
+        # the triple meets all three layers, so no color misses a layer there
+        s = skolem(13)
+        i = s.labels.index(LABEL_TYPE1)
+        labels = s.labels[:i] + (LABEL_TYPE3,) + s.labels[i + 1:]
+        with pytest.raises(MissingLabels):
+            skolem_coloring(replace(s, labels=labels))
+
+
 class TestBicolorings:
     def test_s9_sizes(self, s9_sys):
         bi = bicoloring_search(s9_sys)
@@ -149,6 +239,18 @@ class TestBicolorings:
         bi = bicoloring_search(ts)
         with pytest.raises(EmptyClass):
             bicoloring_to_bound(bi)
+
+    def test_first_bicoloring_in_lexicographic_order(self, s9_sys, fano_sys):
+        assert bicoloring_search(s9_sys).classes == (1, 1, 2, 1, 1, 2, 2, 2, 3)
+        assert bicoloring_search(fano_sys).classes == (1, 1, 1, 2, 2, 1, 3)
+
+    def test_more_vertices_than_the_recursion_limit(self):
+        bi = bicoloring_search(build_system(1100, [(0, 1, 2)]))
+        assert bi is not None and bi.sizes == (1, 1, 1098)
+
+    def test_node_cap_raises_budget_exhausted(self):
+        with pytest.raises(BudgetExhausted):
+            bicoloring_search(random_sts(99, 1), SearchBudget(max_nodes=1000))
 
 
 # An 8-vertex system with every pair covered whose natural 3-coloring

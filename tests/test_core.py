@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from stsramsey import (
     PairMulticovered,
     PairUncovered,
     Triple,
+    TripleSystem,
     SearchBudget,
     VertexOutOfRange,
     alpha_star,
@@ -18,6 +20,7 @@ from stsramsey import (
     build_system,
     fano,
     infer_labels,
+    is_steiner,
     largest_mono_component,
     mono_components,
     pair_degree_min,
@@ -93,6 +96,18 @@ class TestPairIndex:
     @pytest.mark.parametrize("system", [fano(), s9(), bose(15), skolem(13)])
     def test_rebuild_round_trip(self, system):
         assert _build_pair_index(system.triples) == dict(system.pair_index)
+
+    def test_follows_replaced_triples(self):
+        # dropping the last triple uncovers its three pairs
+        full = bose(99)
+        cut = replace(full, triples=full.triples[:-1])
+        assert not is_steiner(cut)
+        assert len(cut.pair_index) == len(full.pair_index) - 3
+
+    def test_derived_when_constructed_directly(self):
+        ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
+        assert is_steiner(ts)
+        assert ts.pair_index == {(0, 1): (0,), (0, 2): (0,), (1, 2): (0,)}
 
 
 class TestPairDegree:
