@@ -250,7 +250,12 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
                 raise PairMulticovered(u, v, cnt)
     if labels is not None and len(labels) != s.m:
         raise ValueError("label count differs from triple count")
-    return s if labels is None else replace(s, labels=labels)
+    if labels is None:
+        return s
+    labeled = replace(s, labels=labels)
+    # same triples: the copy takes the cached index instead of building its own
+    labeled.__dict__["pair_index"] = s.pair_index
+    return labeled
 
 
 def is_steiner(s: TripleSystem) -> bool:

@@ -280,20 +280,15 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
             if attempt > 1000:
                 raise RestartsExhausted(f"partial process stuck 1000 times at n={n}")
             outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
-        t0 = time.monotonic()
-        res = alpha_star(outcome.system, 3, budget)
-        rows.append(ExperimentRow(seed=seed, n=n, model=MODEL_PARTIAL, m_or_p=m_half,
-                                  sample=i, alpha_star3=res.value, exact=res.exact,
-                                  nodes=res.budget_spent.nodes,
-                                  seconds=round(time.monotonic() - t0)))
         full = random_sts(n, derive_seed(seed, i, 2))
-        t0 = time.monotonic()
-        res = alpha_star(full, 3, budget)
-        rows.append(ExperimentRow(seed=seed, n=n, model=MODEL_FULL,
-                                  m_or_p=n * (n - 1) // 6,
-                                  sample=i, alpha_star3=res.value, exact=res.exact,
-                                  nodes=res.budget_spent.nodes,
-                                  seconds=round(time.monotonic() - t0)))
+        for model, m_or_p, system in ((MODEL_PARTIAL, m_half, outcome.system),
+                                      (MODEL_FULL, n * (n - 1) // 6, full)):
+            t0 = time.monotonic()
+            res = alpha_star(system, 3, budget)
+            rows.append(ExperimentRow(seed=seed, n=n, model=model, m_or_p=m_or_p,
+                                      sample=i, alpha_star3=res.value, exact=res.exact,
+                                      nodes=res.budget_spent.nodes,
+                                      seconds=round(time.monotonic() - t0)))
     summary = _summarize(n, rows)
     return rows, summary
 

@@ -14,7 +14,6 @@ deterministic device); node budgets cannot.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 
 from .core import (
@@ -35,7 +34,8 @@ class SearchBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        # written as "not > 0" so that NaN, which compares false, is rejected
+        if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budget fields must be positive")
 
 
@@ -99,7 +99,9 @@ def independence_number(ts: TripleSystem,
     beat the incumbent.  A greedy scan seeds the incumbent.  The tree is
     walked with an explicit stack, so its depth is not limited by the
     interpreter's recursion limit.  A node is one vertex decided; the node
-    cap is checked before a node is counted.
+    cap is checked before a node is counted.  The certificate is re-checked
+    against every triple of ``ts``; a set containing a triple raises
+    ``RuntimeError``, also under ``python -O``.
     """
     budget = budget or SearchBudget()
     meter = _Meter(budget)
@@ -158,8 +160,11 @@ def independence_number(ts: TripleSystem,
         else:
             break
     meter.nodes = nodes
+    certificate = frozenset(best)
+    if any(set(t) <= certificate for t in ts.triples):
+        raise RuntimeError("independent-set certificate failed re-verification")
     return ParamResult(value=len(best), exact=exact,
-                       lower_certificate=frozenset(best), budget_spent=meter.spent())
+                       lower_certificate=certificate, budget_spent=meter.spent())
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,9 @@ def mc_exact(ts: TripleSystem, r: int,
     * The next triple is the pending one with the fewest colors left; ties
       go to the one whose remaining colors would give the largest
       components in total (the nearest to losing another color), then to
-      the lowest index.
+      the lowest index.  One urgency per triple holds this order, and the
+      next triple is read straight from it: a colored triple's urgency is
+      set to -1 and restored when its frame is popped.
     * Color symmetry is broken by offering only the used colors plus the
       lowest fresh one.  A fresh color never loses a domain bit while the
       incumbent exceeds 3, so this stays sound under the dynamic order.
@@ -405,7 +412,10 @@ def mc_exact(ts: TripleSystem, r: int,
     coloring, and ``exact=True`` means the search below it was exhausted:
     the value never comes from a theorem such as Gyarfas's
     ``mc_3 >= ceil(2n/3) + 1``.  On budget exhaustion the incumbent is
-    returned as an upper bound with ``exact=False``.
+    returned as an upper bound with ``exact=False``.  The certificate is
+    re-checked by ``largest_mono_component``; a coloring whose largest
+    component differs from the value raises ``RuntimeError``, also under
+    ``python -O``.
     """
     if r < 1:
         raise ValueError("need at least one color")
@@ -440,11 +450,11 @@ def mc_exact(ts: TripleSystem, r: int,
     lose = r * n + 1
     urgency = [3 * r] * m
     color = [0] * m
-    pend = list(range(m))         # pending triples in index order; ties go to the lowest
     # frame: [triple, its domain, colors left to try, largest component and
     #         used-color count before the triple, trail of its current color:
     #         (component list, reach list, old component masks, color bit,
-    #         triples that lost the bit, (triple, old reach) pairs)]
+    #         triples that lost the bit, (triple, old reach) pairs),
+    #         its urgency]
     stack: list[list] = []
     exact = True
     max_nodes = meter.max_nodes
@@ -453,12 +463,14 @@ def mc_exact(ts: TripleSystem, r: int,
     cur_max = used = 0
 
     while True:
-        if pend:
-            t = max(pend, key=urgency.__getitem__)
-            pend.remove(t)
+        if len(stack) < m:
+            # a colored triple's urgency is -1 and a pending one's at least 3,
+            # so this is the most urgent pending triple, the lowest on ties
+            t = urgency.index(max(urgency))
             offered = (1 << (used + 1 if used < r else r)) - 1
-            stack.append([t, dom[t], dom[t] & offered, cur_max, used, None])
+            stack.append([t, dom[t], dom[t] & offered, cur_max, used, None, urgency[t]])
             dom[t] = 0
+            urgency[t] = -1
         else:
             # every triple colored below the incumbent: a better coloring
             best = cur_max
@@ -466,7 +478,7 @@ def mc_exact(ts: TripleSystem, r: int,
         descended = False
         while stack and not descended:
             frame = stack[-1]
-            t, saved, todo, cur_max, used, trail = frame
+            t, saved, todo, cur_max, used, trail, saved_urgency = frame
             if trail is not None:
                 cv, rc, olds, bit, dropped, grown = trail
                 for old in olds:
@@ -487,7 +499,7 @@ def mc_exact(ts: TripleSystem, r: int,
             if not todo or cur_max >= best:
                 stack.pop()
                 dom[t] = saved
-                insort(pend, t)
+                urgency[t] = saved_urgency
                 continue
             bit = todo & -todo
             frame[2] = todo ^ bit
@@ -548,6 +560,8 @@ def mc_exact(ts: TripleSystem, r: int,
 
     meter.nodes = nodes
     certificate = EdgeColoring(system=ts, r=r, colors=tuple(best_colors))
+    if largest_mono_component(certificate)[0] != best:
+        raise RuntimeError("coloring certificate failed re-verification")
     return ParamResult(value=best, exact=exact,
                        lower_certificate=certificate, budget_spent=meter.spent())
 

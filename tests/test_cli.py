@@ -136,6 +136,14 @@ class TestAnalyze:
         assert res.exit_code == 5
         assert res.output.strip() == "error: budget fields must be positive"
 
+    def test_nan_budget_exit_5(self, tmp_path):
+        # a NaN deadline would never pass, removing the time cap
+        path = tmp_path / "f.sts"
+        run("gen", "--construction", "fano", "-o", str(path))
+        res = run("analyze", "-i", str(path), "--max-seconds", "nan")
+        assert res.exit_code == 5
+        assert res.output.strip() == "error: budget fields must be positive"
+
     def test_degenerate_single_triple(self, tmp_path):
         path = tmp_path / "n3.sts"
         path.write_text("3 1\n0 1 2\n")
@@ -188,6 +196,13 @@ class TestColor:
         path = tmp_path / "s9.sts"
         run("gen", "--construction", "s9", "-o", str(path))
         res = run("color", "-i", str(path), "--scheme", "hole", flag, "-1")
+        assert res.exit_code == 5
+        assert res.output.strip() == "error: budget fields must be positive"
+
+    def test_nan_budget_exit_5(self, tmp_path):
+        path = tmp_path / "s9.sts"
+        run("gen", "--construction", "s9", "-o", str(path))
+        res = run("color", "-i", str(path), "--scheme", "hole", "--max-seconds", "nan")
         assert res.exit_code == 5
         assert res.output.strip() == "error: budget fields must be positive"
 
@@ -312,3 +327,9 @@ class TestExperimentCmd:
         res = run("experiment", "discrepancy", "--n", "8", "--samples", "1",
                   "--seed", "1", "--csv", str(tmp_path / "x.csv"))
         assert res.exit_code == 5
+
+    def test_nan_budget_exit_5(self, tmp_path):
+        res = run("experiment", "discrepancy", "--n", "13", "--samples", "1",
+                  "--seed", "1", "--csv", str(tmp_path / "x.csv"), "--max-seconds", "nan")
+        assert res.exit_code == 5
+        assert res.output.strip() == "error: budget fields must be positive"

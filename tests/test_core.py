@@ -104,6 +104,30 @@ class TestPairIndex:
         assert not is_steiner(cut)
         assert len(cut.pair_index) == len(full.pair_index) - 3
 
+    def test_labeled_copy_keeps_the_index(self, monkeypatch, tmp_path):
+        # validation builds the index; the labeled copy it returns must not
+        # build it again
+        import stsramsey.core as core
+        calls = []
+
+        def counting(triples):
+            calls.append(len(triples))
+            return _build_pair_index(triples)
+
+        monkeypatch.setattr(core, "_build_pair_index", counting)
+        s = bose(27)
+        assert len(s.pair_index) == 27 * 26 // 2
+        assert calls == [s.m]
+        path = tmp_path / "b27.sts"
+        write_system(s, path)
+        back = read_system(path)
+        assert len(back.pair_index) == 27 * 26 // 2
+        calls.clear()
+        labeled = infer_labels(back)
+        assert labeled.labels == s.labels
+        assert len(labeled.pair_index) == 27 * 26 // 2
+        assert calls == []
+
     def test_derived_when_constructed_directly(self):
         ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
         assert is_steiner(ts)

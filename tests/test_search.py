@@ -1,7 +1,14 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stsramsey
+from stsramsey import search
 from stsramsey import (
     BadK,
     EdgeColoring,
@@ -57,6 +64,28 @@ class TestIndependenceNumber:
         res = independence_number(s9_sys, SearchBudget(max_nodes=3))
         assert not res.exact
         assert res.value >= 1  # greedy seed survives
+
+    def test_certificate_with_a_triple_raises(self, s9_sys, monkeypatch):
+        # with no triples at any vertex the search takes every vertex; the
+        # engine's own check must catch the full triples in its set
+        monkeypatch.setattr("stsramsey.search._triples_at",
+                            lambda ts: [[] for _ in range(ts.n)])
+        with pytest.raises(RuntimeError, match="independent-set certificate"):
+            independence_number(s9_sys)
+
+    def test_certificate_check_survives_optimization(self, s9_sys):
+        # python -O strips asserts; the check must still raise
+        src = str(Path(stsramsey.__file__).resolve().parents[1])
+        code = ("import stsramsey, stsramsey.search as search\n"
+                "search._triples_at = lambda ts: [[] for _ in range(ts.n)]\n"
+                "try:\n"
+                "    search.independence_number(stsramsey.s9())\n"
+                "except RuntimeError as exc:\n"
+                "    print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "independent-set certificate failed re-verification"
 
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
         # 1100 vertices, deeper than the default recursion limit
@@ -200,6 +229,23 @@ class TestMcExact:
         with pytest.raises(ValueError):
             mc_exact(s9_sys, 3, initial=wrong)
 
+    def test_coloring_that_misses_its_value_raises(self, s9_sys, monkeypatch):
+        # understate the seed's largest component by one: the search cannot
+        # beat the understated value, so it would return the seed coloring
+        # with a value that coloring does not achieve
+        real = search.largest_mono_component
+        sizes = []
+
+        def understated_seed(coloring):
+            size, color, witness = real(coloring)
+            sizes.append(size)
+            return (size - 1 if len(sizes) == 1 else size), color, witness
+
+        monkeypatch.setattr(search, "largest_mono_component", understated_seed)
+        seed = hole_coloring(s9_sys, alpha_star(s9_sys, 3).lower_certificate)
+        with pytest.raises(RuntimeError, match="coloring certificate"):
+            mc_exact(s9_sys, 3, initial=seed)
+
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
         # bose(99) has 1617 triples, deeper than the default recursion limit
         system = bose(99)
@@ -222,7 +268,51 @@ class TestMcExact:
         assert res.budget_spent.nodes <= cap
 
 
+def _digest(coloring):
+    return hashlib.sha256(bytes(coloring.colors)).hexdigest()[:16]
+
+
+class TestMcExactTree:
+    """Node counts and certificate digests pin mc_exact's search tree."""
+
+    @pytest.mark.parametrize("system, seeded, value, nodes, digest", [
+        (skolem(13), False, 10, 19_778, "b7b7004aef2ef95b"),
+        (skolem(13), True, 10, 19_573, "7f1aea4de505ed00"),
+        (bose(15), True, 11, 35_148, "391bf5ce649eb9da"),
+    ], ids=["skolem13", "skolem13-hole-seeded", "bose15-hole-seeded"])
+    def test_exhausted_tree(self, system, seeded, value, nodes, digest):
+        initial = None
+        if seeded:
+            initial = hole_coloring(system, alpha_star(system, 3).lower_certificate)
+        res = mc_exact(system, 3, initial=initial)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (value, True, nodes)
+        assert _digest(res.lower_certificate) == digest
+
+    def test_capped_tree_at_n19(self):
+        # resumed from the incumbent of a shorter run, the search improves
+        # 15 -> 14 somewhere between 8,000 and 16,000 nodes; the digests pin
+        # the colorings found on both sides of the cap
+        system = skolem(19)
+        first = mc_exact(system, 3, SearchBudget(max_nodes=5_000))
+        assert (first.value, first.exact, first.budget_spent.nodes) == (15, False, 5_000)
+        assert _digest(first.lower_certificate) == "3aecd38fe402f6ff"
+        res = mc_exact(system, 3, SearchBudget(max_nodes=20_000),
+                       initial=first.lower_certificate)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (14, False, 20_000)
+        assert _digest(res.lower_certificate) == "b23e94f892851227"
+
+
 class TestBudgetCaps:
+    @pytest.mark.parametrize("field", ["max_nodes", "max_seconds"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
+    def test_budget_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match="budget fields must be positive"):
+            SearchBudget(**{field: value})
+
+    def test_infinite_seconds_accepted(self, s9_sys):
+        res = independence_number(s9_sys, SearchBudget(max_seconds=float("inf")))
+        assert res.exact and res.value == 4
+
     @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
     def test_node_cap_is_never_exceeded(self, make):
         system = make()
