@@ -41,7 +41,7 @@ from .core import (
     largest_mono_component,
     mono_components,
 )
-from .search import SearchBudget, alpha_star, independence_number, mc_exact, mc_upper_from_coloring
+from .search import SearchBudget, alpha_star, independence_number, mc_exact
 
 REPORT_SCHEMA = "sts-report/1"
 
@@ -201,7 +201,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
         initial_name = "search"
         best_ub = None
         for name, coloring in candidates:
-            ub = mc_upper_from_coloring(coloring)
+            ub = largest_mono_component(coloring)[0]
             if best_ub is None or ub < best_ub:
                 best_ub, initial, initial_name = ub, coloring, name
         mc_res = mc_exact(ts, 3, budget, initial=initial)

@@ -92,78 +92,136 @@ def _triples_at(ts: TripleSystem) -> list[list[int]]:
 
 def independence_number(ts: TripleSystem,
                         budget: SearchBudget | None = None) -> ParamResult:
-    """Largest vertex set containing no full triple, by branch and bound.
+    """Largest vertex set containing no full triple, by Russian-doll search.
 
-    Branches on vertex inclusion in index order, taking a vertex before
-    leaving it out; prunes when even taking all remaining vertices cannot
-    beat the incumbent.  A greedy scan seeds the incumbent.  The tree is
-    walked with an explicit stack, so its depth is not limited by the
-    interpreter's recursion limit.  A node is one vertex decided; the node
-    cap is checked before a node is counted.  The certificate is re-checked
-    against every triple of ``ts``; a set containing a triple raises
-    ``RuntimeError``, also under ``python -O``.
+    Russian-doll search (Verfaillie, Lemaitre & Schiex 1996; Ostergard
+    2002, "A fast algorithm for the maximum clique problem") solves nested
+    subproblems, the dolls, from the smallest up:
+
+    * For i = n-1 down to 0, ``rd[i]`` is the independence number of the
+      system induced on {i..n-1}.  It is ``rd[i+1]`` or one more, so doll i
+      asks only for a set of size ``rd[i+1] + 1`` that contains i.
+    * The search adds candidate vertices in index order, holding the
+      candidates as one bitmask.  Taking w removes from the candidates the
+      third vertex of every triple through w and a taken vertex, read from
+      a mask per pair that ORs every triple through the pair, so partial
+      systems whose pairs lie in several triples are handled too.
+    * A branch dies when the set plus every candidate, or the set plus
+      ``rd`` of the lowest candidate, falls short of the target.
+    * Warm start: doll i first tries the previous doll's set plus i, and
+      searches only when that set holds a triple.
+    * Early stop: a greedy scan in index order seeds the incumbent, and the
+      search stops, exact, once it reaches ``(i+1) + rd[i+1]``, an upper
+      bound on the whole system's value.
+
+    A node is one vertex taken into a doll's set, the warm start's i
+    included.  The node cap is checked before a node is counted.  The tree
+    is walked with an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.  An interrupted run returns, with
+    ``exact=False``, the larger of the greedy set and the last finished
+    doll's set completed greedily with the vertices below it.  The
+    certificate is re-checked against every triple of ``ts``; a set
+    containing a triple raises ``RuntimeError``, also under ``python -O``.
     """
     budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
     tri_at = _triples_at(ts)
+    # mate[w][u]: the third vertices of every triple through w and u;
+    # near[w]: the vertices that share a triple with w
+    mate: list[dict[int, int]] = [{} for _ in range(n)]
+    near = [0] * n
+    for w in range(n):
+        row = mate[w]
+        for i in tri_at[w]:
+            x, y = (u for u in ts.triples[i] if u != w)
+            row[x] = row.get(x, 0) | 1 << y
+            row[y] = row.get(y, 0) | 1 << x
+            near[w] |= 1 << x | 1 << y
 
-    # Greedy seed: take vertices while no triple completes.
-    chosen_count = [0] * ts.m
-    greedy: list[int] = []
-    for v in range(n):
-        if all(chosen_count[i] < 2 for i in tri_at[v]):
-            greedy.append(v)
-            for i in tri_at[v]:
-                chosen_count[i] += 1
-    best = list(greedy)
+    def blocked(v: int, chosen: int) -> int:
+        """The vertices that complete a triple with v and one of ``chosen``."""
+        row = mate[v]
+        out = 0
+        rest = chosen & near[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out |= row[low.bit_length() - 1]
+        return out
 
-    chosen_count = [0] * ts.m
-    current: list[int] = []
+    def extend(chosen: int, stop: int) -> int:
+        """``chosen`` plus the vertices below ``stop`` that keep it
+        independent, taken greedily in index order."""
+        for v in range(stop):
+            if not blocked(v, chosen) & chosen:
+                chosen |= 1 << v
+        return chosen
+
+    greedy = extend(0, n)
+    seed = greedy.bit_count()
+
+    rd = [0] * (n + 1)
+    doll = 0                    # the last finished doll's set, as a bitmask
     exact = True
-    # the decisions on the current path: (vertex, taken); a taken vertex
-    # still has its leave-out branch to come
-    path: list[tuple[int, bool]] = []
-    v = 0
     max_nodes = meter.max_nodes
     deadline = meter.deadline
     nodes = 0
-    while True:
-        if len(current) + (n - v) > len(best):
-            if v == n:
-                best = list(current)
-            else:
-                # the meter's check, inlined: it runs once per node
-                if nodes >= max_nodes or (nodes & 4095 == 4095
-                                          and time.monotonic() > deadline):
-                    exact = False
-                    break
-                nodes += 1
-                taken = all(chosen_count[i] < 2 for i in tri_at[v])
-                if taken:
-                    current.append(v)
-                    for i in tri_at[v]:
-                        chosen_count[i] += 1
-                path.append((v, taken))
-                v += 1
+    for i in range(n - 1, -1, -1):
+        if seed >= i + 1 + rd[i + 1]:
+            break
+        target = rd[i + 1] + 1
+        # the meter's check, inlined: it runs once per node
+        if nodes >= max_nodes or (nodes & 4095 == 4095
+                                  and time.monotonic() > deadline):
+            exact = False
+            break
+        nodes += 1
+        bit = 1 << i
+        if not blocked(i, doll) & doll:
+            doll |= bit
+            rd[i] = target
+            continue
+        rd[i] = target - 1
+        # taken[d] and cands[d]: the bit of the set's d-th vertex and the
+        # candidates left after it
+        taken = [bit]
+        cands = [((1 << n) - 1) ^ ((bit << 1) - 1)]
+        chosen = bit
+        while cands:
+            cand = cands[-1]
+            size = len(taken)
+            if (size + cand.bit_count() < target
+                    or size + rd[(cand & -cand).bit_length() - 1] < target):
+                cands.pop()
+                chosen ^= taken.pop()
                 continue
-        # backtrack to the deepest vertex whose leave-out branch is open
-        while path:
-            u, taken = path.pop()
-            if taken:
-                current.pop()
-                for i in tri_at[u]:
-                    chosen_count[i] -= 1
-                path.append((u, False))
-                v = u + 1
+            if nodes >= max_nodes or (nodes & 4095 == 4095
+                                      and time.monotonic() > deadline):
+                exact = False
                 break
-        else:
+            nodes += 1
+            low = cand & -cand
+            cand ^= low
+            cands[-1] = cand
+            # every candidate keeps the set independent
+            if size + 1 == target:
+                doll = chosen | low
+                rd[i] = target
+                break
+            taken.append(low)
+            cands.append(cand & ~blocked(low.bit_length() - 1, chosen))
+            chosen |= low
+        if not exact:
             break
     meter.nodes = nodes
-    certificate = frozenset(best)
+    if not exact:
+        doll = extend(doll, i + 1)
+    best = greedy if seed >= doll.bit_count() else doll
+    certificate = frozenset(v for v in range(n) if best >> v & 1)
     if any(set(t) <= certificate for t in ts.triples):
         raise RuntimeError("independent-set certificate failed re-verification")
-    return ParamResult(value=len(best), exact=exact,
+    return ParamResult(value=len(certificate), exact=exact,
                        lower_certificate=certificate, budget_spent=meter.spent())
 
 
@@ -565,7 +623,3 @@ def mc_exact(ts: TripleSystem, r: int,
     return ParamResult(value=best, exact=exact,
                        lower_certificate=certificate, budget_spent=meter.spent())
 
-
-def mc_upper_from_coloring(c: EdgeColoring) -> int:
-    """Any explicit coloring certifies mc_r <= its largest component."""
-    return largest_mono_component(c)[0]

@@ -18,6 +18,38 @@ def brute_alpha(n, triples):
     return 0
 
 
+def alpha_by_reverse_branching(n, triples):
+    """Largest subset containing no full triple, by include/exclude search.
+
+    A second refuter for orders where enumeration is out of reach: it decides
+    vertices from the highest down, taking a vertex before leaving it out,
+    starts from the empty set, and prunes only when taking every undecided
+    vertex cannot beat the best set found.
+    """
+    others = [[] for _ in range(n)]
+    for t in triples:
+        for v in t:
+            others[v].append([u for u in t if u != v])
+    chosen = set()
+    best = 0
+
+    def decide(v):
+        nonlocal best
+        if len(chosen) + v + 1 <= best:
+            return
+        if v < 0:
+            best = len(chosen)
+            return
+        if not any(x in chosen and y in chosen for x, y in others[v]):
+            chosen.add(v)
+            decide(v - 1)
+            chosen.remove(v)
+        decide(v - 1)
+
+    decide(n - 1)
+    return best
+
+
 def brute_alpha_star3(n, triples):
     """Max a admitting three disjoint size-a sets no triple crosses fully."""
     tsets = [set(t) for t in triples]

@@ -20,8 +20,9 @@ from stsramsey import (
     fano,
     hole_coloring,
     independence_number,
+    largest_mono_component,
     mc_exact,
-    mc_upper_from_coloring,
+    random_sts,
     s9,
     skolem,
     validate_steiner,
@@ -29,6 +30,7 @@ from stsramsey import (
 )
 
 from oracles import (
+    alpha_by_reverse_branching,
     brute_alpha,
     brute_alpha_star2,
     brute_alpha_star3,
@@ -40,6 +42,15 @@ from oracles import (
 
 def single_triple():
     return build_system(3, [(0, 1, 2)])
+
+
+def _greedy_independent(n, triples):
+    """Vertices taken in index order while no triple completes."""
+    chosen = set()
+    for v in range(n):
+        if not any(v in t and set(t) - {v} <= chosen for t in triples):
+            chosen.add(v)
+    return chosen
 
 
 class TestIndependenceNumber:
@@ -88,11 +99,29 @@ class TestIndependenceNumber:
         assert out.stdout.strip() == "independent-set certificate failed re-verification"
 
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
-        # 1100 vertices, deeper than the default recursion limit
+        # 1100 vertices, deeper than the default recursion limit; the warm
+        # starts settle dolls 1099 and 1098, doll 1097 takes one search node,
+        # and the greedy seed then meets the early-stop bound
         res = independence_number(build_system(1100, [(1097, 1098, 1099)]),
                                   SearchBudget(max_nodes=100_000))
         assert res.exact and res.value == 1099
-        assert res.budget_spent.nodes == 1100
+        assert res.budget_spent.nodes == 4
+
+    def test_doll_search_walks_deeper_than_the_recursion_limit(self):
+        # the warm start fails at vertex 0, so its doll takes 1..1098 one by
+        # one, about 1099 frames deep
+        res = independence_number(build_system(1100, [(0, 1098, 1099)]),
+                                  SearchBudget(max_nodes=100_000))
+        assert res.exact and res.value == 1099
+        assert res.budget_spent.nodes == 2198
+
+    def test_warm_start_keeps_a_sparse_system_cheap(self):
+        # the pair {0, 1} lies in 1098 triples; without the warm start every
+        # doll would search its whole suffix
+        res = independence_number(build_system(1100, [(0, 1, k) for k in range(2, 1100)]),
+                                  SearchBudget(max_nodes=100_000))
+        assert res.exact and res.value == 1099
+        assert res.budget_spent.nodes <= 5_000
 
     def test_alpha_star_at_least_alpha_over_k(self):
         for system in (fano(), s9(), skolem(13)):
@@ -196,13 +225,13 @@ class TestMcExact:
 
     def test_certificate_achieves_value(self, s9_sys):
         res = mc_exact(s9_sys, 3)
-        assert mc_upper_from_coloring(res.lower_certificate) == res.value
+        assert largest_mono_component(res.lower_certificate)[0] == res.value
 
     def test_budget_exceeded_returns_upper_bound(self, s9_sys):
         res = mc_exact(s9_sys, 3, SearchBudget(max_nodes=10))
         assert not res.exact
         assert res.value >= 7
-        assert mc_upper_from_coloring(res.lower_certificate) == res.value
+        assert largest_mono_component(res.lower_certificate)[0] == res.value
 
     def test_r1_gives_n(self, s9_sys):
         res = mc_exact(s9_sys, 1)
@@ -252,7 +281,7 @@ class TestMcExact:
         res = mc_exact(system, 3, SearchBudget(max_nodes=20_000))
         assert not res.exact
         assert res.budget_spent.nodes == 20_000
-        assert mc_upper_from_coloring(res.lower_certificate) == res.value
+        assert largest_mono_component(res.lower_certificate)[0] == res.value
 
     @pytest.mark.parametrize("system, cap, value", [
         (skolem(13), 300_000, 10),
@@ -363,7 +392,7 @@ class TestDifferentialAgainstOracles:
                     for initial in (None, seed):
                         res = mc_exact(ts, r, initial=initial)
                         assert res.exact and res.value == expected
-                        assert mc_upper_from_coloring(res.lower_certificate) == expected
+                        assert largest_mono_component(res.lower_certificate)[0] == expected
 
     def test_alpha_star3_on_random_small_systems(self):
         rng = random.Random(4048)
@@ -399,6 +428,40 @@ class TestDifferentialAgainstOracles:
             ts = build_system(8, triples)
             res = independence_number(ts)
             assert res.exact and res.value == brute_alpha(8, ts.triples)
+        # non-linear partial systems at n = 9, 10: a few pairs each lie in
+        # several triples; capped runs keep their cap, do no worse than the
+        # greedy seed and return an independent set
+        for n in (9, 10):
+            all_triples = list(combinations(range(n), 3))
+            for _ in range(12):
+                triples = set(rng.sample(all_triples, rng.randrange(2, 14)))
+                for _ in range(2):
+                    x, y = rng.sample(range(n), 2)
+                    for z in rng.sample([v for v in range(n) if v not in (x, y)], 3):
+                        triples.add(tuple(sorted((x, y, z))))
+                ts = build_system(n, sorted(triples))
+                expected = brute_alpha(n, ts.triples)
+                res = independence_number(ts)
+                assert res.exact and res.value == expected
+                seed = _greedy_independent(n, ts.triples)
+                for cap in (1, 2, 5, 20):
+                    res = independence_number(ts, SearchBudget(max_nodes=cap))
+                    cert = res.lower_certificate
+                    assert res.budget_spent.nodes <= cap
+                    assert len(seed) <= res.value == len(cert) <= expected
+                    assert not any(set(t) <= cert for t in ts.triples)
+                    if res.exact:
+                        assert res.value == expected
+
+    @pytest.mark.parametrize("ts", [
+        skolem(13), bose(15), skolem(19), bose(21),
+        random_sts(13, 13), random_sts(19, 19), random_sts(21, 21),
+    ], ids=["skolem13", "bose15", "skolem19", "bose21",
+            "random_sts13", "random_sts19", "random_sts21"])
+    def test_alpha_against_reverse_branching(self, ts):
+        res = independence_number(ts)
+        assert res.exact
+        assert res.value == alpha_by_reverse_branching(ts.n, ts.triples)
 
     def test_two_color_paths_on_random_small_systems(self):
         from itertools import combinations
@@ -415,12 +478,12 @@ class TestDifferentialAgainstOracles:
 class TestMcUpper:
     def test_single_color_fano(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=1, colors=(0,) * 7)
-        assert mc_upper_from_coloring(c) == 7
+        assert largest_mono_component(c)[0] == 7
 
     def test_bose27_coloring_bound(self):
         from stsramsey import bose_coloring
-        assert mc_upper_from_coloring(bose_coloring(bose(27))) <= 21
+        assert largest_mono_component(bose_coloring(bose(27)))[0] <= 21
 
     def test_s9_hole_coloring_bound(self, s9_sys):
         hole = alpha_star(s9_sys, 3).lower_certificate
-        assert mc_upper_from_coloring(hole_coloring(s9_sys, hole)) <= 7
+        assert largest_mono_component(hole_coloring(s9_sys, hole))[0] <= 7
