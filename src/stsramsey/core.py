@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -265,6 +266,64 @@ def is_steiner(s: TripleSystem) -> bool:
         return True
     except StsError:
         return False
+
+
+def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of s in Z3 x AGL(1, Z_q), acting on the layer encoding.
+
+    The Bose and Skolem constructions put point (a, i), a in Z_q and i in
+    Z_3, at vertex off + 3a + i: off = 0 when n = 3 (mod 6), and off = 1
+    when n = 1 (mod 6), where vertex 0 is fixed.  The element (u, b, r)
+    maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
+    (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
+    by the units u mod q.  Each is checked once against the triples through
+    the pair index, stopping at the first triple it maps off the system.
+    The result lists every product of the generators that pass, the
+    identity first; they form a group, and each maps every triple onto a
+    triple.  Labels are not read.  Any other order, and any system whose
+    generators all fail, gets the identity alone.
+
+    Each element is a tuple g with g[v] the image of vertex v.
+    """
+    n = s.n
+    off = {3: 0, 1: 1}.get(n % 6)
+    if off is None or n < 3:
+        return (tuple(range(n)),)
+    q = (n - off) // 3
+
+    def image(v: int, u: int, b: int, r: int) -> int:
+        if v < off:
+            return v
+        a, i = divmod(v - off, 3)
+        return off + 3 * ((u * a + b) % q) + (i + r) % 3
+
+    triples = s.triples
+    index = s.pair_index
+
+    def maps_triples(u: int, b: int, r: int) -> bool:
+        for x, y, z in triples:
+            gx, gy, gz = image(x, u, b, r), image(y, u, b, r), image(z, u, b, r)
+            if not any(gz in triples[i]
+                       for i in index.get((gx, gy) if gx < gy else (gy, gx), ())):
+                return False
+        return True
+
+    generators = [(1, 0, 1), (1, 1, 0)] + [(u, 0, 0) for u in range(2, q) if gcd(u, q) == 1]
+    verified = [gen for gen in generators if maps_triples(*gen)]
+    # close under products, composing the parameters: applying (u, b, r)
+    # after (u', b', r') gives (uu', ub' + b, r' + r)
+    group = [(1 % q, 0, 0)]     # the identity, also when q = 1
+    seen = set(group)
+    for u1, b1, r1 in group:    # the list grows while it is walked
+        for u, b, r in verified:
+            g = (u * u1 % q, (u * b1 + b) % q, (r1 + r) % 3)
+            if g not in seen:
+                seen.add(g)
+                group.append(g)
+    fixed = tuple(range(off))
+    return tuple(fixed + tuple(off + 3 * ((u * a + b) % q) + (i + r) % 3
+                               for a in range(q) for i in range(3))
+                 for u, b, r in group)
 
 
 def pair_degree_min(s: TripleSystem) -> int:

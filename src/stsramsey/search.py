@@ -24,6 +24,7 @@ from .core import (
     TripleSystem,
     is_steiner,
     largest_mono_component,
+    layer_automorphisms,
     verify_hole,
 )
 
@@ -37,6 +38,9 @@ class SearchBudget:
         # written as "not > 0" so that NaN, which compares false, is rejected
         if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budget fields must be positive")
+        # a fractional cap would let the count pass it; bool is no count
+        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
+            raise ValueError("max_nodes must be an int")
 
 
 @dataclass(frozen=True)
@@ -230,10 +234,12 @@ def independence_number(ts: TripleSystem,
 # ---------------------------------------------------------------------------
 
 def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
+               group: tuple[tuple[int, ...], ...],
                meter: _Meter) -> tuple[frozenset[int], ...] | None:
     """k disjoint parts of size a that no triple meets all of, or None.
 
-    Raises _OutOfBudget when the meter refuses a node; see alpha_star.
+    ``group`` is a group of automorphisms of the system.  Raises
+    _OutOfBudget when the meter refuses a node; see alpha_star.
     """
     bits = [1 << v for v in range(n)]
     rk = range(k)
@@ -254,8 +260,14 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     part = [-1] * n             # -1: undecided or left out
     placed = used = 0
     goal = k * a
+    # the root frame's H is the whole group, None when trivial
+    top = group if len(group) > 1 else None
     # frame: [vertex, has and size before it, placed and used before it,
-    #         options left: a bit per part, then bit k for leaving it out]
+    #         options left: a bit per part, then bit k for leaving it out,
+    #         the vertex's orbit under the group H that fixes every vertex
+    #         decided above it (0 once H is trivial), the subgroup of H that
+    #         also fixes the vertex (the next frame's H), and the part bit
+    #         whose subtree is being searched while the orbit is nonzero]
     stack: list[list] = []
     nodes = meter.nodes
     max_nodes = meter.max_nodes
@@ -296,12 +308,30 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                 # parts are interchangeable while empty: offer the used parts
                 # and the lowest empty one
                 offered = (1 << (used + 1 if used < k else k)) - 1
-                stack.append([low.bit_length() - 1, tuple(has), tuple(size), placed, used,
-                              (dom & offered) | out])
+                v = low.bit_length() - 1
+                orbit = 0
+                stab = stack[-1][7] if stack else top
+                if stab is not None:
+                    for g in stab:
+                        orbit |= bits[g[v]]
+                    stab = [g for g in stab if g[v] == v]
+                    if len(stab) == 1:
+                        stab = None
+                stack.append([v, tuple(has), tuple(size), placed, used,
+                              (dom & offered) | out, orbit, stab, 0])
         while stack:
             frame = stack[-1]
-            v, saved_has, saved_size, placed, used, opts = frame
+            v, saved_has, saved_size, placed, used, opts, orbit, _, tried = frame
             part[v] = -1
+            if tried:
+                # orbital ban: v in part j failed, so by symmetry every vertex
+                # of v's orbit fails there; an empty j stands for every
+                # empty part
+                j = tried.bit_length() - 1
+                saved_has = tuple(h & ~orbit if i == j or j == used <= i else h
+                                  for i, h in enumerate(saved_has))
+                frame[1] = saved_has
+                frame[8] = 0
             if not opts:
                 stack.pop()
                 continue
@@ -326,6 +356,8 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                     if has[j] & vb:
                         has[j] ^= vb
                 break
+            if orbit:
+                frame[8] = bit
             # the meter's check, inlined: it runs once per node
             if nodes >= max_nodes or (nodes & 4095 == 4095 and time.monotonic() > deadline):
                 meter.nodes = nodes
@@ -390,11 +422,25 @@ def alpha_star(ts: TripleSystem, k: int,
       constrain each other early), and then left out.
     * Parts are interchangeable while empty, so only the used parts and the
       lowest empty one are offered.
+    * Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011,
+      "Orbital branching"; Gent & Smith 2000, "Symmetry breaking during
+      search in constraint programming") on the group of
+      :func:`~stsramsey.core.layer_automorphisms`, computed once per call.
+      Each frame holds the subgroup H fixing every vertex decided on its
+      path, dropped once trivial.  When the subtree "v in part p" fails,
+      every vertex of v's H-orbit loses part p for the rest of the frame,
+      and every part that was empty there when p was: an automorphism in H
+      maps the frame's decisions and earlier bans onto themselves, so a
+      hole with an orbit vertex in p would map to one with v in p.  The
+      first descent, and the whole tree of a system whose group is
+      trivial, are unchanged.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
     A node is one vertex placed in one part; leaving a vertex out is not a
-    node.  Every level draws on the one meter of ``budget``, whose node cap
+    node, and neither is a banned option, which is never offered: a frame's
+    own bans take from its vertex only parts it has tried or was never
+    offered.  Every level draws on the one meter of ``budget``, whose node cap
     is checked before a node is counted, so ``budget_spent.nodes`` never
     exceeds it.  ``exact=True`` means the value is the cap or the next level
     was refuted by an exhausted search.  When the budget runs out, the
@@ -413,12 +459,13 @@ def alpha_star(ts: TripleSystem, k: int,
         pairs[x].append((y, z))
         pairs[y].append((x, z))
         pairs[z].append((x, y))
+    group = layer_automorphisms(ts)
 
     best = tuple(frozenset() for _ in range(k))
     exact = True
     while len(best[0]) < ub:
         try:
-            parts = _find_hole(n, k, len(best[0]) + 1, pairs, meter)
+            parts = _find_hole(n, k, len(best[0]) + 1, pairs, group, meter)
         except _OutOfBudget:
             exact = False
             break

@@ -26,10 +26,12 @@ from stsramsey import (
     pair_degree_min,
     s9,
     skolem,
+    random_idempotent_quasigroup,
+    random_sts,
     validate_steiner,
     verify_hole,
 )
-from stsramsey.core import _build_pair_index
+from stsramsey.core import _build_pair_index, layer_automorphisms
 from stsramsey.io import read_system, write_system
 
 from oracles import brute_components, brute_hole_ok
@@ -267,3 +269,70 @@ class TestOneSystemType:
         labeled, bare = alpha_star(s, 3, cap), alpha_star(back, 3, cap)
         assert (labeled.value, labeled.exact, labeled.budget_spent.nodes) == (
             bare.value, bare.exact, bare.budget_spent.nodes)
+
+
+def _relabeled(s, seed):
+    perm = list(range(s.n))
+    random.Random(seed).shuffle(perm)
+    return build_system(s.n, [(perm[x], perm[y], perm[z]) for x, y, z in s.triples])
+
+
+def _is_automorphism(g, s):
+    triples = {frozenset(t) for t in s.triples}
+    return sorted(g) == list(range(s.n)) and all(
+        frozenset(g[v] for v in t) in triples for t in triples)
+
+
+class TestLayerAutomorphisms:
+    @pytest.mark.parametrize("s, order", [
+        (bose(21), 126), (bose(27), 162),
+        (skolem(13), 3), (skolem(19), 3), (skolem(25), 3),
+    ], ids=["bose21", "bose27", "skolem13", "skolem19", "skolem25"])
+    def test_group_orders(self, s, order):
+        # Bose keeps all of Z3 x AGL(1, Z_q), order 3q * phi(q); Skolem keeps
+        # the layer rotation alone
+        group = layer_automorphisms(s)
+        assert len(group) == len(set(group)) == order
+        assert group[0] == tuple(range(s.n))
+        assert all(_is_automorphism(g, s) for g in group)
+
+    @pytest.mark.parametrize("s", [bose(21), bose(27), skolem(19)],
+                             ids=["bose21", "bose27", "skolem19"])
+    def test_elements_form_a_group(self, s):
+        group = set(layer_automorphisms(s))
+        for g in group:
+            assert tuple(g.index(v) for v in range(s.n)) in group
+            for h in group:
+                assert tuple(h[v] for v in g) in group
+
+    @pytest.mark.parametrize("n, seed", [(19, 1), (21, 2), (25, 3), (27, 1)])
+    def test_random_systems_get_the_identity(self, n, seed):
+        assert layer_automorphisms(random_sts(n, seed)) == (tuple(range(n)),)
+
+    def test_relabeled_bose_gets_the_identity(self):
+        assert layer_automorphisms(_relabeled(bose(21), 5)) == (tuple(range(21)),)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_quasigroup_keeps_only_verified_elements(self, seed):
+        # the layer rotation holds for every quasigroup; the translation and
+        # the scalings hold only where the quasigroup allows them
+        s = bose(21, random_idempotent_quasigroup(7, seed))
+        group = layer_automorphisms(s)
+        rotation = tuple(3 * (v // 3) + (v + 1) % 3 for v in range(21))
+        assert rotation in group
+        assert 3 <= len(group) <= 126 and 126 % len(group) == 0
+        assert all(_is_automorphism(g, s) for g in group)
+
+    @pytest.mark.parametrize("s", [fano(), s9(), build_system(3, [(0, 1, 2)]),
+                                   build_system(19, [(0, 1, 2), (3, 4, 5)])],
+                             ids=["fano", "s9", "single", "partial19"])
+    def test_every_element_maps_triples_onto_triples(self, s):
+        assert all(_is_automorphism(g, s) for g in layer_automorphisms(s))
+
+    @pytest.mark.parametrize("s", [bose(15), skolem(19)], ids=["bose15", "skolem19"])
+    def test_labels_are_not_read(self, s, tmp_path):
+        path = tmp_path / "s.sts"
+        write_system(s, path)
+        back = read_system(path)
+        assert back.labels is None and s.labels is not None
+        assert layer_automorphisms(back) == layer_automorphisms(s)

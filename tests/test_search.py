@@ -9,11 +9,13 @@ import pytest
 
 import stsramsey
 from stsramsey import search
+from stsramsey.core import layer_automorphisms
 from stsramsey import (
     BadK,
     EdgeColoring,
     InvalidHole,
     SearchBudget,
+    Triple,
     alpha_star,
     bose,
     build_system,
@@ -38,6 +40,12 @@ from oracles import (
     brute_mc3,
     max_component_size,
 )
+
+
+def _relabeled(system, seed):
+    perm = list(range(system.n))
+    random.Random(seed).shuffle(perm)
+    return build_system(system.n, [(perm[x], perm[y], perm[z]) for x, y, z in system.triples])
 
 
 def single_triple():
@@ -152,6 +160,51 @@ class TestAlphaStar:
         with pytest.raises(BadK):
             alpha_star(fano_sys, 1)
 
+    @pytest.mark.parametrize("make", [fano, s9, lambda: bose(9), lambda: skolem(7),
+                                      lambda: skolem(13), lambda: bose(15)],
+                             ids=["fano", "s9", "bose9", "skolem7", "skolem13", "bose15"])
+    def test_matches_oracles_for_k_2_3_4(self, make):
+        # every system here but fano has a nontrivial layer automorphism group
+        system = make()
+        n, triples = system.n, system.triples
+        for k, expected in ((3, brute_alpha_star3(n, triples)),
+                            (2, brute_alpha_star2(n, triples)), (4, n // 4)):
+            res = alpha_star(system, k)
+            assert res.exact and res.value == expected
+            assert verify_hole(system, res.lower_certificate)
+
+    @pytest.mark.parametrize("make", [lambda: bose(21), lambda: skolem(19), lambda: skolem(25)],
+                             ids=["bose21", "skolem19", "skolem25"])
+    def test_orbital_bans_agree_with_a_relabeled_copy(self, make):
+        # the copy's layer encoding is scrambled, so its group is trivial and
+        # its search bans nothing
+        system = make()
+        copy = _relabeled(system, 12)
+        assert len(layer_automorphisms(copy)) == 1 < len(layer_automorphisms(system))
+        cap = SearchBudget(max_nodes=2_000_000)
+        res, res_copy = alpha_star(system, 3, cap), alpha_star(copy, 3, cap)
+        assert res.exact and res_copy.exact
+        assert res.value == res_copy.value
+
+    @pytest.mark.parametrize("make", [lambda: bose(9), s9, lambda: skolem(13)],
+                             ids=["bose9", "s9", "skolem13"])
+    def test_orbital_bans_on_symmetric_partial_systems(self, make):
+        # unions of triple orbits keep the group and, being partial, refute
+        # levels below the trivial cap, where the bans fire
+        system = make()
+        group = layer_automorphisms(system)
+        orbits = {frozenset(Triple.of(*(g[v] for v in t)) for g in group)
+                  for t in system.triples}
+        rng = random.Random(7)
+        for _ in range(4):
+            triples = [t for orbit in sorted(orbits, key=min) if rng.random() < 0.6
+                       for t in orbit]
+            part = build_system(system.n, triples)
+            assert len(layer_automorphisms(part)) >= len(group)
+            for k, oracle in ((3, brute_alpha_star3), (2, brute_alpha_star2)):
+                res = alpha_star(part, k)
+                assert res.exact and res.value == oracle(part.n, part.triples)
+
     def test_k2_of_steiner_is_zero(self, fano_sys):
         # every pair lies in a triple, so two disjoint parts always cross one
         assert alpha_star(fano_sys, 2).value == 0
@@ -162,8 +215,9 @@ class TestAlphaStar:
         assert res.exact and res.value == 7 // 4
 
     def test_bose27_hole_at_least_two_ninths(self):
-        # refuting 8 at n=27 exceeds any desk budget; the ladder still has
-        # to climb to a certified hole of size >= 2n/9 within it
+        # refuting 8 at n=27 takes 359,455 nodes, more than this cap; the
+        # ladder still has to climb to a certified hole of size >= 2n/9
+        # within it
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
         assert res.value >= 6
@@ -179,12 +233,18 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("system, cap, value, nodes", [
         (skolem(25), 150_000, 7, 2_100),
-        (bose(21), 500_000, 5, 264_704),
-    ], ids=["skolem25", "bose21"])
+        (bose(21), 500_000, 5, 76_484),
+        (bose(27), 400_000, 7, 359_455),
+        (random_sts(25, 1_000_028), 150_000, 7, 20_816),
+    ], ids=["skolem25", "bose21", "bose27", "random_sts25"])
     def test_forward_checking_settles_within_cap(self, system, cap, value, nodes):
-        # index-order backtracking left both inexact at these caps; skolem(25)
-        # ends at the cap floor(n/3) - 1, bose(21) by refuting 6.  The node
-        # counts pin the pruning and the branching order
+        # index-order backtracking left skolem(25) and bose(21) inexact at
+        # these caps; skolem(25) and random_sts(25) end at the cap
+        # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8.
+        # The node counts pin the pruning, the branching order and the
+        # orbital bans, which cut bose(21) from 264,704 nodes and bose(27)
+        # from 1,253,718; skolem(25) never refutes a level and random_sts(25)
+        # has no symmetry, so neither count moves
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
@@ -337,6 +397,12 @@ class TestBudgetCaps:
     def test_budget_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match="budget fields must be positive"):
             SearchBudget(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_node_cap_must_be_an_int(self, value):
+        # a cap of 2.5 once let each engine spend 3 nodes
+        with pytest.raises(ValueError, match="max_nodes must be an int"):
+            SearchBudget(max_nodes=value)
 
     def test_infinite_seconds_accepted(self, s9_sys):
         res = independence_number(s9_sys, SearchBudget(max_seconds=float("inf")))
