@@ -276,12 +276,12 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
     when n = 1 (mod 6), where vertex 0 is fixed.  The element (u, b, r)
     maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
     (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
-    by the units u mod q.  Each is checked once against the triples through
-    the pair index, stopping at the first triple it maps off the system.
-    The result lists every product of the generators that pass, the
-    identity first; they form a group, and each maps every triple onto a
-    triple.  Labels are not read.  Any other order, and any system whose
-    generators all fail, gets the identity alone.
+    by the units u mod q.  Each is checked once through its permutation
+    against the set of triples, each stored sorted, stopping at the first
+    triple it maps off the system.  The result lists every product of the
+    generators that pass, the identity first; they form a group, and each
+    maps every triple onto a triple.  Labels are not read.  Any other order,
+    and any system whose generators all fail, gets the identity alone.
 
     Each element is a tuple g with g[v] the image of vertex v.
     """
@@ -290,40 +290,35 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
     if off is None or n < 3:
         return (tuple(range(n)),)
     q = (n - off) // 3
+    fixed = tuple(range(off))
 
-    def image(v: int, u: int, b: int, r: int) -> int:
-        if v < off:
-            return v
-        a, i = divmod(v - off, 3)
-        return off + 3 * ((u * a + b) % q) + (i + r) % 3
+    def perm(u: int, b: int, r: int) -> tuple[int, ...]:
+        cells = [off + 3 * ((u * a + b) % q) for a in range(q)]
+        layers = (r % 3, (r + 1) % 3, (r + 2) % 3)
+        return fixed + tuple([c + i for c in cells for i in layers])
 
     triples = s.triples
-    index = s.pair_index
+    known = set(triples)
 
-    def maps_triples(u: int, b: int, r: int) -> bool:
-        for x, y, z in triples:
-            gx, gy, gz = image(x, u, b, r), image(y, u, b, r), image(z, u, b, r)
-            if not any(gz in triples[i]
-                       for i in index.get((gx, gy) if gx < gy else (gy, gx), ())):
-                return False
-        return True
+    def maps_triples(g: tuple[int, ...]) -> bool:
+        return all(tuple(sorted((g[x], g[y], g[z]))) in known for x, y, z in triples)
 
     generators = [(1, 0, 1), (1, 1, 0)] + [(u, 0, 0) for u in range(2, q) if gcd(u, q) == 1]
-    verified = [gen for gen in generators if maps_triples(*gen)]
-    # close under products, composing the parameters: applying (u, b, r)
-    # after (u', b', r') gives (uu', ub' + b, r' + r)
-    group = [(1 % q, 0, 0)]     # the identity, also when q = 1
-    seen = set(group)
-    for u1, b1, r1 in group:    # the list grows while it is walked
-        for u, b, r in verified:
-            g = (u * u1 % q, (u * b1 + b) % q, (r1 + r) % 3)
-            if g not in seen:
-                seen.add(g)
-                group.append(g)
-    fixed = tuple(range(off))
-    return tuple(fixed + tuple(off + 3 * ((u * a + b) % q) + (i + r) % 3
-                               for a in range(q) for i in range(3))
-                 for u, b, r in group)
+    verified = [(gen, g) for gen in generators if maps_triples(g := perm(*gen))]
+    # close under products, deduplicated on the parameters: applying
+    # (u, b, r) after (u', b', r') gives (uu', ub' + b, r' + r), and its
+    # permutation is the generator's composed with the element's
+    params = [(1 % q, 0, 0)]    # the identity, also when q = 1
+    elements = [tuple(range(n))]
+    seen = set(params)
+    for (u1, b1, r1), h in zip(params, elements):  # both grow while walked
+        for (u, b, r), g in verified:
+            key = (u * u1 % q, (u * b1 + b) % q, (r1 + r) % 3)
+            if key not in seen:
+                seen.add(key)
+                params.append(key)
+                elements.append(tuple(map(g.__getitem__, h)))
+    return tuple(elements)
 
 
 def pair_degree_min(s: TripleSystem) -> int:

@@ -233,6 +233,61 @@ def independence_number(ts: TripleSystem,
 # k-partite-hole number
 # ---------------------------------------------------------------------------
 
+# the deepest paths recorded as nogoods and checked for dominance; see
+# alpha_star
+_RECORD_DEPTH = 5
+_CHECK_DEPTH = 9
+
+
+def _decision_key(masks: list[int], n: int) -> int:
+    """One int for decisions given as a vertex mask per part, then the mask
+    of the vertices left out; equal for any relabelling of the parts.
+    Consumes ``masks``."""
+    key = masks.pop()
+    masks.sort()
+    for m in masks:
+        key = key << n | m
+    return key
+
+
+def _record_nogood(images: dict[int, list[int]], group: tuple[tuple[int, ...], ...],
+                   path: list[tuple[int, int]], k: int, n: int) -> None:
+    """Store in ``images`` every image under ``group`` of ``path``, decisions
+    (vertex, part or -1 for left out) that no hole extends."""
+    for g in group:
+        masks = [0] * (k + 1)           # part -1, left out, is masks[k]
+        for u, j in path:
+            masks[j] |= 1 << g[u]
+        mask = sum(masks)
+        key = _decision_key(masks, n)
+        keys = images.setdefault(mask, [])
+        if key not in keys:
+            keys.append(key)
+
+
+def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
+               k: int, n: int) -> bool:
+    """Whether ``path`` contains a stored image, up to a relabelling of the
+    parts and with left-out vertices on left-out ones.  Only images through
+    the path's last vertex are looked up: one that avoids it lies in the
+    parent path, which was checked before any nogood recorded since, and
+    those are longer than it."""
+    cur = [0] * (k + 1)
+    for u, j in path:
+        cur[j] |= 1 << u
+    vb = 1 << path[-1][0]
+    rest = sum(cur) ^ vb
+    s = rest
+    while True:
+        m = s | vb
+        keys = images.get(m)
+        if keys is not None and _decision_key([c & m for c in cur], n) in keys:
+            return True
+        if not s:
+            return False
+        s = (s - 1) & rest
+
+
 def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                group: tuple[tuple[int, ...], ...],
                meter: _Meter) -> tuple[frozenset[int], ...] | None:
@@ -262,12 +317,18 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     goal = k * a
     # the root frame's H is the whole group, None when trivial
     top = group if len(group) > 1 else None
+    # dominance detection, with a nontrivial group only: images[mask] holds
+    # the keys of the recorded nogoods' images under the group whose vertex
+    # set is mask; it lives for this level only
+    images: dict[int, list[int]] | None = {} if top is not None else None
     # frame: [vertex, has and size before it, placed and used before it,
     #         options left: a bit per part, then bit k for leaving it out,
     #         the vertex's orbit under the group H that fixes every vertex
     #         decided above it (0 once H is trivial), the subgroup of H that
-    #         also fixes the vertex (the next frame's H), and the part bit
-    #         whose subtree is being searched while the orbit is nonzero]
+    #         also fixes the vertex (the next frame's H), the part bit
+    #         whose subtree is being searched while the orbit is nonzero,
+    #         and whether the path through the option being searched is
+    #         recorded as a nogood once its subtree is exhausted]
     stack: list[list] = []
     nodes = meter.nodes
     max_nodes = meter.max_nodes
@@ -318,10 +379,13 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                     if len(stab) == 1:
                         stab = None
                 stack.append([v, tuple(has), tuple(size), placed, used,
-                              (dom & offered) | out, orbit, stab, 0])
+                              (dom & offered) | out, orbit, stab, 0, False])
         while stack:
             frame = stack[-1]
-            v, saved_has, saved_size, placed, used, opts, orbit, _, tried = frame
+            v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted = frame
+            if refuted:
+                _record_nogood(images, group, [(f[0], part[f[0]]) for f in stack], k, n)
+                frame[9] = False
             part[v] = -1
             if tried:
                 # orbital ban: v in part j failed, so by symmetry every vertex
@@ -350,6 +414,17 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                         least = c
                         bit = low
             frame[5] = opts ^ bit
+            if images is not None and len(stack) <= _CHECK_DEPTH:
+                if images:
+                    path = [(f[0], part[f[0]]) for f in stack]
+                    path[-1] = (v, bit.bit_length() - 1 if bit != out else -1)
+                    if _dominated(images, path, k, n):
+                        # skipped like a banned option; its failure bans v's
+                        # orbit like a searched one's
+                        if orbit and bit != out:
+                            frame[8] = bit
+                        continue
+                frame[9] = len(stack) <= _RECORD_DEPTH
             vb = bits[v]
             if bit == out:
                 for j in rk:
@@ -434,16 +509,40 @@ def alpha_star(ts: TripleSystem, k: int,
       hole with an orbit vertex in p would map to one with v in p.  The
       first descent, and the whole tree of a system whose group is
       trivial, are unchanged.
+    * Symmetry-breaking by dominance detection (Fahle, Schamberger &
+      Sellmann 2001, "Symmetry breaking"; Gent & Smith 2000), on the same
+      group.  A decision is "v in part j" or "v left out".  When the
+      subtree under a path of at most 5 decisions is exhausted, no hole
+      extends the path, and it is recorded as a nogood: every pruning
+      removes only options with no hole (forward checking, the Hall-type
+      prune, the bans, dominance itself) or options whose holes have a copy
+      under a part relabelling that is searched (the part offer).  An
+      option whose path has at most 9 decisions is skipped when some
+      element g of the group and some injective relabelling of the parts
+      map a nogood into the path, left-out vertices onto left-out ones: g
+      and the relabelling map holes onto holes, so no hole extends the
+      path.  Each nogood's images under the group are kept, for the level
+      only, in one dict keyed by their vertex masks, and only images that
+      contain the newest decided vertex are looked up: the rest were
+      checked at the parent, or belong to nogoods recorded since, which
+      are longer than the parent's path.  The bounds 5 and 9 are by
+      measurement on bose(21) and bose(27): recording deeper paths cuts a
+      few more nodes but more than doubles the store, and checking deeper
+      ones costs more time than it saves.  A system whose group is
+      trivial, such as a random or relabelled one, runs none of this and
+      keeps its tree.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
     A node is one vertex placed in one part; leaving a vertex out is not a
     node, and neither is a banned option, which is never offered: a frame's
     own bans take from its vertex only parts it has tried or was never
-    offered.  Every level draws on the one meter of ``budget``, whose node cap
-    is checked before a node is counted, so ``budget_spent.nodes`` never
-    exceeds it.  ``exact=True`` means the value is the cap or the next level
-    was refuted by an exhausted search.  When the budget runs out, the
+    offered.  A dominated option is skipped before the meter is asked, so it
+    is not a node either, and when it places v it bans v's orbit as a failed
+    subtree would.  Every level draws on the one meter of ``budget``, whose
+    node cap is checked before a node is counted, so ``budget_spent.nodes``
+    never exceeds it.  ``exact=True`` means the value is the cap or the next
+    level was refuted by an exhausted search.  When the budget runs out, the
     largest hole found so far is returned with ``exact=False``.  The
     certificate is re-checked by ``verify_hole``; a failure raises
     ``InvalidHole``, also under ``python -O``.

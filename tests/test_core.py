@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -295,6 +296,16 @@ class TestLayerAutomorphisms:
         assert len(group) == len(set(group)) == order
         assert group[0] == tuple(range(s.n))
         assert all(_is_automorphism(g, s) for g in group)
+
+    @pytest.mark.parametrize("s, digest", [
+        (bose(21), "0109c081c21577e1"), (bose(27), "a1a16b5c1943bc2f"),
+        (bose(99), "3f4da1a8a3111f20"), (skolem(25), "026a01ad8b7040da"),
+    ], ids=["bose21", "bose27", "bose99", "skolem25"])
+    def test_elements_and_their_order_are_pinned(self, s, digest):
+        # the search's orbits, bans and nogood images read the elements in
+        # this order, so a faster construction must not reorder them
+        group = layer_automorphisms(s)
+        assert hashlib.sha256(repr(group).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("s", [bose(21), bose(27), skolem(19)],
                              ids=["bose21", "bose27", "skolem19"])

@@ -205,6 +205,68 @@ class TestAlphaStar:
                 res = alpha_star(part, k)
                 assert res.exact and res.value == oracle(part.n, part.triples)
 
+    @pytest.mark.parametrize("make", [lambda: bose(15), lambda: bose(21)],
+                             ids=["bose15", "bose21"])
+    def test_dominance_agrees_with_a_relabeled_copy(self, make):
+        # unions of triple orbits under three subgroups: the scalings fixing
+        # vertex 0, those with the layer rotations (fixing the cell {0, 1,
+        # 2}), and the affine maps that keep every layer; each union keeps
+        # its subgroup, and the relabelled copy's group is trivial, so the
+        # copy runs neither the bans nor the dominance check
+        system = make()
+        group = layer_automorphisms(system)
+        subgroups = ([g for g in group if g[0] == 0],
+                     [g for g in group if {g[0], g[1], g[2]} == {0, 1, 2}],
+                     [g for g in group if all(g[v] % 3 == v % 3 for v in range(system.n))])
+        rng = random.Random(21)
+        cap = SearchBudget(max_nodes=500_000)
+        for sub in subgroups:
+            orbits = {frozenset(Triple.of(*(g[v] for v in t)) for g in sub)
+                      for t in system.triples}
+            for seed in range(3):
+                triples = [t for orbit in sorted(orbits, key=min) if rng.random() < 0.6
+                           for t in orbit]
+                part = build_system(system.n, triples)
+                copy = _relabeled(part, seed)
+                assert len(layer_automorphisms(part)) >= len(sub) > 1
+                assert len(layer_automorphisms(copy)) == 1
+                for k in (3, 2):
+                    res, res_copy = alpha_star(part, k, cap), alpha_star(copy, k, cap)
+                    assert res.exact and res_copy.exact
+                    assert res.value == res_copy.value
+
+    @pytest.mark.parametrize("system", [
+        bose(15), skolem(19), bose(21), skolem(25),
+        random_sts(19, 19), random_sts(21, 21), random_sts(25, 1_000_028),
+    ], ids=["bose15", "skolem19", "bose21", "skolem25",
+            "random_sts19", "random_sts21", "random_sts25"])
+    def test_holes_satisfy_the_double_count_identity(self, system):
+        # every pair lies in one triple of a Steiner system, and no triple
+        # meets all three parts; counting the pairs inside a part, across
+        # two parts, from a part to a left-out vertex and between left-out
+        # vertices by the triples that hold them gives, with parts of size a
+        # and r = n - 3a vertices left out,
+        # 6*T3 + 3*sum_w i(w) = r(3a - r + 1)/2 + 3*t_R - 3a, where T3 counts
+        # the triples inside one part, i(w) the triples through a left-out
+        # w whose other two vertices share a part, and t_R the triples of
+        # left-out vertices; both sides are doubled here
+        hole = alpha_star(system, 3).lower_certificate
+        a = hole.a
+        where = {v: j for j, p in enumerate(hole.parts) for v in p}
+        left = set(range(system.n)) - set(where)
+        r = len(left)
+        t3 = inner = t_r = 0
+        for t in system.triples:
+            out = [v for v in t if v in left]
+            placed = {where[v] for v in t if v in where}
+            if not out and len(placed) == 1:
+                t3 += 1
+            elif len(out) == 1 and len(placed) == 1:
+                inner += 1
+            elif len(out) == 3:
+                t_r += 1
+        assert 2 * (6 * t3 + 3 * inner) == r * (3 * a - r + 1) + 6 * t_r - 6 * a
+
     def test_k2_of_steiner_is_zero(self, fano_sys):
         # every pair lies in a triple, so two disjoint parts always cross one
         assert alpha_star(fano_sys, 2).value == 0
@@ -215,12 +277,11 @@ class TestAlphaStar:
         assert res.exact and res.value == 7 // 4
 
     def test_bose27_hole_at_least_two_ninths(self):
-        # refuting 8 at n=27 takes 359,455 nodes, more than this cap; the
-        # ladder still has to climb to a certified hole of size >= 2n/9
-        # within it
+        # the ladder climbs to a certified hole of size >= 2n/9 and, with
+        # dominance detection, refutes 8 within this cap (114,180 nodes)
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
-        assert res.value >= 6
+        assert res.exact and res.value == 7 >= 6
         assert verify_hole(system, res.lower_certificate)
         assert res.lower_certificate.a == res.value
 
@@ -233,18 +294,24 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("system, cap, value, nodes", [
         (skolem(25), 150_000, 7, 2_100),
-        (bose(21), 500_000, 5, 76_484),
-        (bose(27), 400_000, 7, 359_455),
+        (bose(21), 500_000, 5, 22_860),
+        (bose(27), 400_000, 7, 114_180),
+        (bose(27), 150_000, 7, 114_180),
         (random_sts(25, 1_000_028), 150_000, 7, 20_816),
-    ], ids=["skolem25", "bose21", "bose27", "random_sts25"])
+        (_relabeled(bose(21), 12), 500_000, 5, 252_052),
+    ], ids=["skolem25", "bose21", "bose27", "bose27-holes-cap", "random_sts25",
+            "bose21-relabeled"])
     def test_forward_checking_settles_within_cap(self, system, cap, value, nodes):
         # index-order backtracking left skolem(25) and bose(21) inexact at
         # these caps; skolem(25) and random_sts(25) end at the cap
-        # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8.
-        # The node counts pin the pruning, the branching order and the
-        # orbital bans, which cut bose(21) from 264,704 nodes and bose(27)
-        # from 1,253,718; skolem(25) never refutes a level and random_sts(25)
-        # has no symmetry, so neither count moves
+        # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8,
+        # also under the holes benchmark's 150k cap.  The node counts pin
+        # the pruning, the branching order, the orbital bans and dominance
+        # detection, which together cut bose(21) from 264,704 nodes and
+        # bose(27) from 1,253,718; skolem(25) never refutes a level and
+        # random_sts(25) has no symmetry, so neither count moves.  A
+        # relabelled bose(21) has a trivial group, so its count is that of
+        # the tree without bans or dominance detection
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
