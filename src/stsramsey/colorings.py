@@ -18,7 +18,9 @@ monochromatic components, every 3-coloring lands in one of three cases:
 checks every clause of the emitted case literally and is the ground truth the
 randomized tests lean on.  Both read the shadow straight off the colored
 triples: a pair carries color c exactly when some c-colored triple holds both
-of its vertices.
+of its vertices.  Both hold it as the per-vertex bitmasks of
+:func:`core.shadow` and find components by flood fill, with no cache on the
+system or the coloring.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .core import (
     BudgetExhausted,
@@ -43,8 +47,12 @@ from .core import (
     LABEL_TYPE2,
     LABEL_TYPE3,
     TripleSystem,
-    components,
-    mono_components,
+    color_class,
+    flood_components,
+    mask_vertices,
+    reach,
+    shadow,
+    vertex_mask,
     verify_hole,
 )
 from .search import SearchBudget
@@ -69,13 +77,14 @@ def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
         raise InvalidHole(str(exc)) from exc
     if h.k < 2:
         raise InvalidHole("need at least 2 parts")
+    masks = [vertex_mask(part) for part in h.parts]
     colors = []
-    for t in ts.triples:
-        vs = t.as_set()
-        for i, part in enumerate(h.parts):
-            if not (vs & part):
-                colors.append(i)
-                break
+    for a, b, c in ts.triples:
+        t = (1 << a) | (1 << b) | (1 << c)
+        i = 0
+        while t & masks[i]:     # stops: the triple avoids some part
+            i += 1
+        colors.append(i)
     return EdgeColoring(system=ts, r=h.k, colors=tuple(colors))
 
 
@@ -265,9 +274,10 @@ class CheckResult:
         return self.ok
 
 
-def _select(cands: list[tuple[frozenset[int], int]]) -> tuple[frozenset[int], int]:
+def _select(cands: list[tuple[int, int]]) -> tuple[int, int]:
     # largest first, then lowest color, then lexicographically smallest set
-    return min(cands, key=lambda item: (-len(item[0]), item[1], sorted(item[0])))
+    return min(cands, key=lambda item: (-item[0].bit_count(), item[1],
+                                        sorted(mask_vertices(item[0]))))
 
 
 def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResult:
@@ -277,75 +287,81 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
     lowest color then lexicographic).  If B spans, emit L1.  Otherwise pick a
     maximal component R in another color meeting both B and its complement U,
     and emit L2 on (B&R, B-R, U&R, U-R) when U-R is non-empty, else L3 via
-    the third-color component G containing U + (B-R).
+    the third-color component G containing U + (B-R).  Components are
+    bitmask flood fills (:func:`core.flood_components`); a spanning
+    component is the largest there is, so the first color whose component
+    through vertex 0 spans settles L1 before the next color is read.
     """
-    for u in range(ts.n):
-        for v in range(u + 1, ts.n):
-            if (u, v) not in ts.pair_index:
-                raise PairUncovered(u, v)
+    n = ts.n
+    if len(ts.pair_index) != n * (n - 1) // 2:
+        # some pair is uncovered: name the first in lexicographic order
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in ts.pair_index:
+                    raise PairUncovered(u, v)
     if c.r != 3:
         raise ValueError("decomposition needs exactly 3 colors")
     if c.system is not ts and c.system != ts:
         raise ValueError("coloring belongs to another system")
-    n = ts.n
     if n <= 1:
         return DecompositionResult(case="L1", role_colors=(0, 1, 2),
                                    component=frozenset(range(n)))
-    comps_by_color = mono_components(c).components
+    V = (1 << n) - 1
+    adj = []
+    for col in range(3):
+        row = shadow(n, color_class(c.system.triples, c.colors, col))
+        if reach(row, 1, V) == V:
+            return DecompositionResult(
+                case="L1", role_colors=(col, (col + 1) % 3, (col + 2) % 3),
+                component=frozenset(range(n)))
+        adj.append(row)
+    comps_by_color = [flood_components(row, reduce(or_, row, 0)) for row in adj]
     allcomps = [(comp, col) for col in range(3) for comp in comps_by_color[col]]
     maximal = [(comp, col) for (comp, col) in allcomps
-               if not any(comp < other for (other, _) in allcomps)]
+               if not any(comp != other and comp | other == other for (other, _) in allcomps)]
     B, bcol = _select(maximal)
-    V = frozenset(range(n))
-    if B == V:
-        return DecompositionResult(
-            case="L1", role_colors=(bcol, (bcol + 1) % 3, (bcol + 2) % 3),
-            component=B)
-    U = V - B
+    U = V ^ B
     crossing = [(comp, col) for (comp, col) in maximal if (comp & B) and (comp & U)]
     R, rcol = _select(crossing)
     gcol = 3 - bcol - rcol
-    if U - R:
-        W, X, Y, Z = B & R, B - R, U & R, U - R
-        return DecompositionResult(
-            case="L2", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z))
-    seed = U | (B - R)
-    v0 = min(seed)
+    if U & ~R:
+        parts = (B & R, B & ~R, U & R, U & ~R)
+        return DecompositionResult(case="L2", role_colors=(bcol, rcol, gcol),
+                                   parts=tuple(map(mask_vertices, parts)))
+    seed = U | (B & ~R)
+    v0 = seed & -seed
     # v0 lies on a green triple.  B-R is non-empty, else the maximal R would
     # strictly contain B.  A pair from U to B-R is covered by some triple; it
     # is not blue (U lies outside B) and not red (B-R lies outside R), so it
     # is green.
-    G = next(comp for comp in comps_by_color[gcol] if v0 in comp)
-    W, X, Y, Z = B & R & G, B - G, B - R, U
-    return DecompositionResult(
-        case="L3", role_colors=(bcol, rcol, gcol), parts=(W, X, Y, Z))
+    G = reach(adj[gcol], v0, V)
+    parts = (B & R & G, B & ~G, B & ~R, U)
+    return DecompositionResult(case="L3", role_colors=(bcol, rcol, gcol),
+                               parts=tuple(map(mask_vertices, parts)))
 
 
 def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
                          d: DecompositionResult) -> CheckResult:
-    """Check every clause of the emitted case against the multicolored shadow."""
+    """Check every clause of the emitted case against the multicolored shadow.
+
+    The shadow is read from the triples of ``ts`` with the colors of ``c``,
+    as per-color bitmask adjacencies (:func:`core.shadow`); a claim
+    naming a role color outside the palette of ``c`` fails at once.
+    """
     n = ts.n
-    colored = list(zip(ts.triples, c.colors))
-    palette = frozenset(range(c.r))
-
-    def joins(A, B, cols) -> bool:
-        # Some triple colored in cols meets both A and B.  The parts are
-        # checked disjoint before any call, so such a triple holds a pair
-        # from A to B carrying its color.
-        return any(col in cols and not A.isdisjoint(t) and not B.isdisjoint(t)
-                   for t, col in colored)
-
-    def connected(col, S) -> bool:
-        cut = [S.intersection(t) for t, tcol in colored if tcol == col]
-        return len(components(n, S, [e for e in cut if e])) == 1
+    V = (1 << n) - 1
 
     def fail(clause: str) -> CheckResult:
         return CheckResult(ok=False, failed_clause=clause)
 
+    if not all(col in range(c.r) for col in d.role_colors):
+        return fail("role colors outside the palette")
+
     if d.case == "L1":
         if d.component != frozenset(range(n)):
             return fail("L1: component does not span")
-        if not connected(d.role_colors[0], d.component):
+        adj = shadow(n, color_class(ts.triples, c.colors, d.role_colors[0]))
+        if not (V and reach(adj, 1, V) == V):
             return fail("L1: component not connected in its color")
         return CheckResult(ok=True)
 
@@ -356,38 +372,51 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     union = W | X | Y | Z
     if union != frozenset(range(n)) or len(W) + len(X) + len(Y) + len(Z) != n:
         return fail("parts do not partition the vertex set")
+    # the parts partition range(n) from here on
+    mW, mX, mY, mZ = masks = [vertex_mask(P) for P in d.parts]
+    adj = [shadow(n, color_class(ts.triples, c.colors, col)) for col in range(c.r)]
 
+    def joins(A, mB, cols) -> bool:
+        # Some triple colored in cols holds a vertex of A and one of B.  A and
+        # B are disjoint, so the shadow row of a vertex of A meets B only in
+        # the other vertices of its triples.
+        return any(adj[col][v] & mB for col in cols for v in A)
+
+    def connected(col, S) -> bool:
+        return S != 0 and reach(adj[col], S & -S, S) == S
+
+    palette = frozenset(range(c.r))
     if d.case == "L2":
         if not (W and X and Y and Z):
             return fail("L2: all parts must be non-empty")
-        for A, Bs, col, name in ((W, X, blue, "[W,X] blue"), (Y, Z, blue, "[Y,Z] blue"),
-                                 (W, Y, red, "[W,Y] red"), (X, Z, red, "[X,Z] red"),
-                                 (W, Z, green, "[W,Z] green"), (X, Y, green, "[X,Y] green")):
-            if joins(A, Bs, palette - {col}):
+        for A, mB, col, name in ((W, mX, blue, "[W,X] blue"), (Y, mZ, blue, "[Y,Z] blue"),
+                                 (W, mY, red, "[W,Y] red"), (X, mZ, red, "[X,Z] red"),
+                                 (W, mZ, green, "[W,Z] green"), (X, mY, green, "[X,Y] green")):
+            if joins(A, mB, palette - {col}):
                 return fail(f"L2: {name} violated")
-        for t in ts.triples:
-            vs = t.as_set()
-            if sum(1 for P in (W, X, Y, Z) if vs & P) >= 3:
+        for a, b, cc in ts.triples:
+            t = (1 << a) | (1 << b) | (1 << cc)
+            if sum(1 for m in masks if t & m) >= 3:
                 return fail("L2: a triple touches three of the parts")
         return CheckResult(ok=True)
 
     if d.case == "L3":
         if not (X and Y and Z):
             return fail("L3: X, Y, Z must be non-empty")
-        if not connected(blue, W | X | Y):
+        if not connected(blue, mW | mX | mY):
             return fail("L3: W+X+Y not connected in blue")
-        if not connected(red, W | X | Z):
+        if not connected(red, mW | mX | mZ):
             return fail("L3: W+X+Z not connected in red")
-        if not connected(green, W | Y | Z):
+        if not connected(green, mW | mY | mZ):
             return fail("L3: W+Y+Z not connected in green")
-        for A, Bs, col, name in ((X, Y, blue, "[X,Y] blue"), (X, Z, red, "[X,Z] red"),
-                                 (Y, Z, green, "[Y,Z] green")):
-            if joins(A, Bs, palette - {col}):
+        for A, mB, col, name in ((X, mY, blue, "[X,Y] blue"), (X, mZ, red, "[X,Z] red"),
+                                 (Y, mZ, green, "[Y,Z] green")):
+            if joins(A, mB, palette - {col}):
                 return fail(f"L3: {name} violated")
-        for A, Bs, col, name in ((W, X, green, "[W,X] has green"),
-                                 (W, Y, red, "[W,Y] has red"),
-                                 (W, Z, blue, "[W,Z] has blue")):
-            if joins(A, Bs, {col}):
+        for A, mB, col, name in ((W, mX, green, "[W,X] has green"),
+                                 (W, mY, red, "[W,Y] has red"),
+                                 (W, mZ, blue, "[W,Z] has blue")):
+            if joins(A, mB, {col}):
                 return fail(f"L3: {name}")
         return CheckResult(ok=True)
 

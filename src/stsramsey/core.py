@@ -12,7 +12,12 @@ construction equals the same triples read back from a file.
 
 Connectivity is always meant through the shadow graph: two vertices are
 adjacent when they share a triple, and components of one color class of an
-edge coloring are components of that class's shadow graph.
+edge coloring are components of that class's shadow graph.  One bitmask
+kernel answers every static component question: :func:`shadow` gives each
+vertex the mask of its shadow neighbors, and :func:`reach` and
+:func:`flood_components` flood-fill those masks inside a vertex mask.  Hole
+and partition checks likewise test triple masks against part masks
+(:func:`vertex_mask`).
 
 Everything here is immutable after construction and safe to share between
 threads; the operations are pure functions.
@@ -21,9 +26,10 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd
+from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -143,9 +149,6 @@ class Triple(NamedTuple):
         a, b, c = sorted((x, y, z))
         return cls(a, b, c)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self)
-
 
 Pair = tuple[int, int]
 
@@ -238,17 +241,24 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
     single-triple system).  The first violating pair, in lexicographic order,
     is reported.  Returns ``s``, or a copy of it carrying ``labels`` when
     they are given.
+
+    The pairs are scanned only to name a violation: each triple of a system
+    from :func:`build_system` covers three distinct pairs, so a pair index
+    holding all n(n-1)/2 pairs, with 3m equal to that count, covers each
+    pair exactly once.
     """
     n = s.n
     if n % 6 not in (1, 3):
         raise BadOrder(n, f"Steiner triple systems need n = 1 or 3 (mod 6), got n={n}")
-    for u in range(n):
-        for v in range(u + 1, n):
-            cnt = len(s.pair_index.get((u, v), ()))
-            if cnt == 0:
-                raise PairUncovered(u, v)
-            if cnt > 1:
-                raise PairMulticovered(u, v, cnt)
+    index = s.pair_index
+    if not len(index) == n * (n - 1) // 2 == 3 * s.m:
+        for u in range(n):
+            for v in range(u + 1, n):
+                cnt = len(index.get((u, v), ()))
+                if cnt == 0:
+                    raise PairUncovered(u, v)
+                if cnt > 1:
+                    raise PairMulticovered(u, v, cnt)
     if labels is not None and len(labels) != s.m:
         raise ValueError("label count differs from triple count")
     if labels is None:
@@ -277,11 +287,12 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
     maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
     (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
     by the units u mod q.  Each is checked once through its permutation
-    against the set of triples, each stored sorted, stopping at the first
-    triple it maps off the system.  The result lists every product of the
-    generators that pass, the identity first; they form a group, and each
-    maps every triple onto a triple.  Labels are not read.  Any other order,
-    and any system whose generators all fail, gets the identity alone.
+    against the triples, one pair index lookup per mapped triple, stopping
+    at the first triple it maps off the system.  The result lists every
+    product of the generators that pass, the identity first; they form a
+    group, and each maps every triple onto a triple.  Labels are not read.
+    Any other order, and any system whose generators all fail, gets the
+    identity alone.
 
     Each element is a tuple g with g[v] the image of vertex v.
     """
@@ -298,10 +309,17 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
         return fixed + tuple([c + i for c in cells for i in layers])
 
     triples = s.triples
-    known = set(triples)
+    index = s.pair_index
 
     def maps_triples(g: tuple[int, ...]) -> bool:
-        return all(tuple(sorted((g[x], g[y], g[z]))) in known for x, y, z in triples)
+        for x, y, z in triples:
+            gx, gy, gz = g[x], g[y], g[z]
+            for i in index.get((gx, gy) if gx < gy else (gy, gx), ()):
+                if gz in triples[i]:
+                    break
+            else:
+                return False
+        return True
 
     generators = [(1, 0, 1), (1, 1, 0)] + [(u, 0, 0) for u in range(2, q) if gcd(u, q) == 1]
     verified = [(gen, g) for gen in generators if maps_triples(g := perm(*gen))]
@@ -377,68 +395,114 @@ class ComponentSet:
     spanned: tuple[frozenset[int], ...]
 
 
-def components(n: int, vertices: Iterable[int],
-               edges: Iterable[Sequence[int]]) -> list[frozenset[int]]:
-    """Connected components of the graph on ``vertices``, in arbitrary order.
-
-    Vertices lie in [0, n).  Each edge (a pair, or a triple read as its
-    shadow) joins all of its vertices and must lie inside ``vertices``;
-    a listed vertex on no edge comes back as a singleton.  Union-find with
-    path compression over a list-indexed parent.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for edge in edges:
-        it = iter(edge)
-        rx = find(next(it))
-        for y in it:
-            ry = find(y)
-            if ry != rx:
-                parent[ry] = rx
-    groups: dict[int, set[int]] = {}
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each listed vertex v."""
+    mask = 0
     for v in vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(g) for g in groups.values()]
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def shadow(n: int, triples: Iterable[Triple]) -> list[int]:
+    """The shadow adjacency of ``triples`` on n vertices, as bitmasks.
+
+    ``adj[v]`` is the OR of the vertex masks of v's triples: v's shadow
+    neighbors plus v itself, or 0 when v lies on none of them.
+    """
+    bits = [1 << v for v in range(n)]
+    adj = [0] * n
+    for a, b, c in triples:
+        t = bits[a] | bits[b] | bits[c]
+        adj[a] |= t
+        adj[b] |= t
+        adj[c] |= t
+    return adj
+
+
+def color_class(triples: Sequence[Triple], colors: Sequence[int], color: int) -> list[Triple]:
+    """The triples whose color is ``color``, in triple order."""
+    return [t for t, col in zip(triples, colors) if col == color]
+
+
+def reach(adj: Sequence[int], seed: int, within: int) -> int:
+    """The vertices of ``within`` joined to ``seed`` by paths inside ``within``.
+
+    ``adj`` is one color's shadow adjacency (see :func:`shadow`) and
+    ``seed`` a non-empty subset of ``within``; a flood fill over bitmasks.
+    """
+    comp = frontier = seed
+    rest = within & ~seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = adj[low.bit_length() - 1] & rest
+        if grown:
+            rest ^= grown
+            comp |= grown
+            frontier |= grown
+    return comp
+
+
+def flood_components(adj: Sequence[int], within: int) -> list[int]:
+    """Components of one color's shadow graph restricted to ``within``.
+
+    Each component is a bitmask; they come in the order of their lowest
+    vertex.  A vertex of ``within`` on no edge inside it is a singleton.
+    """
+    comps = []
+    while within:
+        comp = reach(adj, within & -within, within)
+        comps.append(comp)
+        within ^= comp
+    return comps
+
+
+def _color_components(c: EdgeColoring) -> list[list[int]]:
+    # per color, the components of its shadow graph on the vertices it spans
+    out = []
+    for col in range(c.r):
+        adj = shadow(c.system.n, color_class(c.system.triples, c.colors, col))
+        out.append(flood_components(adj, reduce(or_, adj, 0)))
+    return out
 
 
 def mono_components(c: EdgeColoring) -> ComponentSet:
-    """Connected components of each color's shadow graph."""
-    triples = c.system.triples
-    per_color: list[tuple[frozenset[int], ...]] = []
-    spans: list[frozenset[int]] = []
-    for color in range(c.r):
-        class_triples = [triples[i] for i in c.class_indices(color)]
-        touched = {v for t in class_triples for v in t}
-        comps = sorted(components(c.system.n, touched, class_triples), key=sorted)
-        per_color.append(tuple(comps))
-        spans.append(frozenset(touched))
-    return ComponentSet(components=tuple(per_color), spanned=tuple(spans))
+    """Connected components of each color's shadow graph.
+
+    Within a color the components are disjoint, and they are listed in the
+    order of their lowest vertex, which is their lexicographic order as
+    sorted vertex lists.
+    """
+    per_color = [tuple(mask_vertices(m) for m in comps) for comps in _color_components(c)]
+    return ComponentSet(components=tuple(per_color),
+                        spanned=tuple(frozenset().union(*comps) for comps in per_color))
 
 
 def largest_mono_component(c: EdgeColoring) -> tuple[int, int, frozenset[int]]:
     """Largest component over all colors: (size, color, vertex set).
 
     Ties break toward the lowest color, then the lexicographically smallest
-    vertex set, so the witness is reproducible.
+    vertex set, so the witness is reproducible.  Components of one color are
+    disjoint and come in lexicographic order, so the first largest one seen
+    is the witness.
     """
-    cs = mono_components(c)
-    best: tuple[int, int, frozenset[int]] | None = None
-    for color, comps in enumerate(cs.components):
+    size, color, best = 0, 0, 0
+    for col, comps in enumerate(_color_components(c)):
         for comp in comps:
-            key = (-len(comp), color, sorted(comp))
-            if best is None or key < (-best[0], best[1], sorted(best[2])):
-                best = (len(comp), color, comp)
-    if best is None:
-        return (0, 0, frozenset())
-    return best
+            k = comp.bit_count()
+            if k > size:
+                size, color, best = k, col, comp
+    return (size, color, mask_vertices(best))
 
 
 def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
@@ -462,8 +526,12 @@ def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
                 raise MalformedCertificate(f"vertex {v!r} is not an int")
             if not (0 <= v < s.n):
                 raise MalformedCertificate(f"vertex {v} not in [0, {s.n})")
-    for t in s.triples:
-        ts = t.as_set()
-        if all(ts & part for part in h.parts):
+    masks = [vertex_mask(part) for part in h.parts]
+    for a, b, c in s.triples:
+        t = (1 << a) | (1 << b) | (1 << c)
+        for m in masks:
+            if not t & m:
+                break
+        else:
             return False
     return True

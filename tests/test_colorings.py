@@ -334,8 +334,41 @@ class TestDecomposition:
     def test_uncovered_pair_rejected(self):
         ts = build_system(5, [(0, 1, 2)])
         c = EdgeColoring(system=ts, r=3, colors=(0,))
-        with pytest.raises(PairUncovered):
+        with pytest.raises(PairUncovered) as err:
             decompose_3coloring(ts, c)
+        assert err.value.pair == (0, 3)
+
+    def test_first_uncovered_pair_of_a_multicovered_system(self):
+        # 7 triples on 7 points, (0, 1) covered twice: (0, 6) is the first
+        # pair no triple holds
+        ts = build_system(7, [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6),
+                              (0, 4, 5), (1, 5, 6), (0, 1, 2)])
+        c = EdgeColoring(system=ts, r=3, colors=(0,) * 7)
+        with pytest.raises(PairUncovered) as err:
+            decompose_3coloring(ts, c)
+        assert err.value.pair == (0, 6)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_role_color_outside_the_palette_fails(self, bad):
+        # one genuine claim per case, each with one role color swapped for a
+        # color the coloring does not have
+        claims = []
+        ts = build_system(8, L2_TRIPLES)
+        c = EdgeColoring(system=ts, r=3, colors=L2_COLORS)
+        claims.append((ts, c, decompose_3coloring(ts, c)))
+        rng = random.Random(5)
+        system = bose(15)
+        while {d.case for _, _, d in claims} != {"L1", "L2", "L3"}:
+            c = EdgeColoring(system=system, r=3,
+                             colors=tuple(rng.randrange(3) for _ in range(system.m)))
+            claims.append((system, c, decompose_3coloring(system, c)))
+        for ts, c, d in claims:
+            assert verify_decomposition(ts, c, d)
+            for i in range(3):
+                roles = list(d.role_colors)
+                roles[i] = bad
+                check = verify_decomposition(ts, c, replace(d, role_colors=tuple(roles)))
+                assert not check and check.failed_clause == "role colors outside the palette"
 
     def test_coloring_of_another_system_rejected(self, fano_sys):
         c = EdgeColoring(system=skolem(7), r=3, colors=(0, 1, 2, 0, 1, 2, 0))

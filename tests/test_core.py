@@ -29,10 +29,18 @@ from stsramsey import (
     skolem,
     random_idempotent_quasigroup,
     random_sts,
+    triangle_removal,
     validate_steiner,
     verify_hole,
 )
-from stsramsey.core import _build_pair_index, layer_automorphisms
+from stsramsey.core import (
+    _build_pair_index,
+    flood_components,
+    layer_automorphisms,
+    mask_vertices,
+    shadow,
+    vertex_mask,
+)
 from stsramsey.io import read_system, write_system
 
 from oracles import brute_components, brute_hole_ok
@@ -83,8 +91,27 @@ class TestValidateSteiner:
         assert bose(9).m == 12
 
     def test_missing_line_reports_uncovered_pair(self):
-        with pytest.raises(PairUncovered):
+        # the missing line is (0, 1, 3), so (0, 1) is the first bad pair
+        with pytest.raises(PairUncovered) as err:
             validate_steiner(build_system(7, fano_lines()[1:]))
+        assert err.value.pair == (0, 1)
+
+    def test_extra_triple_reports_multicovered_pair(self):
+        # every pair is still covered, (0, 1), (0, 2) and (1, 2) twice
+        with pytest.raises(PairMulticovered) as err:
+            validate_steiner(build_system(7, fano_lines() + [(0, 1, 2)]))
+        assert (err.value.pair, err.value.count) == ((0, 1), 2)
+        with pytest.raises(DuplicateTriple):  # (0, 1, 3) is already a line
+            build_system(7, fano_lines() + [(0, 1, 3)])
+
+    def test_swapped_line_with_the_steiner_triple_count(self):
+        # 7 triples, as a Fano plane has, but (0, 2, 6) swapped for (0, 1, 2):
+        # (0, 6) and (2, 6) go uncovered, and (0, 1) comes first, twice
+        lines = [t for t in fano_lines() if t != (0, 2, 6)] + [(0, 1, 2)]
+        with pytest.raises(PairMulticovered) as err:
+            validate_steiner(build_system(7, lines))
+        assert (err.value.pair, err.value.count) == ((0, 1), 2)
+        assert not is_steiner(build_system(7, lines))
 
     def test_bad_order(self):
         with pytest.raises(BadOrder):
@@ -191,6 +218,44 @@ class TestMonoComponents:
         assert (size, color) == (3, 0)
         assert verts == frozenset(fano_sys.triples[0])
 
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_partial_system_with_isolated_vertices(self, r):
+        rng = random.Random(r)
+        for seed in range(8):
+            system = triangle_removal(19, 8, seed).system
+            assert len({v for t in system.triples for v in t}) < system.n
+            colors = tuple(rng.randrange(r) for _ in range(system.m))
+            c = EdgeColoring(system=system, r=r, colors=colors)
+            comps = mono_components(c)
+            sizes = [0]
+            for color in range(r):
+                tris = [t for t, k in zip(system.triples, colors) if k == color]
+                expected = brute_components(tris)
+                assert set(comps.components[color]) == expected
+                assert len(comps.components[color]) == len(expected)
+                assert comps.components[color] == tuple(sorted(expected, key=sorted))
+                assert comps.spanned[color] == frozenset(v for t in tris for v in t)
+                sizes += [len(x) for x in expected]
+            size, color, verts = largest_mono_component(c)
+            assert size == max(sizes) == len(verts)
+            assert size == 0 or verts in comps.components[color]
+
+    @pytest.mark.parametrize("system", [bose(15), skolem(19), bose(99)],
+                             ids=["bose15", "skolem19", "bose99"])
+    def test_flood_fill_inside_a_vertex_mask(self, system):
+        # components of the shadow graph cut down to a vertex subset S: two
+        # vertices of S are adjacent when one triple holds both
+        rng = random.Random(system.n)
+        adj = shadow(system.n, system.triples[::3])
+        for _ in range(40):
+            S = rng.sample(range(system.n), rng.randrange(1, system.n + 1))
+            cuts = [[v for v in t if v in S] for t in system.triples[::3]]
+            expected = brute_components([e for e in cuts if len(e) >= 2])
+            expected |= {frozenset([v]) for v in S if not any(v in e for e in expected)}
+            got = [mask_vertices(m) for m in flood_components(adj, vertex_mask(S))]
+            assert set(got) == expected and len(got) == len(expected)
+            assert got == sorted(got, key=min)
+
     @pytest.mark.parametrize("system", [s9(), bose(15), skolem(19)],
                              ids=["s9", "bose15", "skolem19"])
     def test_components_match_bfs_oracle(self, system):
@@ -242,6 +307,22 @@ class TestVerifyHole:
         h = HoleCertificate(k=3, a=1, parts=(frozenset([bad]), frozenset([3]), frozenset([5])))
         with pytest.raises(MalformedCertificate):
             verify_hole(fano_sys, h)
+
+    @pytest.mark.parametrize("system", [bose(15), triangle_removal(19, 28, 5).system, bose(99)],
+                             ids=["bose15", "removal19", "bose99"])
+    def test_matches_brute_force_for_k_2_to_4(self, system):
+        # bose(99) puts parts on vertices past 63, beyond one machine word
+        rng = random.Random(system.n)
+        verdicts = set()
+        for k in (2, 3, 4):
+            for _ in range(150):
+                a = rng.randrange(1, min(4, system.n // k) + 1)
+                verts = rng.sample(range(system.n), k * a)
+                parts = tuple(frozenset(verts[i * a:(i + 1) * a]) for i in range(k))
+                got = verify_hole(system, HoleCertificate(k=k, a=a, parts=parts))
+                assert got == brute_hole_ok(system.n, system.triples, parts)
+                verdicts.add((k, got))
+        assert {(2, False), (3, True), (3, False), (4, True)} <= verdicts
 
     def test_matches_brute_force_on_random_certificates(self, s9_sys):
         rng = random.Random(11)
