@@ -96,13 +96,11 @@ def gen(construction: str, n: int | None, output: str | None, quasigroup: str, q
     except (StsError, ValueError) as exc:
         _fail(str(exc), 2)
         return
-    text = sio.format_system(system)
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sio.write_system(system, output)
         click.echo(f"wrote {system.m} triples on {system.n} vertices to {output}", err=True)
     else:
-        click.echo(text, nl=False)
+        click.echo(sio.format_system(system), nl=False)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ system or the coloring.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,7 +54,7 @@ from .core import (
     vertex_mask,
     verify_hole,
 )
-from .search import SearchBudget
+from .search import SearchBudget, _Meter
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def bicoloring_search(ts: TripleSystem,
     the node cap is checked before a node is counted.  Running out of budget
     raises BudgetExhausted.
     """
-    budget = budget or SearchBudget()
+    meter = _Meter(budget)
     n = ts.n
     require_nonempty = n > 3
     by_max: list[list[int]] = [[] for _ in range(n)]
@@ -195,8 +194,8 @@ def bicoloring_search(ts: TripleSystem,
         by_max[t.c].append(i)
     # classes[v] is the color vertex v holds or last held; 0 before its first
     classes = [0] * n
-    deadline = time.monotonic() + budget.max_seconds
     nodes = 0
+    stop = meter.stop
     v = 0
     while v >= 0:
         if v == n:
@@ -212,7 +211,7 @@ def bicoloring_search(ts: TripleSystem,
             classes[v] = 0
             v -= 1
             continue
-        if nodes >= budget.max_nodes or (nodes & 4095 == 4095 and time.monotonic() > deadline):
+        if nodes == stop and (stop := meter.ask(nodes)) < 0:
             raise BudgetExhausted(f"bicoloring search ran out of budget after {nodes} nodes")
         nodes += 1
         classes[v] = c
@@ -345,8 +344,9 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     """Check every clause of the emitted case against the multicolored shadow.
 
     The shadow is read from the triples of ``ts`` with the colors of ``c``,
-    as per-color bitmask adjacencies (:func:`core.shadow`); a claim
-    naming a role color outside the palette of ``c`` fails at once.
+    as per-color bitmask adjacencies (:func:`core.shadow`); a coloring of
+    another system, or a claim naming a role color outside the palette of
+    ``c``, fails at once.
     """
     n = ts.n
     V = (1 << n) - 1
@@ -354,6 +354,8 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     def fail(clause: str) -> CheckResult:
         return CheckResult(ok=False, failed_clause=clause)
 
+    if c.system is not ts and c.system != ts:
+        return fail("coloring belongs to another system")
     if not all(col in range(c.r) for col in d.role_colors):
         return fail("role colors outside the palette")
 

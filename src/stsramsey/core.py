@@ -193,11 +193,11 @@ class TripleSystem:
 
 
 def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
-    acc: dict[Pair, list[int]] = {}
+    acc: dict[Pair, tuple[int, ...]] = {}
     for i, t in enumerate(triples):
         for p in combinations(t, 2):
-            acc.setdefault(p, []).append(i)
-    return {p: tuple(ix) for p, ix in acc.items()}
+            acc[p] = acc.get(p, ()) + (i,)
+    return acc
 
 
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
@@ -231,7 +231,6 @@ def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
 LABEL_TYPE1 = "type1"
 LABEL_TYPE2 = "type2"
 LABEL_TYPE3 = "type3"
-LABEL_UNTYPED = "untyped"
 
 
 def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> TripleSystem:
@@ -242,16 +241,14 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
     is reported.  Returns ``s``, or a copy of it carrying ``labels`` when
     they are given.
 
-    The pairs are scanned only to name a violation: each triple of a system
-    from :func:`build_system` covers three distinct pairs, so a pair index
-    holding all n(n-1)/2 pairs, with 3m equal to that count, covers each
-    pair exactly once.
+    The pairs are scanned only to name a violation, when :func:`is_steiner`
+    fails.
     """
     n = s.n
     if n % 6 not in (1, 3):
         raise BadOrder(n, f"Steiner triple systems need n = 1 or 3 (mod 6), got n={n}")
-    index = s.pair_index
-    if not len(index) == n * (n - 1) // 2 == 3 * s.m:
+    if not is_steiner(s):
+        index = s.pair_index
         for u in range(n):
             for v in range(u + 1, n):
                 cnt = len(index.get((u, v), ()))
@@ -270,12 +267,14 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
 
 
 def is_steiner(s: TripleSystem) -> bool:
-    """Quiet form of validate_steiner."""
-    try:
-        validate_steiner(s)
-        return True
-    except StsError:
-        return False
+    """Whether every vertex pair lies in exactly one triple, n = 1 or 3 (mod 6).
+
+    Each triple of a system from :func:`build_system` covers three distinct
+    pairs, so a pair index holding all n(n-1)/2 pairs, with 3m equal to
+    that count, covers each pair exactly once.
+    """
+    n = s.n
+    return n % 6 in (1, 3) and len(s.pair_index) == n * (n - 1) // 2 == 3 * s.m
 
 
 def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:

@@ -118,11 +118,6 @@ def write_coloring(c: EdgeColoring, path: PathLike) -> None:
         fh.write(format_coloring(c))
 
 
-def read_coloring(path: PathLike, system: TripleSystem) -> EdgeColoring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring(fh.read(), system)
-
-
 def format_hole(h: HoleCertificate) -> str:
     doc = {"k": h.k, "a": h.a, "parts": [sorted(p) for p in h.parts]}
     return json.dumps(doc, sort_keys=True) + "\n"
@@ -144,11 +139,6 @@ def parse_hole(text: str) -> HoleCertificate:
             if type(v) is not int:
                 raise FormatError(f"bad hole certificate: vertex {v!r} is not an integer")
     return HoleCertificate(k=k, a=a, parts=parts)
-
-
-def write_hole(h: HoleCertificate, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_hole(h))
 
 
 def read_hole(path: PathLike) -> HoleCertificate:

@@ -58,28 +58,44 @@ class ParamResult:
 
 
 class _OutOfBudget(Exception):
-    pass
+    """The meter refused a node inside a nested search; ``nodes`` is the
+    count spent until then."""
+
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.nodes = nodes
 
 
 class _Meter:
-    """Node and wall-time accounting shared across one search call.
+    """The budget policy of one search call: its node cap and its clock.
 
-    Each engine runs the meter's check inline, once per node, before
-    counting it: a node is refused when ``nodes`` has reached ``max_nodes``,
-    or, every 4096 nodes, when the clock has passed ``deadline``.  The
-    engine writes its count back to ``nodes``.
+    Each engine keeps its own node count and tests it once per node, before
+    counting the node: ``if nodes == stop and (stop := meter.ask(nodes)) <
+    0`` refuses it.  ``ask`` refuses once the count has reached
+    ``max_nodes``, or, at every 4096th node, once the clock has passed the
+    deadline; otherwise it returns the next count at which to ask.  The
+    engine hands its final count to ``spent``.
     """
 
-    __slots__ = ("max_nodes", "deadline", "nodes", "t0")
+    __slots__ = ("max_nodes", "deadline", "t0", "stop")
 
-    def __init__(self, budget: SearchBudget):
+    def __init__(self, budget: SearchBudget | None):
+        budget = budget or SearchBudget()
         self.max_nodes = budget.max_nodes
         self.t0 = time.monotonic()
         self.deadline = self.t0 + budget.max_seconds
-        self.nodes = 0
+        self.stop = min(self.max_nodes, 4095)
 
-    def spent(self) -> BudgetSpent:
-        return BudgetSpent(nodes=self.nodes, seconds=time.monotonic() - self.t0)
+    def ask(self, nodes: int) -> int:
+        """-1 to refuse the node at count ``nodes``, else the next stop."""
+        if nodes >= self.max_nodes or time.monotonic() > self.deadline:
+            self.stop = -1
+        else:
+            self.stop = min(self.max_nodes, nodes + 4096)
+        return self.stop
+
+    def spent(self, nodes: int) -> BudgetSpent:
+        return BudgetSpent(nodes=nodes, seconds=time.monotonic() - self.t0)
 
 
 def _triples_at(ts: TripleSystem) -> list[list[int]]:
@@ -127,7 +143,6 @@ def independence_number(ts: TripleSystem,
     certificate is re-checked against every triple of ``ts``; a set
     containing a triple raises ``RuntimeError``, also under ``python -O``.
     """
-    budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
     tri_at = _triples_at(ts)
@@ -168,16 +183,13 @@ def independence_number(ts: TripleSystem,
     rd = [0] * (n + 1)
     doll = 0                    # the last finished doll's set, as a bitmask
     exact = True
-    max_nodes = meter.max_nodes
-    deadline = meter.deadline
     nodes = 0
+    stop = meter.stop
     for i in range(n - 1, -1, -1):
         if seed >= i + 1 + rd[i + 1]:
             break
         target = rd[i + 1] + 1
-        # the meter's check, inlined: it runs once per node
-        if nodes >= max_nodes or (nodes & 4095 == 4095
-                                  and time.monotonic() > deadline):
+        if nodes == stop and (stop := meter.ask(nodes)) < 0:
             exact = False
             break
         nodes += 1
@@ -200,8 +212,7 @@ def independence_number(ts: TripleSystem,
                 cands.pop()
                 chosen ^= taken.pop()
                 continue
-            if nodes >= max_nodes or (nodes & 4095 == 4095
-                                      and time.monotonic() > deadline):
+            if nodes == stop and (stop := meter.ask(nodes)) < 0:
                 exact = False
                 break
             nodes += 1
@@ -218,7 +229,6 @@ def independence_number(ts: TripleSystem,
             chosen |= low
         if not exact:
             break
-    meter.nodes = nodes
     if not exact:
         doll = extend(doll, i + 1)
     best = greedy if seed >= doll.bit_count() else doll
@@ -226,7 +236,7 @@ def independence_number(ts: TripleSystem,
     if any(set(t) <= certificate for t in ts.triples):
         raise RuntimeError("independent-set certificate failed re-verification")
     return ParamResult(value=len(certificate), exact=exact,
-                       lower_certificate=certificate, budget_spent=meter.spent())
+                       lower_certificate=certificate, budget_spent=meter.spent(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +299,10 @@ def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
 
 
 def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
-               group: tuple[tuple[int, ...], ...],
-               meter: _Meter) -> tuple[frozenset[int], ...] | None:
-    """k disjoint parts of size a that no triple meets all of, or None.
+               group: tuple[tuple[int, ...], ...], meter: _Meter,
+               nodes: int) -> tuple[tuple[frozenset[int], ...] | None, int]:
+    """k disjoint parts of size a that no triple meets all of, or None, with
+    the running node count, which enters as ``nodes``.
 
     ``group`` is a group of automorphisms of the system.  Raises
     _OutOfBudget when the meter refuses a node; see alpha_star.
@@ -330,13 +341,10 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     #         and whether the path through the option being searched is
     #         recorded as a nogood once its subtree is exhausted]
     stack: list[list] = []
-    nodes = meter.nodes
-    max_nodes = meter.max_nodes
-    deadline = meter.deadline
+    stop = meter.stop
     while True:
         if placed == goal:
-            meter.nodes = nodes
-            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk)
+            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk), nodes
         # prune when a part, or all parts together, can no longer be filled
         deficit = 0
         union = 0
@@ -433,10 +441,8 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                 break
             if orbit:
                 frame[8] = bit
-            # the meter's check, inlined: it runs once per node
-            if nodes >= max_nodes or (nodes & 4095 == 4095 and time.monotonic() > deadline):
-                meter.nodes = nodes
-                raise _OutOfBudget
+            if nodes == stop and (stop := meter.ask(nodes)) < 0:
+                raise _OutOfBudget(nodes)
             nodes += 1
             j = bit.bit_length() - 1
             part[v] = j
@@ -464,8 +470,7 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                 has[j] = 0
             break
         else:
-            meter.nodes = nodes
-            return None
+            return None, nodes
 
 
 def alpha_star(ts: TripleSystem, k: int,
@@ -549,7 +554,6 @@ def alpha_star(ts: TripleSystem, k: int,
     """
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
-    budget = budget or SearchBudget()
     meter = _Meter(budget)
     n = ts.n
     ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
@@ -562,10 +566,12 @@ def alpha_star(ts: TripleSystem, k: int,
 
     best = tuple(frozenset() for _ in range(k))
     exact = True
+    nodes = 0
     while len(best[0]) < ub:
         try:
-            parts = _find_hole(n, k, len(best[0]) + 1, pairs, group, meter)
-        except _OutOfBudget:
+            parts, nodes = _find_hole(n, k, len(best[0]) + 1, pairs, group, meter, nodes)
+        except _OutOfBudget as out:
+            nodes = out.nodes
             exact = False
             break
         if parts is None:
@@ -574,7 +580,7 @@ def alpha_star(ts: TripleSystem, k: int,
     h = HoleCertificate(k=k, a=len(best[0]), parts=best)
     if not verify_hole(ts, h):
         raise InvalidHole("search produced a hole with a crossing triple")
-    return ParamResult(h.a, exact, h, meter.spent())
+    return ParamResult(h.a, exact, h, meter.spent(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +629,12 @@ def mc_exact(ts: TripleSystem, r: int,
     """
     if r < 1:
         raise ValueError("need at least one color")
-    budget = budget or SearchBudget()
     meter = _Meter(budget)
     n, m = ts.n, ts.m
 
     if m == 0:
         return ParamResult(0, True, EdgeColoring(system=ts, r=r, colors=()),
-                           budget_spent=meter.spent())
+                           budget_spent=meter.spent(0))
     if initial is not None:
         if initial.system is not ts and initial.system != ts:
             raise ValueError("initial coloring colors a different system")
@@ -661,9 +666,8 @@ def mc_exact(ts: TripleSystem, r: int,
     #         its urgency]
     stack: list[list] = []
     exact = True
-    max_nodes = meter.max_nodes
-    deadline = meter.deadline
     nodes = 0
+    stop = meter.stop
     cur_max = used = 0
 
     while True:
@@ -707,9 +711,7 @@ def mc_exact(ts: TripleSystem, r: int,
                 continue
             bit = todo & -todo
             frame[2] = todo ^ bit
-            # the meter's check, inlined: it runs once per node
-            if nodes >= max_nodes or (nodes & 4095 == 4095
-                                      and time.monotonic() > deadline):
+            if nodes == stop and (stop := meter.ask(nodes)) < 0:
                 exact = False
                 break
             nodes += 1
@@ -762,10 +764,9 @@ def mc_exact(ts: TripleSystem, r: int,
         if not descended:
             break
 
-    meter.nodes = nodes
     certificate = EdgeColoring(system=ts, r=r, colors=tuple(best_colors))
     if largest_mono_component(certificate)[0] != best:
         raise RuntimeError("coloring certificate failed re-verification")
     return ParamResult(value=best, exact=exact,
-                       lower_certificate=certificate, budget_spent=meter.spent())
+                       lower_certificate=certificate, budget_spent=meter.spent(nodes))
 

@@ -375,6 +375,13 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="another system"):
             decompose_3coloring(fano_sys, c)
 
+    def test_verifying_a_coloring_of_another_system_fails(self, fano_sys, s9_sys):
+        c = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
+        claim = DecompositionResult(case="L1", role_colors=(0, 1, 2),
+                                    component=frozenset(range(9)))
+        check = verify_decomposition(s9_sys, c, claim)
+        assert not check and check.failed_clause == "coloring belongs to another system"
+
     def test_bogus_l1_claim_fails(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         bogus = DecompositionResult(case="L1", role_colors=(0, 1, 2),

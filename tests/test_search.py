@@ -12,11 +12,13 @@ from stsramsey import search
 from stsramsey.core import layer_automorphisms
 from stsramsey import (
     BadK,
+    BudgetExhausted,
     EdgeColoring,
     InvalidHole,
     SearchBudget,
     Triple,
     alpha_star,
+    bicoloring_search,
     bose,
     build_system,
     fano,
@@ -493,6 +495,30 @@ class TestBudgetCaps:
                     assert res.budget_spent.nodes == full <= cap
                 else:
                     assert res.budget_spent.nodes == cap < full
+
+    @staticmethod
+    def _clock_past_deadline(monkeypatch):
+        # the meter reads the clock when created, then at every 4096th node;
+        # this clock has passed any deadline by its second reading
+        readings = iter([0.0])
+        monkeypatch.setattr(search.time, "monotonic", lambda: next(readings, 1e9))
+
+    @pytest.mark.parametrize("engine, make, args", [
+        (mc_exact, lambda: skolem(13), (3,)),
+        (independence_number, lambda: bose(27), ()),
+        (alpha_star, lambda: bose(21), (3,)),
+    ], ids=["mc_exact", "independence_number", "alpha_star"])
+    def test_clock_refuses_the_4096th_node(self, monkeypatch, engine, make, args):
+        system = make()
+        self._clock_past_deadline(monkeypatch)
+        res = engine(system, *args, SearchBudget(max_seconds=1.0))
+        assert (res.exact, res.budget_spent.nodes) == (False, 4095)
+
+    def test_clock_stops_the_bicoloring_search(self, monkeypatch):
+        system = bose(15)
+        self._clock_past_deadline(monkeypatch)
+        with pytest.raises(BudgetExhausted, match="after 4095 nodes$"):
+            bicoloring_search(system, SearchBudget(max_seconds=1.0))
 
 
 class TestDifferentialAgainstOracles:
