@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -75,45 +77,74 @@ class ProcessOutcome:
         return self.system is None
 
 
+def _rank_tables(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Tables for the lexicographic rank of a triple a < b < c of range(n).
+
+    ``rank = first[a] + second[b] + c``.  ``start[a]`` is the rank of the
+    first triple with smallest vertex a, and ``pairs[b]`` counts the pairs
+    (j, k), j < b, j < k; both are nondecreasing, so a rank is unranked by
+    bisecting them.
+    """
+    start = [0] * (n + 1)
+    pairs = [0] * (n + 1)
+    for i in range(n):
+        start[i + 1] = start[i] + (n - 1 - i) * (n - 2 - i) // 2
+        pairs[i + 1] = pairs[i] + n - 1 - i
+    first = [start[a] - pairs[a + 1] for a in range(n)]
+    second = [pairs[b] - b - 1 for b in range(n)]
+    return first, second, start, pairs
+
+
 def triangle_removal(n: int, m: int, seed: int) -> ProcessOutcome:
     """Delete m uniformly random edge-disjoint triangles from the complete graph.
 
     Each step picks uniformly among the triangles still present, removes its
     three edges, and records it; the outcome is stuck if the graph runs out
-    of triangles first.  The triangle set is maintained incrementally:
-    adjacency lives in bitsets and only triangles through a deleted edge are
-    re-examined.
+    of triangles first.  Adjacency lives in n bitsets, and only triangles
+    through a deleted edge are re-examined.
+
+    The present triangles are a swap-with-last list of lexicographic ranks
+    in an ``array('q')``, with a second array from rank to slot: 16 bytes
+    per triangle of K_n (2.5 MB at n = 99, 21 MB at n = 199), and no tuple
+    per triangle.  Only the chosen triangle is unranked.  ``affected`` stays
+    a set of sorted tuples inserted edge by edge, w ascending: its iteration
+    order fixes the order of the swaps, so the list evolves, and the output
+    comes out, as it always has for a given seed.
     """
     if n < 0 or m < 0 or m > math.comb(n, 2) // 3:
         raise BadM(f"need 0 <= m <= C(n,2)/3, got n={n} m={m}")
     rng = random.Random(derive_seed(seed))
     adj = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-    triangles: list[tuple[int, int, int]] = list(combinations(range(n), 3))
-    position = {t: i for i, t in enumerate(triangles)}
+    first, second, start, pairs = _rank_tables(n)
+    triangles = array("q", range(math.comb(n, 3)))
+    slot = array("q", triangles)
     removed: list[tuple[int, int, int]] = []
     for _ in range(m):
         if not triangles:
             return ProcessOutcome(system=None)
-        chosen = triangles[rng.randrange(len(triangles))]
-        a, b, c = chosen
+        r = triangles[rng.randrange(len(triangles))]
+        a = bisect_right(start, r, 0, n - 2) - 1
+        r -= first[a]
+        b = bisect_right(pairs, r, a + 1, n - 1) - 1
+        c = r - second[b]
         affected: set[tuple[int, int, int]] = set()
         for (u, v) in ((a, b), (a, c), (b, c)):
             common = adj[u] & adj[v]
             while common:
                 low = common & -common
                 w = low.bit_length() - 1
-                affected.add(tuple(sorted((u, v, w))))
+                affected.add((w, u, v) if w < u else (u, w, v) if w < v else (u, v, w))
                 common ^= low
-        for t in affected:
-            i = position.pop(t)
+        for (x, y, z) in affected:
+            i = slot[first[x] + second[y] + z]
             last = triangles.pop()
             if i < len(triangles):
                 triangles[i] = last
-                position[last] = i
+                slot[last] = i
         for (u, v) in ((a, b), (a, c), (b, c)):
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        removed.append(chosen)
+        removed.append((a, b, c))
     return ProcessOutcome(system=build_system(n, removed))
 
 
@@ -149,36 +180,49 @@ def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] 
     Resolve a random uncovered pair through a random third point, evicting
     the (at most one) block that collides; the block count never decreases.
     n is odd, so every point with a live pair has at least two of them.
+
+    State: ``other``, the n x n table of each covered pair's third point
+    (-1 when uncovered), and the live (uncovered) pairs as sorted lists:
+    ``live_at[x]`` holds x's live partners and ``live_points`` the points
+    that have one, O(n^2) ints in all.  ``rng.choice`` and ``rng.sample``
+    draw from these ascending lists directly; the lists are kept sorted with
+    ``insort`` and ``list.remove`` rather than re-sorted every iteration.
     """
     b = n * (n - 1) // 6
     other = [[-1] * n for _ in range(n)]
-    live_at: list[set[int]] = [set(range(n)) - {x} for x in range(n)]
-    live_points: set[int] = set(range(n))
+    live_at = [[y for y in range(n) if y != x] for x in range(n)]
+    live_points = list(range(n))
     nblocks = 0
 
     def cover(x: int, y: int, w: int) -> None:
         other[x][y] = w
         other[y][x] = w
-        live_at[x].discard(y)
-        live_at[y].discard(x)
-        if not live_at[x]:
-            live_points.discard(x)
-        if not live_at[y]:
-            live_points.discard(y)
+        at_x = live_at[x]
+        at_x.remove(y)
+        if not at_x:
+            live_points.remove(x)
+        at_y = live_at[y]
+        at_y.remove(x)
+        if not at_y:
+            live_points.remove(y)
 
     def uncover(x: int, y: int) -> None:
         other[x][y] = -1
         other[y][x] = -1
-        live_at[x].add(y)
-        live_at[y].add(x)
-        live_points.add(x)
-        live_points.add(y)
+        at_x = live_at[x]
+        if not at_x:
+            insort(live_points, x)
+        insort(at_x, y)
+        at_y = live_at[y]
+        if not at_y:
+            insort(live_points, y)
+        insort(at_y, x)
 
     iters = 0
     while nblocks < b and iters < max_iters:
         iters += 1
-        x = rng.choice(sorted(live_points))
-        y, z = rng.sample(sorted(live_at[x]), 2)
+        x = rng.choice(live_points)
+        y, z = rng.sample(live_at[x], 2)
         w = other[y][z]
         if w >= 0:
             uncover(y, z)
@@ -191,8 +235,9 @@ def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] 
         cover(y, z, x)
     if nblocks < b:
         return None
-    blocks = {Triple.of(u, v, other[u][v]) for u in range(n) for v in range(u + 1, n)}
-    return sorted(blocks)
+    # each block u < v < w once, at its pair (u, v): lexicographic order
+    return [Triple(u, v, w) for u in range(n) for v in range(u + 1, n)
+            if (w := other[u][v]) > v]
 
 
 _MAX_RESTARTS = 1000

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -159,3 +161,90 @@ class TestExperiment:
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             experiment_discrepancy(8, 1, seed=0)
+
+
+def _digest(triples) -> str:
+    text = ";".join(f"{a},{b},{c}" for a, b, c in triples)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the sampler outputs, recorded before the samplers moved to integer
+# arrays; any change to the RNG calls or the list evolution changes a digest.
+# None marks a process that gets stuck.
+TRIANGLE_REMOVAL_DIGESTS = {
+    (7, 7, 0): None,
+    (7, 7, 1): "a7cdaafeb91349ae3999161440f67907a4c7a570f811a3e3f1aa5d72e63505af",
+    (13, 13, 0): "d6faa45811dfd17682dff67af3780143d303a8b05b14927db50a7d8435686f2c",
+    (13, 13, 1): "11b6dba7ec387a683a36eef78684af80db837bda86e3117ca2a27e5713eab2a6",
+    (13, 13, 2): "e9ed02357adab2d17f12d56b800c03b3ec2fec4b1aa14b4ecf63a4dcd3885c28",
+    (13, 13, 3): "7d1b2426a2ccf60df7287bda445fd6a8693481777a8ad049e44325f0dd8d34cf",
+    (13, 13, 4): "2053d03dbde17cb8c08859e91f9dc1c45d7836a0e4bbc0ac61fe17c5e5708348",
+    (19, 28, 0): "0300ff1e13eab382f7873589d1c24b76463cb4de965318e5cc444d2fb1e75f74",
+    (19, 28, 1): "99a5b5503f6194e4ef4ee395b78ac660ac7d9e6bdcded79ee9a1c4a59f2ad066",
+    (19, 28, 2): "ae3493b89a232a63c1f24f4f3aeb5740578d584b441e05b5f83b439e35a53248",
+    (19, 28, 3): "d726b57ae4867b763206eb0b4df296c8d0505385aa6683c0118d8d116600552e",
+    (19, 28, 4): "78961b01b02b5045a4867a0758d8e6d60fc8fef8ec6a549cefece721edbaf4f4",
+    (21, 35, 0): "09831b61d8e4e0d23badd6a43a28cfbec64db76b811099759c2a163af689452d",
+    (21, 35, 1): "0572e96db8e6566eee485267e777224e5800d004a4a569c000a3ea4320ac9231",
+    (21, 35, 2): "0c61f6ada492fbf08f4b8b4d9079a02c152ad95519027e6d54e7acd685256337",
+    (99, 808, 1): "9eb20b42ca27e734ce89427f5accb50768f35c74728379204a95caa07bdb6819",
+}
+
+RANDOM_STS_DIGESTS = {
+    (7, 0): "dbda55ec35acebf456efcf2004075fdf0095aaf93e7ae2bbffad9ce6c701844e",
+    (7, 1): "3da6db95a5b03ebe47863626def776e5ea95309ccf04c1d401fb20b19f427cd9",
+    (7, 2): "6613789348218fe9291d89d3361baa162204a7b9f4c013d516ea2243f416b96f",
+    (9, 0): "988518df02ddcdf40d743f63f987b31ea77df678128a4245690fbd19a186d793",
+    (9, 1): "12c65b799b142fbc8da4d3135158f63794e892b4d49e7968b1a0d75b37032d3b",
+    (9, 2): "ff4feec2966330a5b4cf22c1ad5264dd5318c2633f5cf0d5f120899c2e12ed0d",
+    (13, 0): "05aa782427fb977bb0ed9d2518063447d7fdad7b6cc096abb02f2023fae4c511",
+    (13, 1): "ddc9d4422ffb8a86c976a53243afb33fe32ef843d2e6cbe4e550493b26034b59",
+    (13, 2): "d264b35e6faf77ad4ce6fe26723c5229924b8485ba02a3451edd088b2b02ecc1",
+    (15, 0): "a3ad72f89025f4106504b5f5862cc22710a305cc545642c83dc306dc5cfc57be",
+    (15, 1): "0f13b893c0330139ae0cb4b4b570a948b6ce7d1b0432479e0b42f2ee0fbb7c99",
+    (15, 2): "da434b0057e7e7464372abc531ad2a4706097344d1e14b0815a7387088dfd0c7",
+    (19, 0): "a543e942b6fb230a71831a39693dbf1af5c3a8c49b28a8eb65f5d23e72979d14",
+    (19, 1): "e41237d2c970111069464b1e198c333ed8d344987e312a5140150c2981a7d9d4",
+    (19, 2): "ff54e5e911ebee49ec9784f834f8afe47948c1e79d3817471023ae43dc0f2b92",
+    (25, 0): "4b5a89d267a2192d90d41363e68a753db907e808528ecb7029754dba1203465b",
+    (25, 1): "9265512a0339cbb1b5c1267039c010bb73a54a6d422043e4ea24caefd2004868",
+    (25, 2): "384b9d3bb1e83f63be70cb0d32caadc82d6827fe9cdf4217fe6f2920e17c2307",
+    (31, 0): "0706ea1580a7f7254f379e804e9b21b95e7a0ebd66a52845b05d8e0539fe8a96",
+    (31, 1): "114830a6259dc5087fdf277169ed6d0a046612374f05f6079c8117b3beb4587f",
+    (31, 2): "16a45b4a7c2bf03b032af2b114e342a724363c78c41c5f48abd3f180df23f742",
+    (99, 0): "a416235b9f7c79391817f2d7fa516cca365508d041f1d232925a6b1aba7ee38c",
+    (99, 1): "6526b8a8436c469b09345b44fe7cdf596950ff394d97bbde6ed0284251dce6a6",
+    (99, 2): "12ad24eb3a3b36706bef3485ea2f72789190e27834bb6b25b703d7a4f2c34ab4",
+}
+
+DISCREPANCY_13_4_3_CSV_DIGEST = "30990ec5aca56c8618bd047e252129c661cefd14ae339f3f0ac138cdd5dbb17e"
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("n,m,seed", sorted(TRIANGLE_REMOVAL_DIGESTS))
+    def test_triangle_removal(self, n, m, seed):
+        out = triangle_removal(n, m, seed)
+        got = None if out.stuck else _digest(out.system.triples)
+        assert got == TRIANGLE_REMOVAL_DIGESTS[n, m, seed]
+
+    @pytest.mark.parametrize("n,seed", sorted(RANDOM_STS_DIGESTS))
+    def test_random_sts(self, n, seed):
+        assert _digest(random_sts(n, seed).triples) == RANDOM_STS_DIGESTS[n, seed]
+
+    def test_discrepancy_csv_bytes(self):
+        # covers the nodes and seconds columns too
+        rows, _ = experiment_discrepancy(13, 4, seed=3)
+        text = rows_to_csv(rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == DISCREPANCY_13_4_3_CSV_DIGEST
+
+    def test_triangle_removal_memory_stays_small(self):
+        # no table of all C(99, 3) = 156,849 triangles as tuples: two int64 arrays
+        # are 2.5 MB, the tuple list and its dict about 20 MB
+        tracemalloc.start()
+        try:
+            out = triangle_removal(99, 808, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not out.stuck
+        assert peak < 4 * 2**20
