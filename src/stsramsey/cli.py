@@ -211,7 +211,8 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
 
     n = ts.n
     a_exact = astar_res.value if (astar_res and astar_res.exact) else None
-    bounds = col.closed_form_bounds(n, a_exact) if n >= 3 else None
+    # the closed forms are theorems about Steiner systems only
+    bounds = col.closed_form_bounds(n, a_exact) if steiner and n >= 3 else None
 
     verdicts = []
     if steiner and n > 3:

@@ -73,6 +73,21 @@ class TestAnalyze:
         assert p["alpha_star3"]["value"] == 1 and p["alpha_star3"]["exact"]
         assert p["mc3"]["value"] == 6 and p["mc3"]["exact"]
         assert all(v["pass"] for v in doc["verdicts"])
+        assert doc["bounds"]["alpha_upper"] == 1 and doc["bounds"]["hole_upper"] == 6
+
+    def test_partial_system_has_no_steiner_bounds(self, tmp_path):
+        # one triple on 1100 points: alpha*_3 is 366, past the Steiner-only
+        # alpha_upper of 365, so no closed form or verdict is reported; the
+        # probe reaches the cap 1100 // 3 well within the node cap
+        path = tmp_path / "one.sts"
+        path.write_text("1100 1\n0 1 2\n")
+        res = run("analyze", "-i", str(path), "--param", "alpha-star3", "--max-nodes", "2000")
+        assert res.exit_code == 0
+        doc = json.loads(res.stdout)
+        assert not doc["input"]["steiner"]
+        assert doc["bounds"] is None and doc["verdicts"] == []
+        hole = doc["parameters"]["alpha_star3"]
+        assert hole["exact"] and hole["value"] == 366 and hole["nodes"] <= 2000
 
     def test_s9_mc3_only(self, tmp_path):
         path = tmp_path / "s9.sts"

@@ -295,12 +295,12 @@ class TestAlphaStar:
             alpha_star(s9_sys, 3)
 
     @pytest.mark.parametrize("system, cap, value, nodes", [
-        (skolem(25), 150_000, 7, 2_100),
-        (bose(21), 500_000, 5, 22_860),
-        (bose(27), 400_000, 7, 114_180),
-        (bose(27), 150_000, 7, 114_180),
-        (random_sts(25, 1_000_028), 150_000, 7, 20_816),
-        (_relabeled(bose(21), 12), 500_000, 5, 252_052),
+        (skolem(25), 150_000, 7, 2_175),
+        (bose(21), 500_000, 5, 22_923),
+        (bose(27), 400_000, 7, 114_261),
+        (bose(27), 150_000, 7, 114_261),
+        (random_sts(25, 1_000_028), 150_000, 7, 20_891),
+        (_relabeled(bose(21), 12), 500_000, 5, 252_115),
     ], ids=["skolem25", "bose21", "bose27", "bose27-holes-cap", "random_sts25",
             "bose21-relabeled"])
     def test_forward_checking_settles_within_cap(self, system, cap, value, nodes):
@@ -308,23 +308,38 @@ class TestAlphaStar:
         # these caps; skolem(25) and random_sts(25) end at the cap
         # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8,
         # also under the holes benchmark's 150k cap.  The node counts pin
-        # the pruning, the branching order, the orbital bans and dominance
-        # detection, which together cut bose(21) from 264,704 nodes and
-        # bose(27) from 1,253,718; skolem(25) never refutes a level and
-        # random_sts(25) has no symmetry, so neither count moves.  A
-        # relabelled bose(21) has a trivial group, so its count is that of
-        # the tree without bans or dominance detection
+        # the probe, the pruning, the branching order, the orbital bans and
+        # dominance detection, which together cut bose(21) from 264,704
+        # nodes and bose(27) from 1,253,718.  The probe settles no cap here
+        # within its slice of 3n nodes, so each count is the climb's plus
+        # 75, 63, 81, 81, 75 and 63.  A relabelled bose(21) has a trivial
+        # group, so its count is that of the tree without bans or dominance
+        # detection
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
         assert verify_hole(system, res.lower_certificate)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_probe_settles_at_the_cap(self, seed):
+        # the discrepancy experiment's full systems: the probe finds the
+        # hole at the cap floor(19/3) - 1 = 5 inside its slice of 3 * 19
+        # nodes, where the climb from the empty hole took 45-79
+        system = random_sts(19, seed)
+        res = alpha_star(system, 3, SearchBudget(max_nodes=100_000))
+        assert res.exact and res.value == 5
+        assert res.budget_spent.nodes <= 3 * 19
+        assert verify_hole(system, res.lower_certificate)
+
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
-        # 1100 vertices, deeper than the default recursion limit
+        # 1100 vertices, deeper than the default recursion limit: the probe
+        # places 3 * 366 vertices in one descent to the cap 1100 // 3,
+        # where the climb took 201,483 nodes
         system = build_system(1100, [(0, 1, 2)])
         res = alpha_star(system, 3, SearchBudget(max_nodes=100_000))
-        assert not res.exact and res.budget_spent.nodes == 100_000
-        assert res.value > 0 and res.lower_certificate.a == res.value
+        assert res.exact and res.value == 366
+        assert res.budget_spent.nodes < 2_000
+        assert res.lower_certificate.a == res.value
         assert verify_hole(system, res.lower_certificate)
 
     def test_partial_system_uses_trivial_upper_bound(self):
