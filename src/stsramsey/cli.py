@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import asdict
+from typing import NoReturn
 
 import click
 
@@ -50,7 +52,7 @@ def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _fail(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -95,7 +97,6 @@ def gen(construction: str, n: int | None, output: str | None, quasigroup: str, q
             system = cons.skolem(n)
     except (StsError, ValueError) as exc:
         _fail(str(exc), 2)
-        return
     if output:
         sio.write_system(system, output)
         click.echo(f"wrote {system.m} triples on {system.n} vertices to {output}", err=True)
@@ -112,7 +113,6 @@ def _read_system_or_exit(path: str) -> TripleSystem:
         return sio.read_system(path)
     except (OSError, sio.FormatError, StsError) as exc:
         _fail(f"cannot read system from {path}: {exc}", 3)
-        raise AssertionError  # unreachable
 
 
 def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
@@ -120,7 +120,6 @@ def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
         return SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
     except ValueError as exc:
         _fail(str(exc), 5)
-        raise AssertionError  # unreachable
 
 
 def _candidate_upper_colorings(ts: TripleSystem, labeled: TripleSystem | None,
@@ -245,14 +244,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             "construction": construction,
         },
         "parameters": parameters,
-        "bounds": None if bounds is None else {
-            "gyarfas": bounds.gyarfas,
-            "alpha_upper": bounds.alpha_upper,
-            "hole_upper": bounds.hole_upper,
-            "hole_lower": bounds.hole_lower,
-            "z2": round(bounds.z2, 6),
-            "z2_exceeds_gyarfas": bounds.z2_exceeds_gyarfas,
-        },
+        "bounds": None if bounds is None else {**asdict(bounds), "z2": round(bounds.z2, 6)},
         "verdicts": verdicts,
         "timing": {"total_seconds": round(time.monotonic() - t_start)},
     }
@@ -270,7 +262,7 @@ def _coloring_summary(coloring: EdgeColoring, scheme: str, bound: int | None) ->
     for c in range(coloring.r):
         per_color.append({
             "color": c,
-            "triples": len(coloring.class_indices(c)),
+            "triples": coloring.colors.count(c),
             "span": len(comps.spanned[c]),
             "component_sizes": sorted((len(x) for x in comps.components[c]), reverse=True),
         })
@@ -332,7 +324,6 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             bound = bicolor_bound
     except (MissingLabels, InvalidHole, StsError) as exc:
         _fail(str(exc), 4)
-        return
     if output:
         sio.write_coloring(coloring, output)
         click.echo(f"wrote coloring to {output}", err=True)
@@ -381,7 +372,6 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
             doc.update({"triples": system.m, "steiner": True})
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
-        return
     if output:
         sio.write_system(system, output)
         doc["output"] = output
@@ -414,7 +404,6 @@ def discrepancy(n: int, samples: int, seed: int, csv_path: str,
             n, samples, seed, SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds))
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
-        return
     rnd.write_experiment_csv(rows, csv_path)
     summary["schema"] = REPORT_SCHEMA
     summary["csv"] = csv_path
@@ -430,7 +419,6 @@ def cdr(kmax: int):
         terms = col.cdr_sequence(kmax)
     except ValueError as exc:
         _fail(str(exc), 5)
-        return
     # values square each step and quickly outgrow every consumer's integer
     # type, so the exact values travel as decimal strings; lift Python's own
     # int-to-decimal guard far enough to format them

@@ -25,7 +25,6 @@ from .core import (
     LABEL_TYPE2,
     LABEL_TYPE3,
     MissingLabels,
-    NonHalfIdempotentQuasigroup,
     NonIdempotentQuasigroup,
     OddOrder,
     Triple,
@@ -135,11 +134,6 @@ def random_idempotent_quasigroup(q: int, seed: int) -> Quasigroup:
     return Quasigroup.from_table(table)
 
 
-def _require(cond: bool, exc: Exception) -> None:
-    if not cond:
-        raise exc
-
-
 def _latin_triples(quasigroup: Quasigroup, off: int) -> list[tuple[int, int, int]]:
     """{(a,i), (b,i), (a*b, i+1 mod 3)} for a < b, point (a, i) at vertex off + 3a + i."""
     q = quasigroup.order
@@ -158,10 +152,10 @@ def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     q = n // 3
     if quasigroup is None:
         quasigroup = idempotent_quasigroup(q)
-    _require(quasigroup.order == q,
-             NonIdempotentQuasigroup(f"need order {q}, got {quasigroup.order}"))
-    _require(quasigroup.commutative and quasigroup.idempotent,
-             NonIdempotentQuasigroup("Bose needs a commutative idempotent quasigroup"))
+    if quasigroup.order != q:
+        raise NonIdempotentQuasigroup(f"need order {q}, got {quasigroup.order}")
+    if not (quasigroup.commutative and quasigroup.idempotent):
+        raise NonIdempotentQuasigroup("Bose needs a commutative idempotent quasigroup")
 
     type1 = [(3 * a, 3 * a + 1, 3 * a + 2) for a in range(q)]
     type2 = _latin_triples(quasigroup, 0)
@@ -169,7 +163,7 @@ def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     return validate_steiner(build_system(n, type1 + type2), labels=labels)
 
 
-def skolem(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
+def skolem(n: int) -> TripleSystem:
     """Skolem construction on n = 6k+1 vertices.
 
     Type 2 here is {inf, (k+a, i), (a, i+1 mod 3)} for 0 <= a < k.  The other
@@ -179,19 +173,12 @@ def skolem(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
     if n % 6 != 1 or n < 7:
         raise BadOrder(n, f"Skolem construction needs n = 1 (mod 6), n >= 7; got {n}")
     k = n // 6
-    q = 2 * k
-    if quasigroup is None:
-        quasigroup = half_idempotent_quasigroup(q)
-    _require(quasigroup.order == q,
-             NonHalfIdempotentQuasigroup(f"need order {q}, got {quasigroup.order}"))
-    _require(quasigroup.commutative and quasigroup.half_idempotent,
-             NonHalfIdempotentQuasigroup("Skolem needs a commutative half-idempotent quasigroup"))
 
     # the extra point inf is vertex 0
     type1 = [(1 + 3 * a, 2 + 3 * a, 3 + 3 * a) for a in range(k)]
     type2 = [(0, 1 + 3 * (k + a) + i, 1 + 3 * a + (i + 1) % 3)
              for a in range(k) for i in range(3)]
-    type3 = _latin_triples(quasigroup, 1)
+    type3 = _latin_triples(half_idempotent_quasigroup(2 * k), 1)
     labels = ((LABEL_TYPE1,) * len(type1) + (LABEL_TYPE2,) * len(type2)
               + (LABEL_TYPE3,) * len(type3))
     return validate_steiner(build_system(n, type1 + type2 + type3), labels=labels)

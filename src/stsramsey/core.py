@@ -87,10 +87,6 @@ class NonIdempotentQuasigroup(StsError):
     pass
 
 
-class NonHalfIdempotentQuasigroup(StsError):
-    pass
-
-
 class MissingLabels(StsError):
     """System carries no construction labels usable by the requested scheme."""
 
@@ -364,9 +360,6 @@ class EdgeColoring:
         for c in self.colors:
             if not (0 <= c < self.r):
                 raise ValueError(f"color {c} outside [0, {self.r})")
-
-    def class_indices(self, color: int) -> list[int]:
-        return [i for i, c in enumerate(self.colors) if c == color]
 
 
 @dataclass(frozen=True)

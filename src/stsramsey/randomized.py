@@ -254,8 +254,6 @@ def random_sts(n: int, seed: int) -> TripleSystem:
     """
     if n % 6 not in (1, 3) or n < 3:
         raise BadOrder(n)
-    if n == 3:
-        return validate_steiner(build_system(3, [(0, 1, 2)]))
     for attempt in range(_MAX_RESTARTS):
         rng = random.Random(derive_seed(seed, attempt))
         blocks = _hill_climb_sts(n, rng, max_iters=200 * n * n)

@@ -665,9 +665,6 @@ def mc_exact(ts: TripleSystem, r: int,
     meter = _Meter(budget)
     n, m = ts.n, ts.m
 
-    if m == 0:
-        return ParamResult(0, True, EdgeColoring(system=ts, r=r, colors=()),
-                           budget_spent=meter.spent(0))
     if initial is not None:
         if initial.system is not ts and initial.system != ts:
             raise ValueError("initial coloring colors a different system")

@@ -73,7 +73,8 @@ class TestAnalyze:
         assert p["alpha_star3"]["value"] == 1 and p["alpha_star3"]["exact"]
         assert p["mc3"]["value"] == 6 and p["mc3"]["exact"]
         assert all(v["pass"] for v in doc["verdicts"])
-        assert doc["bounds"]["alpha_upper"] == 1 and doc["bounds"]["hole_upper"] == 6
+        assert doc["bounds"] == {"gyarfas": 6, "alpha_upper": 1, "hole_upper": 6, "hole_lower": 5,
+                                 "z2": 5.207825, "z2_exceeds_gyarfas": True}
 
     def test_partial_system_has_no_steiner_bounds(self, tmp_path):
         # one triple on 1100 points: alpha*_3 is 366, past the Steiner-only

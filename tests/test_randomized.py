@@ -110,7 +110,7 @@ class TestLinearize:
 
 
 class TestRandomSts:
-    @pytest.mark.parametrize("n", [7, 9, 13, 15, 19])
+    @pytest.mark.parametrize("n", [3, 7, 9, 13, 15, 19])
     def test_valid_systems(self, n):
         system = random_sts(n, 42)
         assert system.n == n and system.m == n * (n - 1) // 6

@@ -398,9 +398,16 @@ class TestMcExact:
         assert res.exact and res.value == 7
 
     def test_initial_for_other_system_rejected(self, fano_sys, s9_sys):
+        # a system with no triples takes the general path: exact 0 in 0 nodes,
+        # and its initial coloring is checked like any other
+        empty = build_system(3, [])
+        res = mc_exact(empty, 3)
+        assert res.exact and res.value == 0 and res.budget_spent.nodes == 0
         wrong = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
-        with pytest.raises(ValueError):
-            mc_exact(s9_sys, 3, initial=wrong)
+        for ts, r, initial in [(s9_sys, 3, wrong), (empty, 3, wrong),
+                               (empty, 2, EdgeColoring(system=empty, r=3, colors=()))]:
+            with pytest.raises(ValueError):
+                mc_exact(ts, r, initial=initial)
 
     def test_coloring_that_misses_its_value_raises(self, s9_sys, monkeypatch):
         # understate the seed's largest component by one: the search cannot
