@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import combinations
 from math import gcd
 from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -190,8 +189,8 @@ class TripleSystem:
 
 def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
     acc: dict[Pair, tuple[int, ...]] = {}
-    for i, t in enumerate(triples):
-        for p in combinations(t, 2):
+    for i, (a, b, c) in enumerate(triples):
+        for p in ((a, b), (a, c), (b, c)):
             acc[p] = acc.get(p, ()) + (i,)
     return acc
 
@@ -199,10 +198,11 @@ def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
     """Normalize raw vertex triples into a TripleSystem.
 
-    Each listed triple must have three distinct vertices in [0, n).  Triples
+    Each listed triple must have three distinct vertices in [0, n), each an
+    ``int`` that is not a ``bool`` (what the file format can hold).  Triples
     are sorted internally; listing the same triple twice is an error, but
     over-covering a *pair* with two different triples is not (validate_steiner
-    rejects that later).
+    rejects that later).  The first bad triple is reported.
     """
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
@@ -210,16 +210,29 @@ def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
     seen: set[Triple] = set()
     for raw in triples:
         vs = tuple(raw)
+        if len(vs) == 3:
+            a, b, c = vs
+            if type(a) is int and type(b) is int and type(c) is int:
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                    if a > b:
+                        a, b = b, a
+                t = tuple.__new__(Triple, (a, b, c))  # skips Triple's Python __new__
+                if 0 <= a < b < c < n and t not in seen:
+                    seen.add(t)
+                    norm.append(t)
+                    continue
         if len(vs) != 3 or len(set(vs)) != 3:
             raise VertexOutOfRange(f"not three distinct vertices: {vs!r}")
         for v in vs:
             if not (0 <= v < n):
                 raise VertexOutOfRange(f"vertex {v} not in [0, {n})")
-        t = Triple.of(*vs)
-        if t in seen:
-            raise DuplicateTriple(f"triple {tuple(t)} listed twice")
-        seen.add(t)
-        norm.append(t)
+        for v in vs:
+            if type(v) is not int:
+                raise VertexOutOfRange(f"vertex {v!r} is not an int")
+        raise DuplicateTriple(f"triple {tuple(t)} listed twice")
     return TripleSystem(n=n, triples=tuple(norm))
 
 

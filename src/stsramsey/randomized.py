@@ -179,60 +179,70 @@ def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] 
 
     Resolve a random uncovered pair through a random third point, evicting
     the (at most one) block that collides; the block count never decreases.
-    n is odd, so every point with a live pair has at least two of them.
 
     State: ``other``, the n x n table of each covered pair's third point
-    (-1 when uncovered), and the live (uncovered) pairs as sorted lists:
+    (-1 when uncovered), and the live (uncovered) pairs as ascending lists:
     ``live_at[x]`` holds x's live partners and ``live_points`` the points
-    that have one, O(n^2) ints in all.  ``rng.choice`` and ``rng.sample``
-    draw from these ascending lists directly; the lists are kept sorted with
-    ``insort`` and ``list.remove`` rather than re-sorted every iteration.
+    that have one.  A step draws a point and two of its partners only
+    through ``rng.getrandbits``, as ``Random.choice`` and ``Random.sample``
+    consume it, so the output does not depend on those stdlib methods.  The
+    second draw needs two partners: n is odd, so every point with a live pair
+    has at least two of them (with one, the draw would never end).
     """
     b = n * (n - 1) // 6
     other = [[-1] * n for _ in range(n)]
     live_at = [[y for y in range(n) if y != x] for x in range(n)]
     live_points = list(range(n))
+    bits = rng.getrandbits
     nblocks = 0
 
-    def cover(x: int, y: int, w: int) -> None:
-        other[x][y] = w
-        other[y][x] = w
-        at_x = live_at[x]
-        at_x.remove(y)
-        if not at_x:
-            live_points.remove(x)
-        at_y = live_at[y]
-        at_y.remove(x)
-        if not at_y:
-            live_points.remove(y)
-
-    def uncover(x: int, y: int) -> None:
-        other[x][y] = -1
-        other[y][x] = -1
-        at_x = live_at[x]
-        if not at_x:
-            insort(live_points, x)
-        insort(at_x, y)
-        at_y = live_at[y]
-        if not at_y:
-            insort(live_points, y)
-        insort(at_y, x)
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
 
     iters = 0
     while nblocks < b and iters < max_iters:
         iters += 1
-        x = rng.choice(live_points)
-        y, z = rng.sample(live_at[x], 2)
+        x = live_points[below(len(live_points))]
+        at_x = live_at[x]
+        size = len(at_x)
+        j = below(size)
+        y = at_x[j]
+        if size <= 21:  # Random.sample's pool path: at_x[j] swapped for the last
+            i = below(size - 1)
+            z = at_x[size - 1 if i == j else i]
+        else:  # its set path: redraw until the index differs
+            i = below(size)
+            while i == j:
+                i = below(size)
+            z = at_x[i]
         w = other[y][z]
+        at_x.remove(y)
+        at_x.remove(z)
+        live_at[y].remove(x)
+        live_at[z].remove(x)
         if w >= 0:
-            uncover(y, z)
-            uncover(y, w)
-            uncover(z, w)
+            # evict {y, z, w}: (y, z) passes to x, (y, w) and (z, w) go live
+            other[y][w] = other[w][y] = other[z][w] = other[w][z] = -1
+            insort(live_at[y], w)
+            insort(live_at[z], w)
+            if not live_at[w]:
+                insort(live_points, w)
+            insort(live_at[w], y)
+            insort(live_at[w], z)
         else:
             nblocks += 1
-        cover(x, y, z)
-        cover(x, z, y)
-        cover(y, z, x)
+            live_at[y].remove(z)
+            live_at[z].remove(y)
+        for p in (x, y, z):
+            if not live_at[p]:
+                live_points.remove(p)
+        other[x][y] = other[y][x] = z
+        other[x][z] = other[z][x] = y
+        other[y][z] = other[z][y] = x
     if nblocks < b:
         return None
     # each block u < v < w once, at its pair (u, v): lexicographic order
@@ -251,6 +261,8 @@ def random_sts(n: int, seed: int) -> TripleSystem:
     n = 13 and effectively zero for n >= 15), so this samples with a seeded
     hill climb instead; the distribution is *not* uniform, only seeded and
     validated.  Each restart derives its own stream from (seed, attempt).
+    The climb draws only through ``getrandbits``, as ``Random.choice`` and
+    ``Random.sample`` do, so its bytes do not depend on those stdlib methods.
     """
     if n % 6 not in (1, 3) or n < 3:
         raise BadOrder(n)

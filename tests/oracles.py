@@ -309,3 +309,40 @@ def brute_decomposition_ok(n, triples, colors, d):
             return False
         return never(W, X, green) and never(W, Y, red) and never(W, Z, blue)
     return False
+
+
+def stdlib_hill_climb_sts(n, rng, max_iters):
+    """Stinson's hill climb for a Steiner triple system, drawn with the
+    stdlib's ``rng.choice`` and ``rng.sample``.
+
+    Each step picks a point with an uncovered pair by ``rng.choice`` from the
+    ascending list of such points, two of its uncovered partners by
+    ``rng.sample(..., 2)`` from their ascending list, and makes the three a
+    block, evicting the block that held the partners' pair, if any.  Returns
+    the blocks as sorted tuples in lexicographic order, or None when
+    ``max_iters`` steps leave a pair uncovered.
+    """
+    third = {}  # covered pair (u, v), u < v -> the third point of its block
+    uncovered = [set(range(n)) - {x} for x in range(n)]
+    target = n * (n - 1) // 6
+    blocks = 0
+    for _ in range(max_iters):
+        if blocks == target:
+            break
+        x = rng.choice([p for p in range(n) if uncovered[p]])
+        y, z = rng.sample(sorted(uncovered[x]), 2)
+        w = third.get((min(y, z), max(y, z)))
+        if w is None:
+            blocks += 1
+        else:
+            for u, v in ((y, z), (y, w), (z, w)):
+                del third[min(u, v), max(u, v)]
+                uncovered[u].add(v)
+                uncovered[v].add(u)
+        for u, v, t in ((x, y, z), (x, z, y), (y, z, x)):
+            third[min(u, v), max(u, v)] = t
+            uncovered[u].discard(v)
+            uncovered[v].discard(u)
+    if blocks < target:
+        return None
+    return sorted({tuple(sorted((u, v, t))) for (u, v), t in third.items()})

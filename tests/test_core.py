@@ -1,6 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -41,7 +42,7 @@ from stsramsey.core import (
     shadow,
     vertex_mask,
 )
-from stsramsey.io import read_system, write_system
+from stsramsey.io import format_system, parse_system, read_system, write_system
 
 from oracles import brute_components, brute_hole_ok
 
@@ -80,6 +81,39 @@ class TestBuildSystem:
     def test_triples_normalized_sorted(self):
         ts = build_system(5, [(4, 0, 2)])
         assert ts.triples[0] == Triple(0, 2, 4)
+
+    @pytest.mark.parametrize("n,triples", [
+        (0, []),
+        (3, [(2, 1, 0)]),
+        (5, [(4, 0, 2), (1, 3, 0), (2, 3, 4)]),
+        (7, fano_lines()),
+    ])
+    def test_accepted_system_survives_the_file_format(self, n, triples):
+        ts = build_system(n, triples)
+        assert parse_system(format_system(ts)) == ts
+
+    def test_first_bad_triple_is_reported(self):
+        with pytest.raises(DuplicateTriple):
+            build_system(3, [(0, 1, 2), (0, 1, 2), (0, 1, 3)])
+        with pytest.raises(VertexOutOfRange, match=r"^vertex 3 not in \[0, 3\)$"):
+            build_system(3, [(0, 1, 3), (0, 1, 2), (0, 1, 2)])
+
+    @pytest.mark.parametrize("n,triples,error,message", [
+        (3, [(0, 1, 1)], VertexOutOfRange, "not three distinct vertices: (0, 1, 1)"),
+        (3, [(0, 1)], VertexOutOfRange, "not three distinct vertices: (0, 1)"),
+        (3, [(0, 1, 3)], VertexOutOfRange, "vertex 3 not in [0, 3)"),
+        (3, [(2, 1, -1)], VertexOutOfRange, "vertex -1 not in [0, 3)"),
+        (5, [(0, 1, 2), (2, 1, 0)], DuplicateTriple, "triple (0, 1, 2) listed twice"),
+        (5, [(4, 3, 1), (3, 1, 4)], DuplicateTriple, "triple (1, 3, 4) listed twice"),
+        # the file format holds ints only: written as "False True 2" or
+        # "0 1.0 2", these systems could not be read back
+        (3, [(False, True, 2)], VertexOutOfRange, "vertex False is not an int"),
+        (3, [(0, 1.0, 2)], VertexOutOfRange, "vertex 1.0 is not an int"),
+    ])
+    def test_error_messages(self, n, triples, error, message):
+        with pytest.raises(error) as err:
+            build_system(n, triples)
+        assert str(err.value) == message
 
 
 class TestValidateSteiner:
@@ -126,6 +160,16 @@ class TestPairIndex:
     @pytest.mark.parametrize("system", [fano(), s9(), bose(15), skolem(13)])
     def test_rebuild_round_trip(self, system):
         assert _build_pair_index(system.triples) == dict(system.pair_index)
+
+    @pytest.mark.parametrize("system", [
+        bose(15), build_system(5, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)])])
+    def test_pairs_in_order_of_first_cover(self, system):
+        expected = {}
+        for i, t in enumerate(system.triples):
+            for p in combinations(t, 2):
+                expected.setdefault(p, []).append(i)
+        got = _build_pair_index(system.triples)
+        assert list(got.items()) == [(p, tuple(ix)) for p, ix in expected.items()]
 
     def test_follows_replaced_triples(self):
         # dropping the last triple uncovers its three pairs

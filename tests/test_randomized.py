@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -16,7 +17,9 @@ from stsramsey import (
     triangle_removal,
     validate_steiner,
 )
-from stsramsey.randomized import CSV_HEADER, rows_to_csv
+from stsramsey.randomized import CSV_HEADER, _hill_climb_sts, rows_to_csv
+
+from oracles import stdlib_hill_climb_sts
 
 
 class TestSeedDerivation:
@@ -121,6 +124,16 @@ class TestRandomSts:
 
     def test_deterministic(self):
         assert random_sts(13, 5).triples == random_sts(13, 5).triples
+
+    # n >= 23 starts with more than 21 live partners per point, so the draws
+    # take both paths of Random.sample(seq, 2): its pool and its set.  A
+    # point's live-partner count is n - 1 less two per block through it, so
+    # always even: the pool/set boundary is seen at sizes 20 and 22
+    @pytest.mark.parametrize("n", [3, 7, 9, 13, 15, 19, 21, 25, 27, 31, 43])
+    def test_hill_climb_draws_as_the_stdlib_does(self, n):
+        for seed in range(10):
+            got = _hill_climb_sts(n, random.Random(seed), 200 * n * n)
+            assert got == stdlib_hill_climb_sts(n, random.Random(seed), 200 * n * n)
 
     def test_seeds_vary(self):
         assert random_sts(13, 5).triples != random_sts(13, 6).triples
