@@ -10,14 +10,11 @@ from .core import (
     DuplicateTriple,
     EdgeColoring,
     EmptyClass,
-    EvenOrder,
     HoleCertificate,
     InvalidHole,
     MalformedCertificate,
     MissingLabels,
     MonochromaticTriple,
-    NonIdempotentQuasigroup,
-    OddOrder,
     PairMulticovered,
     PairUncovered,
     RainbowTriple,
@@ -35,13 +32,9 @@ from .core import (
     verify_hole,
 )
 from .constructions import (
-    Quasigroup,
     bose,
     fano,
-    half_idempotent_quasigroup,
-    idempotent_quasigroup,
     infer_labels,
-    random_idempotent_quasigroup,
     s9,
     skolem,
 )

@@ -4,7 +4,8 @@ Machine-readable payloads (JSON documents, system/coloring files when no
 output path is given) go to standard output; progress notes go to standard
 error.  Exit codes partition the failure classes:
 
-* 2 - construction-level failure (bad order, bad quasigroup)
+* 2 - construction-level failure (bad order, or an --n that the
+  construction does not have)
 * 3 - unreadable or invalid input file
 * 4 - scheme/label mismatch (no labels, no hole, no bicoloring), or a
   bicoloring search that ran out of budget
@@ -69,33 +70,22 @@ def cli():
 @cli.command()
 @click.option("--construction", type=click.Choice(["fano", "s9", "bose", "skolem"]),
               required=True)
-@click.option("--n", "n", type=int, default=None, help="Vertex count (bose/skolem).")
+@click.option("--n", "n", type=int, default=None,
+              help="Vertex count: required for bose/skolem, 7 or 9 if given for fano/s9.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Output file; stdout when omitted.")
-@click.option("--quasigroup", type=click.Choice(["default", "random"]), default="default",
-              help="Quasigroup backing bose/skolem.")
-@click.option("--qseed", type=int, default=0, help="Seed for --quasigroup random.")
-def gen(construction: str, n: int | None, output: str | None, quasigroup: str, qseed: int):
+def gen(construction: str, n: int | None, output: str | None):
     """Generate a Steiner triple system and emit the system file."""
     try:
-        if construction == "fano":
-            system = cons.fano()
-        elif construction == "s9":
-            system = cons.s9()
-        elif construction == "bose":
-            if n is None:
-                raise StsError("--n is required for bose")
-            q = None
-            if quasigroup == "random":
-                q = cons.random_idempotent_quasigroup(n // 3, qseed)
-            system = cons.bose(n, q)
+        if construction in ("fano", "s9"):
+            system = cons.fano() if construction == "fano" else cons.s9()
+            if n is not None and n != system.n:
+                raise StsError(f"{construction} has {system.n} vertices, not --n {n}")
+        elif n is None:
+            raise StsError(f"--n is required for {construction}")
         else:
-            if n is None:
-                raise StsError("--n is required for skolem")
-            if quasigroup == "random":
-                raise StsError("randomized quasigroups are odd-order (Bose) only")
-            system = cons.skolem(n)
-    except (StsError, ValueError) as exc:
+            system = cons.bose(n) if construction == "bose" else cons.skolem(n)
+    except StsError as exc:
         _fail(str(exc), 2)
     if output:
         sio.write_system(system, output)

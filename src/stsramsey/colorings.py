@@ -363,7 +363,8 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
         if d.component != frozenset(range(n)):
             return fail("L1: component does not span")
         adj = shadow(n, color_class(ts.triples, c.colors, d.role_colors[0]))
-        if not (V and reach(adj, 1, V) == V):
+        # the empty vertex set is spanned trivially
+        if V and reach(adj, 1, V) != V:
             return fail("L1: component not connected in its color")
         return CheckResult(ok=True)
 

@@ -1,4 +1,4 @@
-"""Quasigroups and the classical Bose / Skolem triple-system constructions.
+"""Bose and Skolem triple systems from closed-form quasigroups; the 7- and 9-point systems.
 
 Vertex encodings are part of the public contract so certificates stay
 portable:
@@ -15,18 +15,14 @@ files.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     BadOrder,
-    EvenOrder,
     LABEL_TYPE1,
     LABEL_TYPE2,
     LABEL_TYPE3,
     MissingLabels,
-    NonIdempotentQuasigroup,
-    OddOrder,
     Triple,
     TripleSystem,
     build_system,
@@ -34,131 +30,46 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Quasigroup:
-    """Multiplication table of a quasigroup; flags are computed, not trusted."""
-
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    commutative: bool
-    idempotent: bool
-    half_idempotent: bool
-
-    @classmethod
-    def from_table(cls, table) -> "Quasigroup":
-        rows = tuple(tuple(row) for row in table)
-        q = len(rows)
-        full = set(range(q))
-        for r, row in enumerate(rows):
-            if set(row) != full:
-                raise ValueError(f"row {r} is not a permutation of [0, {q})")
-        for c in range(q):
-            if {rows[r][c] for r in range(q)} != full:
-                raise ValueError(f"column {c} is not a permutation of [0, {q})")
-        commutative = all(rows[a][b] == rows[b][a] for a in range(q) for b in range(a + 1, q))
-        idempotent = all(rows[a][a] == a for a in range(q))
-        half = q % 2 == 0 and q > 0 and all(
-            rows[i][i] == i and rows[q // 2 + i][q // 2 + i] == i for i in range(q // 2)
-        )
-        return cls(order=q, table=rows, commutative=commutative,
-                   idempotent=idempotent, half_idempotent=half)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-
-def idempotent_quasigroup(q: int) -> Quasigroup:
+def _bose_product(q: int) -> Callable[[int, int], int]:
     """The commutative idempotent quasigroup a*b = (a+b)/2 on Z_q, q odd.
 
     Halving is multiplication by (q+1)/2, the inverse of 2 mod q; this works
     for every odd q, prime or not.
     """
-    if q < 1 or q % 2 == 0:
-        raise EvenOrder(f"order must be odd and positive, got {q}")
     h = (q + 1) // 2
-    table = [[(h * (a + b)) % q for b in range(q)] for a in range(q)]
-    return Quasigroup.from_table(table)
+    return lambda a, b: h * (a + b) % q
 
 
-def half_idempotent_quasigroup(q: int) -> Quasigroup:
-    """A commutative half-idempotent quasigroup of even order q = 2k.
+def _skolem_product(q: int) -> Callable[[int, int], int]:
+    """A commutative half-idempotent quasigroup on Z_q, q = 2k even.
 
-    Relabel the cyclic group Z_2k by d(2j) = j, d(2j+1) = k+j; the diagonal of
-    the relabeled table reads 0..k-1 twice.
+    a*b = d((a+b) mod 2k) relabels the cyclic group by d(2j) = j,
+    d(2j+1) = k+j, so the diagonal reads 0..k-1 twice.
     """
-    if q < 2 or q % 2 == 1:
-        raise OddOrder(f"order must be even and >= 2, got {q}")
     k = q // 2
-
-    def d(x: int) -> int:
-        return x // 2 if x % 2 == 0 else k + (x - 1) // 2
-
-    table = [[d((a + b) % q) for b in range(q)] for a in range(q)]
-    return Quasigroup.from_table(table)
+    return lambda a, b: (a + b) % q // 2 + k * ((a + b) % 2)
 
 
-def random_idempotent_quasigroup(q: int, seed: int) -> Quasigroup:
-    """A seeded commutative idempotent quasigroup of odd order q >= 3.
-
-    Starts from the canonical near-one-factorization of the complete graph on
-    q points (matching M_x pairs x+t with x-t mod q and misses exactly x),
-    relabels points and symbols with seed-derived permutations, fills the
-    table by writing x into every cell of M_x, then composes with the symbol
-    permutation that maps each diagonal entry back to its row index.  The
-    result is commutative and idempotent for every seed; only the labeling is
-    randomized, not the choice of factorization.
-    """
-    if q % 2 == 0:
-        raise EvenOrder(f"order must be odd, got {q}")
-    if q < 3:
-        raise ValueError(f"order must be >= 3, got {q}")
-    rng = random.Random(seed)
-    point = list(range(q))
-    symbol = list(range(q))
-    rng.shuffle(point)
-    rng.shuffle(symbol)
-    table = [[-1] * q for _ in range(q)]
-    for x in range(q):
-        sx = symbol[x]
-        for t in range(1, (q - 1) // 2 + 1):
-            i, j = point[(x + t) % q], point[(x - t) % q]
-            table[i][j] = sx
-            table[j][i] = sx
-    # Row point[x] saw every symbol except symbol[x]; the diagonal completes it.
-    for x in range(q):
-        table[point[x]][point[x]] = symbol[x]
-    fix = [0] * q
-    for v in range(q):
-        fix[table[v][v]] = v
-    table = [[fix[cell] for cell in row] for row in table]
-    return Quasigroup.from_table(table)
-
-
-def _latin_triples(quasigroup: Quasigroup, off: int) -> list[tuple[int, int, int]]:
+def _latin_triples(q: int, mul: Callable[[int, int], int],
+                   off: int) -> list[tuple[int, int, int]]:
     """{(a,i), (b,i), (a*b, i+1 mod 3)} for a < b, point (a, i) at vertex off + 3a + i."""
-    q = quasigroup.order
-    return [(off + 3 * a + i, off + 3 * b + i, off + 3 * quasigroup.mul(a, b) + (i + 1) % 3)
+    return [(off + 3 * a + i, off + 3 * b + i, off + 3 * mul(a, b) + (i + 1) % 3)
             for a in range(q) for b in range(a + 1, q) for i in range(3)]
 
 
-def bose(n: int, quasigroup: Quasigroup | None = None) -> TripleSystem:
-    """Bose construction on n = 6k+3 vertices.
+def bose(n: int) -> TripleSystem:
+    """Bose construction on n = 6k+3 vertices, over the quasigroup of
+    :func:`_bose_product` on q = n/3 cells.
 
-    Type 1 triples bundle the three copies of each quasigroup element; type 2
-    triples are {(a,i), (b,i), (a*b, i+1 mod 3)} for a < b.
+    Type 1 triples bundle the three copies of each cell; type 2 triples are
+    {(a,i), (b,i), (a*b, i+1 mod 3)} for a < b, with a*b = (q+1)/2 * (a+b)
+    mod q.
     """
     if n % 6 != 3 or n < 9:
         raise BadOrder(n, f"Bose construction needs n = 3 (mod 6), n >= 9; got {n}")
     q = n // 3
-    if quasigroup is None:
-        quasigroup = idempotent_quasigroup(q)
-    if quasigroup.order != q:
-        raise NonIdempotentQuasigroup(f"need order {q}, got {quasigroup.order}")
-    if not (quasigroup.commutative and quasigroup.idempotent):
-        raise NonIdempotentQuasigroup("Bose needs a commutative idempotent quasigroup")
-
     type1 = [(3 * a, 3 * a + 1, 3 * a + 2) for a in range(q)]
-    type2 = _latin_triples(quasigroup, 0)
+    type2 = _latin_triples(q, _bose_product(q), 0)
     labels = (LABEL_TYPE1,) * len(type1) + (LABEL_TYPE2,) * len(type2)
     return validate_steiner(build_system(n, type1 + type2), labels=labels)
 
@@ -169,6 +80,8 @@ def skolem(n: int) -> TripleSystem:
     Type 2 here is {inf, (k+a, i), (a, i+1 mod 3)} for 0 <= a < k.  The other
     published shape of this family of triples does not cover the pairs at
     inf (see the accompanying tests); this is the form that validates.
+    Type 3 is {(a,i), (b,i), (a*b, i+1 mod 3)} for a < b over the 2k cells of
+    :func:`_skolem_product`: a*b = d((a+b) mod 2k), d(2j) = j, d(2j+1) = k+j.
     """
     if n % 6 != 1 or n < 7:
         raise BadOrder(n, f"Skolem construction needs n = 1 (mod 6), n >= 7; got {n}")
@@ -178,7 +91,7 @@ def skolem(n: int) -> TripleSystem:
     type1 = [(1 + 3 * a, 2 + 3 * a, 3 + 3 * a) for a in range(k)]
     type2 = [(0, 1 + 3 * (k + a) + i, 1 + 3 * a + (i + 1) % 3)
              for a in range(k) for i in range(3)]
-    type3 = _latin_triples(half_idempotent_quasigroup(2 * k), 1)
+    type3 = _latin_triples(2 * k, _skolem_product(2 * k), 1)
     labels = ((LABEL_TYPE1,) * len(type1) + (LABEL_TYPE2,) * len(type2)
               + (LABEL_TYPE3,) * len(type3))
     return validate_steiner(build_system(n, type1 + type2 + type3), labels=labels)

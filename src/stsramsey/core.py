@@ -74,18 +74,6 @@ class MalformedCertificate(StsError):
     pass
 
 
-class EvenOrder(StsError):
-    pass
-
-
-class OddOrder(StsError):
-    pass
-
-
-class NonIdempotentQuasigroup(StsError):
-    pass
-
-
 class MissingLabels(StsError):
     """System carries no construction labels usable by the requested scheme."""
 
@@ -198,12 +186,15 @@ def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
     """Normalize raw vertex triples into a TripleSystem.
 
-    Each listed triple must have three distinct vertices in [0, n), each an
-    ``int`` that is not a ``bool`` (what the file format can hold).  Triples
-    are sorted internally; listing the same triple twice is an error, but
-    over-covering a *pair* with two different triples is not (validate_steiner
-    rejects that later).  The first bad triple is reported.
+    ``n`` and each vertex must be an ``int`` that is not a ``bool`` (what the
+    file format can hold), and each listed triple must have three distinct
+    vertices in [0, n).  Triples are sorted internally; listing the same
+    triple twice is an error, but over-covering a *pair* with two different
+    triples is not (validate_steiner rejects that later).  The first bad
+    triple is reported.
     """
+    if type(n) is not int:
+        raise VertexOutOfRange(f"vertex count {n!r} is not an int")
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
     norm: list[Triple] = []

@@ -47,18 +47,23 @@ class TestGen:
         run("gen", "--construction", "bose", "--n", "15", "-o", str(out))
         assert read_system(out) == bose(15)
 
-    def test_random_quasigroup_variant(self, tmp_path):
-        out = tmp_path / "b15r.sts"
-        res = run("gen", "--construction", "bose", "--n", "15", "-o", str(out),
-                  "--quasigroup", "random", "--qseed", "5")
-        assert res.exit_code == 0
-        system = read_system(out)
-        assert system.m == 35 and system != bose(15)
-
     def test_random_quasigroup_rejected_for_skolem(self):
         res = run("gen", "--construction", "skolem", "--n", "13",
                   "--quasigroup", "random")
         assert res.exit_code == 2
+        # the option is gone, so click rejects it for Bose orders too
+        res = run("gen", "--construction", "bose", "--n", "15",
+                  "--quasigroup", "random", "--qseed", "5")
+        assert res.exit_code == 2 and "No such option" in res.stderr
+
+    @pytest.mark.parametrize("construction", ["fano", "s9"])
+    def test_fixed_system_with_another_order_exit_2(self, construction):
+        n = {"fano": 7, "s9": 9}[construction]
+        assert run("gen", "--construction", construction, "--n", str(n)).exit_code == 0
+        res = run("gen", "--construction", construction, "--n", str(n + 6))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"{construction} has {n} vertices, not --n {n + 6}" in res.stderr
 
 
 class TestAnalyze:

@@ -32,7 +32,6 @@ from stsramsey import (
     infer_labels,
     largest_mono_component,
     mono_components,
-    random_idempotent_quasigroup,
     random_sts,
     s9,
     skolem,
@@ -113,8 +112,9 @@ class TestConstructionColorings:
 
 
 # sha256 of the system file, the labels and the layer coloring of every Bose
-# and Skolem order from 7 to 99, plus a Bose system over a seeded random
-# quasigroup; any change to triple order, labels or colors shows here.
+# and Skolem order from 7 to 99, plus a Bose system with its cells relabelled
+# by a seeded permutation; any change to triple order, labels or colors
+# shows here.
 LAYERED_DIGESTS = {
     "bose9": "d54685c046d6aaadd1cdeddf6e4f26b9760455b726358e5514f13fff4cb689b8",
     "bose15": "7d0132310e4cbf4c1c10cbef9aecf90be008d792f08fc12f46c1870bb4821aec",
@@ -152,9 +152,28 @@ LAYERED_DIGESTS = {
 }
 
 
+def cell_relabeled_bose(n, seed):
+    """bose(n) with cell a renamed perm[a], perm the seed's first shuffle of
+    range(n // 3), in Bose order: type 1 by cell, then type 2 by the cells
+    a < b of its doubled layer i, then by i.  These are the triples, in
+    order, that bose(n) gave over a seeded random idempotent quasigroup."""
+    perm = list(range(n // 3))
+    random.Random(seed).shuffle(perm)
+
+    def bose_order(t):
+        cells, layers = zip(*(divmod(v, 3) for v in t))
+        if len(set(layers)) == 3:
+            return (-1, cells[0], 0)
+        i = max(layers, key=layers.count)
+        return tuple(c for c, layer in zip(cells, layers) if layer == i) + (i,)
+
+    triples = [sorted(3 * perm[v // 3] + v % 3 for v in t) for t in bose(n).triples]
+    return infer_labels(build_system(n, sorted(triples, key=bose_order)))
+
+
 def layered_system(name):
     if name == "bose15-q77":
-        return bose(15, random_idempotent_quasigroup(5, 77))
+        return cell_relabeled_bose(15, 77)
     if name.startswith("bose"):
         return bose(int(name[4:]))
     return skolem(int(name[6:]))
@@ -272,6 +291,13 @@ class TestDecomposition:
         d = decompose_3coloring(fano_sys, c)
         assert d.case == "L1"
         assert verify_decomposition(fano_sys, c, d)
+        # no triples: an empty or single vertex set is spanned trivially
+        for n in (0, 1):
+            ts = build_system(n, [])
+            c = EdgeColoring(system=ts, r=3, colors=())
+            d = decompose_3coloring(ts, c)
+            assert d.case == "L1" and d.component == frozenset(range(n))
+            assert verify_decomposition(ts, c, d)
 
     def test_s9_hole_coloring_decomposes(self, s9_sys):
         hole = alpha_star(s9_sys, 3).lower_certificate

@@ -1,96 +1,83 @@
+import random
 from dataclasses import replace
 
 import pytest
 
 from stsramsey import (
     BadOrder,
-    EvenOrder,
     MissingLabels,
-    NonIdempotentQuasigroup,
-    OddOrder,
     PairMulticovered,
     PairUncovered,
-    Quasigroup,
     StsError,
     bose,
     build_system,
     fano,
-    half_idempotent_quasigroup,
-    idempotent_quasigroup,
     infer_labels,
     pair_degree_min,
-    random_idempotent_quasigroup,
     s9,
     skolem,
     validate_steiner,
 )
+from stsramsey.constructions import _bose_product, _skolem_product
 from stsramsey.core import LABEL_TYPE1, LABEL_TYPE2, LABEL_TYPE3
 
 
+def cell_relabeled_bose(n, seed):
+    """bose(n) with cell a renamed perm[a], perm the seed's first shuffle of
+    range(n // 3): vertex v goes to 3 * perm[v // 3] + v % 3.  The labels
+    keep their positions, since type-1 triples map onto type-1 triples."""
+    perm = list(range(n // 3))
+    random.Random(seed).shuffle(perm)
+    system = bose(n)
+    triples = [[3 * perm[v // 3] + v % 3 for v in t] for t in system.triples]
+    return replace(validate_steiner(build_system(n, triples)), labels=system.labels)
+
+
+def table(mul, q):
+    return tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
+
+
+def commutative(mul, q):
+    return all(mul(a, b) == mul(b, a) for a in range(q) for b in range(a + 1, q))
+
+
 class TestQuasigroups:
+    # the closed-form products bose and skolem build their Latin triples from
     def test_idempotent_q3(self):
-        q = idempotent_quasigroup(3)
-        assert q.table[0][1] == 2
-        assert tuple(q.table[i][i] for i in range(3)) == (0, 1, 2)
-        assert q.commutative and q.idempotent
+        mul = _bose_product(3)
+        assert mul(0, 1) == 2
+        assert tuple(mul(i, i) for i in range(3)) == (0, 1, 2)
+        assert commutative(mul, 3)
 
     def test_idempotent_q5(self):
-        q = idempotent_quasigroup(5)
-        assert q.table[1][2] == 4
-        assert q.table[0] == (0, 3, 1, 4, 2)
-
-    def test_idempotent_even_order_rejected(self):
-        with pytest.raises(EvenOrder):
-            idempotent_quasigroup(4)
+        mul = _bose_product(5)
+        assert mul(1, 2) == 4
+        assert table(mul, 5)[0] == (0, 3, 1, 4, 2)
 
     def test_half_idempotent_q2(self):
-        q = half_idempotent_quasigroup(2)
-        assert q.table == ((0, 1), (1, 0))
-        assert q.half_idempotent and q.commutative
+        assert table(_skolem_product(2), 2) == ((0, 1), (1, 0))
 
     def test_half_idempotent_q4_diagonal(self):
-        q = half_idempotent_quasigroup(4)
-        assert tuple(q.table[i][i] for i in range(4)) == (0, 1, 0, 1)
-        assert q.half_idempotent
-
-    def test_half_idempotent_odd_order_rejected(self):
-        with pytest.raises(OddOrder):
-            half_idempotent_quasigroup(3)
+        mul = _skolem_product(4)
+        assert tuple(mul(i, i) for i in range(4)) == (0, 1, 0, 1)
+        assert commutative(mul, 4)
 
     @pytest.mark.parametrize("q", range(1, 34, 2))
     def test_idempotent_family_flags(self, q):
-        quasi = idempotent_quasigroup(q)
-        assert quasi.commutative and quasi.idempotent
+        mul = _bose_product(q)
+        rows = table(mul, q)
+        assert all(sorted(row) == list(range(q)) for row in rows)
+        assert commutative(mul, q)
+        assert all(mul(a, a) == a for a in range(q))
 
     @pytest.mark.parametrize("q", range(2, 33, 2))
     def test_half_idempotent_family_flags(self, q):
-        quasi = half_idempotent_quasigroup(q)
-        assert quasi.commutative and quasi.half_idempotent
-
-    def test_from_table_rejects_non_latin(self):
-        with pytest.raises(ValueError):
-            Quasigroup.from_table([[0, 0], [1, 1]])
-
-
-class TestRandomQuasigroup:
-    def test_order3_is_the_unique_one(self):
-        assert random_idempotent_quasigroup(3, 9).table == idempotent_quasigroup(3).table
-
-    def test_order7_flags_verified(self):
-        q = random_idempotent_quasigroup(7, 42)
-        assert q.commutative and q.idempotent
-
-    def test_deterministic(self):
-        assert random_idempotent_quasigroup(7, 42).table == \
-            random_idempotent_quasigroup(7, 42).table
-
-    def test_seeds_differ(self):
-        tables = {random_idempotent_quasigroup(9, s).table for s in range(8)}
-        assert len(tables) > 1
-
-    def test_even_order_rejected(self):
-        with pytest.raises(EvenOrder):
-            random_idempotent_quasigroup(4, 0)
+        mul = _skolem_product(q)
+        rows = table(mul, q)
+        assert all(sorted(row) == list(range(q)) for row in rows)
+        assert commutative(mul, q)
+        k = q // 2
+        assert all(mul(i, i) == i and mul(k + i, k + i) == i for i in range(k))
 
 
 class TestBose:
@@ -119,15 +106,11 @@ class TestBose:
 
     @pytest.mark.parametrize("n", [15, 21, 27])
     def test_random_quasigroups_still_build(self, n):
+        # a seeded relabelling of the cells, the same triple sets that the
+        # retired random quasigroup gave
         for seed in range(20):
-            q = random_idempotent_quasigroup(n // 3, seed)
-            system = bose(n, q)
+            system = cell_relabeled_bose(n, seed)
             assert system.m == n * (n - 1) // 6
-
-    def test_wrong_quasigroup_rejected(self):
-        q = half_idempotent_quasigroup(8)
-        with pytest.raises(NonIdempotentQuasigroup):
-            bose(27, q)
 
 
 # Vertex bijection mapping skolem(7) onto the canonical 7-point system,
@@ -170,8 +153,12 @@ def skolem_literal_type2(n):
     pairs at inf (the inf triples never meet the points (a, .) for a < k)."""
     k = n // 6
     q = 2 * k
-    quasi = half_idempotent_quasigroup(q)
     inf = 0
+
+    def mul(a, b):
+        # the half-idempotent product d((a+b) mod 2k), d(2j) = j, d(2j+1) = k+j
+        s = (a + b) % q
+        return s // 2 if s % 2 == 0 else k + s // 2
 
     def enc(a, i):
         return 1 + 3 * a + i
@@ -181,11 +168,11 @@ def skolem_literal_type2(n):
         triples.append((enc(a, 0), enc(a, 1), enc(a, 2)))
     for a in range(k):
         for i in range(3):
-            triples.append((inf, enc(quasi.mul(k, a), i), enc(k, (i + 1) % 3)))
+            triples.append((inf, enc(mul(k, a), i), enc(k, (i + 1) % 3)))
     for a in range(q):
         for b in range(a + 1, q):
             for i in range(3):
-                triples.append((enc(a, i), enc(b, i), enc(quasi.mul(a, b), (i + 1) % 3)))
+                triples.append((enc(a, i), enc(b, i), enc(mul(a, b), (i + 1) % 3)))
     return triples
 
 
@@ -234,7 +221,7 @@ class TestInferLabels:
 
     def test_bose_with_random_quasigroup_still_inferable(self):
         # the patterns only depend on the vertex encoding, not the quasigroup
-        system = bose(15, random_idempotent_quasigroup(5, 77))
+        system = cell_relabeled_bose(15, 77)
         assert infer_labels(replace(system, labels=None)).labels == system.labels
 
     def test_shuffled_bose_loses_pattern(self):

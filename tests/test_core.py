@@ -28,7 +28,6 @@ from stsramsey import (
     pair_degree_min,
     s9,
     skolem,
-    random_idempotent_quasigroup,
     random_sts,
     triangle_removal,
     validate_steiner,
@@ -87,6 +86,7 @@ class TestBuildSystem:
         (3, [(2, 1, 0)]),
         (5, [(4, 0, 2), (1, 3, 0), (2, 3, 4)]),
         (7, fano_lines()),
+        (1100, [(0, 1, 2)]),
     ])
     def test_accepted_system_survives_the_file_format(self, n, triples):
         ts = build_system(n, triples)
@@ -109,6 +109,9 @@ class TestBuildSystem:
         # "0 1.0 2", these systems could not be read back
         (3, [(False, True, 2)], VertexOutOfRange, "vertex False is not an int"),
         (3, [(0, 1.0, 2)], VertexOutOfRange, "vertex 1.0 is not an int"),
+        # nor a vertex count: the headers "3.0 1" and "True 0" do not parse
+        (3.0, [(0, 1, 2)], VertexOutOfRange, "vertex count 3.0 is not an int"),
+        (True, [], VertexOutOfRange, "vertex count True is not an int"),
     ])
     def test_error_messages(self, n, triples, error, message):
         with pytest.raises(error) as err:
@@ -452,7 +455,11 @@ class TestLayerAutomorphisms:
     def test_random_quasigroup_keeps_only_verified_elements(self, seed):
         # the layer rotation holds for every quasigroup; the translation and
         # the scalings hold only where the quasigroup allows them
-        s = bose(21, random_idempotent_quasigroup(7, seed))
+        # cell a renamed perm[a]: the triples bose(21) gave over a seeded
+        # random idempotent quasigroup
+        perm = list(range(7))
+        random.Random(seed).shuffle(perm)
+        s = build_system(21, [[3 * perm[v // 3] + v % 3 for v in t] for t in bose(21).triples])
         group = layer_automorphisms(s)
         rotation = tuple(3 * (v // 3) + (v + 1) % 3 for v in range(21))
         assert rotation in group
