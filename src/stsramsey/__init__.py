@@ -27,7 +27,6 @@ from .core import (
     is_steiner,
     largest_mono_component,
     mono_components,
-    pair_degree_min,
     validate_steiner,
     verify_hole,
 )
@@ -52,7 +51,6 @@ from .colorings import (
     CdrTerm,
     CheckResult,
     DecompositionResult,
-    T2Partition,
     bicoloring_search,
     bicoloring_to_bound,
     bose_coloring,

@@ -6,12 +6,13 @@ error.  Exit codes partition the failure classes:
 
 * 2 - construction-level failure (bad order, or an --n that the
   construction does not have)
-* 3 - unreadable or invalid input file
-* 4 - scheme/label mismatch (no labels, no hole, no bicoloring), or a
-  bicoloring search that ran out of budget
-* 5 - parameter violation in random processes and experiments, or a
-  search budget (``--max-nodes``, ``--max-seconds``) that is not positive,
-  such as 0 or NaN
+* 3 - a file that cannot be read or written, or an invalid input file
+* 4 - scheme/label mismatch (no labels, no hole, no bicoloring, or a
+  ``--hole-file`` without ``--scheme hole``), or a bicoloring search that
+  ran out of budget
+* 5 - parameter violation in random processes and experiments (including
+  an option the process does not read), or a search budget (``--max-nodes``,
+  ``--max-seconds``) that is not positive, such as 0 or NaN
 
 JSON reports carry ``"schema": "sts-report/1"``; readers should tolerate
 unknown fields.  Timing fields are rounded to whole seconds so identical
@@ -58,6 +59,13 @@ def _fail(message: str, code: int) -> NoReturn:
     sys.exit(code)
 
 
+def _write_or_exit(write, obj, path: str) -> None:
+    try:
+        write(obj, path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}", 3)
+
+
 @click.group()
 def cli():
     """Steiner triple systems: generate, analyze, color, simulate."""
@@ -88,7 +96,7 @@ def gen(construction: str, n: int | None, output: str | None):
     except StsError as exc:
         _fail(str(exc), 2)
     if output:
-        sio.write_system(system, output)
+        _write_or_exit(sio.write_system, system, output)
         click.echo(f"wrote {system.m} triples on {system.n} vertices to {output}", err=True)
     else:
         click.echo(sio.format_system(system), nl=False)
@@ -126,10 +134,7 @@ def _candidate_upper_colorings(ts: TripleSystem, labeled: TripleSystem | None,
         else:
             out.append(("skolem_coloring", col.skolem_coloring(labeled)))
     if hole_cert is not None and hole_cert.a > 0:
-        try:
-            out.append(("hole_coloring", col.hole_coloring(ts, hole_cert)))
-        except InvalidHole:
-            pass
+        out.append(("hole_coloring", col.hole_coloring(ts, hole_cert)))
     return out
 
 
@@ -185,7 +190,6 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
         hole_cert = astar_res.lower_certificate if astar_res else None
         candidates = _candidate_upper_colorings(ts, labeled, hole_cert)
         initial = None
-        initial_name = "search"
         best_ub = None
         for name, coloring in candidates:
             ub = largest_mono_component(coloring)[0]
@@ -283,6 +287,8 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
     ts = _read_system_or_exit(in_path)
     bound: int | None = None
     try:
+        if hole_file is not None and scheme != "hole":
+            raise StsError(f"--hole-file applies only to --scheme hole, not {scheme}")
         if scheme in ("bose", "skolem"):
             name, residue = ("Bose", 3) if scheme == "bose" else ("Skolem", 1)
             if ts.n % 6 != residue:
@@ -312,10 +318,10 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             hole, bicolor_bound = col.bicoloring_to_bound(bi)
             coloring = col.hole_coloring(ts, hole)
             bound = bicolor_bound
-    except (MissingLabels, InvalidHole, StsError) as exc:
+    except StsError as exc:
         _fail(str(exc), 4)
     if output:
-        sio.write_coloring(coloring, output)
+        _write_or_exit(sio.write_coloring, coloring, output)
         click.echo(f"wrote coloring to {output}", err=True)
     _emit(_coloring_summary(coloring, scheme, bound))
 
@@ -337,6 +343,10 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
     """Run one seeded random process and emit the resulting system file."""
     try:
         doc: dict = {"schema": REPORT_SCHEMA, "process": process, "n": n, "seed": seed}
+        if m is not None and process != "triangle-removal":
+            raise ValueError(f"--m applies only to triangle-removal, not {process}")
+        if p is not None and process not in ("binomial", "linearized"):
+            raise ValueError(f"--p applies only to binomial and linearized, not {process}")
         if process == "triangle-removal":
             if m is None:
                 raise ValueError("--m is required for triangle-removal")
@@ -363,7 +373,7 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
     if output:
-        sio.write_system(system, output)
+        _write_or_exit(sio.write_system, system, output)
         doc["output"] = output
     else:
         doc["system"] = sio.format_system(system).splitlines()
@@ -394,7 +404,7 @@ def discrepancy(n: int, samples: int, seed: int, csv_path: str,
             n, samples, seed, SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds))
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
-    rnd.write_experiment_csv(rows, csv_path)
+    _write_or_exit(rnd.write_experiment_csv, rows, csv_path)
     summary["schema"] = REPORT_SCHEMA
     summary["csv"] = csv_path
     summary["rows"] = len(rows)

@@ -153,9 +153,6 @@ class Bicoloring:
     classes: tuple[int, ...]          # per-vertex color in {1, 2, 3}
     sizes: tuple[int, ...]            # class sizes, ascending
 
-    def class_vertices(self, color: int) -> list[int]:
-        return [v for v, c in enumerate(self.classes) if c == color]
-
 
 def verify_bicoloring(ts: TripleSystem, phi) -> Bicoloring:
     """Accept phi iff no triple is monochromatic or rainbow."""
@@ -228,11 +225,11 @@ def bicoloring_to_bound(bi: Bicoloring) -> tuple[HoleCertificate, int]:
     smallest class size a (keeping lowest-indexed vertices) leaves a verified
     hole; the bound is n - a, i.e. the sum of the two larger class sizes.
     """
-    sizes_by_color = [bi.classes.count(c) for c in (1, 2, 3)]
-    if min(sizes_by_color) == 0:
+    a = bi.sizes[0]
+    if a == 0:
         raise EmptyClass("bicoloring bound needs all three classes non-empty")
-    a = min(sizes_by_color)
-    parts = tuple(frozenset(bi.class_vertices(c)[:a]) for c in (1, 2, 3))
+    parts = tuple(frozenset([v for v, x in enumerate(bi.classes) if x == c][:a])
+                  for c in (1, 2, 3))
     hole = HoleCertificate(k=3, a=a, parts=parts)
     if not verify_hole(bi.system, hole):
         raise InvalidHole("bicoloring classes do not induce a hole")
@@ -244,24 +241,11 @@ def bicoloring_to_bound(bi: Bicoloring) -> tuple[HoleCertificate, int]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class T2Partition:
-    """Four vertex sets, sizes descending, no triple touching three of them."""
-
-    sets: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]
-
-
-@dataclass(frozen=True)
 class DecompositionResult:
     case: str                                  # "L1" | "L2" | "L3"
     role_colors: tuple[int, int, int]          # colors playing (blue, red, green)
     component: frozenset[int] | None = None    # L1: the spanning component
     parts: tuple[frozenset[int], ...] | None = None   # L2/L3: (W, X, Y, Z)
-
-    def t2_partition(self) -> T2Partition:
-        if self.case != "L2" or self.parts is None:
-            raise ValueError("only the L2 case induces a four-set partition")
-        ordered = sorted(self.parts, key=lambda p: (-len(p), sorted(p)))
-        return T2Partition(sets=(ordered[0], ordered[1], ordered[2], ordered[3]))
 
 
 @dataclass(frozen=True)

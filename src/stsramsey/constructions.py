@@ -65,7 +65,7 @@ def bose(n: int) -> TripleSystem:
     {(a,i), (b,i), (a*b, i+1 mod 3)} for a < b, with a*b = (q+1)/2 * (a+b)
     mod q.
     """
-    if n % 6 != 3 or n < 9:
+    if type(n) is not int or n % 6 != 3 or n < 9:
         raise BadOrder(n, f"Bose construction needs n = 3 (mod 6), n >= 9; got {n}")
     q = n // 3
     type1 = [(3 * a, 3 * a + 1, 3 * a + 2) for a in range(q)]
@@ -83,7 +83,7 @@ def skolem(n: int) -> TripleSystem:
     Type 3 is {(a,i), (b,i), (a*b, i+1 mod 3)} for a < b over the 2k cells of
     :func:`_skolem_product`: a*b = d((a+b) mod 2k), d(2j) = j, d(2j+1) = k+j.
     """
-    if n % 6 != 1 or n < 7:
+    if type(n) is not int or n % 6 != 1 or n < 7:
         raise BadOrder(n, f"Skolem construction needs n = 1 (mod 6), n >= 7; got {n}")
     k = n // 6
 

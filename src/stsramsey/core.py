@@ -127,11 +127,6 @@ class Triple(NamedTuple):
     b: int
     c: int
 
-    @classmethod
-    def of(cls, x: int, y: int, z: int) -> "Triple":
-        a, b, c = sorted((x, y, z))
-        return cls(a, b, c)
-
 
 Pair = tuple[int, int]
 
@@ -336,16 +331,6 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
                 params.append(key)
                 elements.append(tuple(map(g.__getitem__, h)))
     return tuple(elements)
-
-
-def pair_degree_min(s: TripleSystem) -> int:
-    """Minimum, over all vertex pairs, of the number of triples containing it."""
-    if s.n < 2:
-        raise ValueError("pair degree needs at least two vertices")
-    total_pairs = s.n * (s.n - 1) // 2
-    if len(s.pair_index) < total_pairs:
-        return 0
-    return min(len(ix) for ix in s.pair_index.values())
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ System format (one file per system)::
     n m
     a b c        <- m lines, vertices 0-based and sorted ascending
 
-Coloring format (companion to a system file, same triple order)::
+Coloring format (written only; same triple order as its system file)::
 
     colors r
     c            <- m lines, one color index per line
@@ -80,37 +80,22 @@ def write_system(ts: TripleSystem, path: PathLike) -> None:
         fh.write(format_system(ts))
 
 
+def _read_text(path: PathLike) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
+
+
 def read_system(path: PathLike) -> TripleSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+    return parse_system(_read_text(path))
 
 
 def format_coloring(c: EdgeColoring) -> str:
     lines = [f"colors {c.r}"]
     lines.extend(str(col) for col in c.colors)
     return "\n".join(lines) + "\n"
-
-
-def parse_coloring(text: str, system: TripleSystem) -> EdgeColoring:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows or not rows[0].startswith("colors"):
-        raise FormatError("coloring file must start with 'colors r'")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise FormatError(f"bad coloring header {rows[0]!r}")
-    try:
-        r = int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad color count in {rows[0]!r}") from exc
-    body = rows[1:]
-    if len(body) != system.m:
-        raise FormatError(f"expected {system.m} color lines, found {len(body)}")
-    try:
-        colors = tuple(int(ln) for ln in body)
-    except ValueError as exc:
-        raise FormatError("non-integer color line") from exc
-    return EdgeColoring(system=system, r=r, colors=colors)
 
 
 def write_coloring(c: EdgeColoring, path: PathLike) -> None:
@@ -142,5 +127,4 @@ def parse_hole(text: str) -> HoleCertificate:
 
 
 def read_hole(path: PathLike) -> HoleCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hole(fh.read())
+    return parse_hole(_read_text(path))

@@ -25,6 +25,35 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--construction", "bose", "--n", "9", "-o"],
+    ["color", "-i", "{sys}", "--scheme", "bose", "-o"],
+    ["random", "--process", "sts", "--n", "9", "--seed", "1", "-o"],
+    ["experiment", "discrepancy", "--n", "9", "--samples", "1", "--seed", "1", "--csv"],
+], ids=["gen", "color", "random", "discrepancy"])
+def test_unwritable_output_exit_3(tmp_path, args):
+    system = tmp_path / "b9.sts"
+    run("gen", "--construction", "bose", "--n", "9", "-o", str(system))
+    out = str(tmp_path / "missing" / "x")
+    res = run(*[a.format(sys=system) for a in args], out)
+    assert res.exit_code == 3
+    assert res.stderr.splitlines()[-1].startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "-i", "{bad}"],
+    ["color", "-i", "{sys}", "--scheme", "hole", "--hole-file", "{bad}"],
+], ids=["analyze", "color"])
+def test_non_utf8_input_exit_3(tmp_path, args):
+    system = tmp_path / "b9.sts"
+    run("gen", "--construction", "bose", "--n", "9", "-o", str(system))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00")
+    res = run(*[a.format(sys=system, bad=bad) for a in args])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("error: cannot read ") and "not UTF-8" in res.stderr
+
+
 class TestGen:
     def test_bose27_file(self, tmp_path):
         out = tmp_path / "b27.sts"
@@ -265,6 +294,15 @@ class TestColor:
         assert res.exit_code == 3
         assert "is not an integer" in res.output
 
+    @pytest.mark.parametrize("scheme", ["bose", "skolem", "bicolor"])
+    def test_hole_file_without_hole_scheme_exit_4(self, tmp_path, scheme):
+        path = tmp_path / "b9.sts"
+        run("gen", "--construction", "bose", "--n", "9", "-o", str(path))
+        res = run("color", "-i", str(path), "--scheme", scheme,
+                  "--hole-file", "/nonexistent")
+        assert res.exit_code == 4
+        assert "--hole-file applies only to --scheme hole" in res.stderr
+
     def test_bicolor_scheme_on_s9(self, tmp_path):
         path = tmp_path / "s9.sts"
         run("gen", "--construction", "s9", "-o", str(path))
@@ -307,6 +345,15 @@ class TestRandomCmd:
         res = run("random", "--process", "triangle-removal", "--n", "7",
                   "--m", "99", "--seed", "1")
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("process, extra", [
+        ("sts", ["--m", "5"]), ("binomial", ["--m", "5"]), ("linearized", ["--m", "5"]),
+        ("sts", ["--p", "0.3"]), ("triangle-removal", ["--m", "5", "--p", "0.3"])],
+        ids=["sts-m", "binomial-m", "linearized-m", "sts-p", "triangle-removal-p"])
+    def test_option_the_process_does_not_read_exit_5(self, process, extra):
+        res = run("random", "--process", process, "--n", "9", "--seed", "1", *extra)
+        assert res.exit_code == 5
+        assert f"{extra[-2]} applies only to" in res.stderr
 
     def test_deterministic_stdout(self):
         a = run("random", "--process", "linearized", "--n", "15", "--p", "0.05",

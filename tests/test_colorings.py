@@ -322,8 +322,7 @@ class TestDecomposition:
         d = decompose_3coloring(ts, c)
         assert d.case == "L2"
         assert verify_decomposition(ts, c, d)
-        t2 = d.t2_partition()
-        assert [len(s) for s in t2.sets] == [2, 2, 2, 2]
+        assert [len(p) for p in d.parts] == [2, 2, 2, 2]
 
     def test_every_fano_coloring_decomposes(self, fano_sys):
         # exhaustive: all 3^7 edge colorings of the 7-point system

@@ -25,7 +25,6 @@ from stsramsey import (
     is_steiner,
     largest_mono_component,
     mono_components,
-    pair_degree_min,
     s9,
     skolem,
     random_sts,
@@ -211,18 +210,6 @@ class TestPairIndex:
         assert ts.pair_index == {(0, 1): (0,), (0, 2): (0,), (1, 2): (0,)}
 
 
-class TestPairDegree:
-    def test_steiner_systems_have_delta2_one(self):
-        for system in (fano(), s9(), bose(21), skolem(19)):
-            assert pair_degree_min(system) == 1
-
-    def test_fano_minus_line(self):
-        assert pair_degree_min(build_system(7, fano_lines()[:-1])) == 0
-
-    def test_uncovered_pair_on_four_vertices(self):
-        assert pair_degree_min(build_system(4, [(0, 1, 2), (0, 1, 3)])) == 0
-
-
 class TestMonoComponents:
     def test_single_color_spans_steiner(self, s9_sys):
         c = EdgeColoring(system=s9_sys, r=1, colors=(0,) * 12)
@@ -326,7 +313,7 @@ class TestVerifyHole:
         # classes of a (1,4,4) bicoloring never share a triple three ways
         from stsramsey import bicoloring_search
         bi = bicoloring_search(s9_sys)
-        parts = tuple(frozenset([bi.class_vertices(c)[0]]) for c in (1, 2, 3))
+        parts = tuple(frozenset([bi.classes.index(c)]) for c in (1, 2, 3))
         assert verify_hole(s9_sys, HoleCertificate(k=3, a=1, parts=parts))
 
     def test_single_triple_meets_all_three_singletons(self):

@@ -6,9 +6,9 @@ from stsramsey.io import (
     format_coloring,
     format_hole,
     format_system,
-    parse_coloring,
     parse_hole,
     parse_system,
+    read_hole,
     read_system,
     write_system,
 )
@@ -52,15 +52,15 @@ def test_unsorted_triple_rejected():
 def test_coloring_round_trip():
     system = fano()
     c = EdgeColoring(system=system, r=3, colors=(0, 1, 2, 0, 1, 2, 0))
-    text = format_coloring(c)
-    assert text.startswith("colors 3\n")
-    assert parse_coloring(text, system) == c
+    assert format_coloring(c) == "colors 3\n0\n1\n2\n0\n1\n2\n0\n"
 
 
-def test_coloring_wrong_length():
-    system = fano()
-    with pytest.raises(FormatError):
-        parse_coloring("colors 3\n0\n1\n", system)
+@pytest.mark.parametrize("read", [read_system, read_hole])
+def test_non_utf8_file_is_a_format_error(tmp_path, read):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        read(path)
 
 
 def test_hole_round_trip():

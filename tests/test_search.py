@@ -16,7 +16,6 @@ from stsramsey import (
     EdgeColoring,
     InvalidHole,
     SearchBudget,
-    Triple,
     alpha_star,
     bicoloring_search,
     bose,
@@ -195,7 +194,7 @@ class TestAlphaStar:
         # levels below the trivial cap, where the bans fire
         system = make()
         group = layer_automorphisms(system)
-        orbits = {frozenset(Triple.of(*(g[v] for v in t)) for g in group)
+        orbits = {frozenset(tuple(sorted(g[v] for v in t)) for g in group)
                   for t in system.triples}
         rng = random.Random(7)
         for _ in range(4):
@@ -223,7 +222,7 @@ class TestAlphaStar:
         rng = random.Random(21)
         cap = SearchBudget(max_nodes=500_000)
         for sub in subgroups:
-            orbits = {frozenset(Triple.of(*(g[v] for v in t)) for g in sub)
+            orbits = {frozenset(tuple(sorted(g[v] for v in t)) for g in sub)
                       for t in system.triples}
             for seed in range(3):
                 triples = [t for orbit in sorted(orbits, key=min) if rng.random() < 0.6
