@@ -49,6 +49,7 @@ from .core import (
     color_class,
     flood_components,
     mask_vertices,
+    pair_counts,
     reach,
     shadow,
     vertex_mask,
@@ -276,11 +277,12 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
     through vertex 0 spans settles L1 before the next color is read.
     """
     n = ts.n
-    if len(ts.pair_index) != n * (n - 1) // 2:
+    if ts.pair_count != n * (n - 1) // 2:
         # some pair is uncovered: name the first in lexicographic order
+        counts = pair_counts(ts)
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) not in ts.pair_index:
+                if u * n + v not in counts:
                     raise PairUncovered(u, v)
     if c.r != 3:
         raise ValueError("decomposition needs exactly 3 colors")

@@ -1,8 +1,9 @@
 """Data model for 3-uniform triple systems and their coloring machinery.
 
 Vertices are dense 0-based integers.  One type, :class:`TripleSystem`,
-models every system: an ordered list of sorted triples; its pair index
-(vertex pair -> indices of the triples containing it) is derived on demand.  A
+models every system: an ordered list of sorted triples; the one thing it
+caches is its number of covered pairs (``pair_count``).  Per-pair tables are
+built by the call that reads them (:func:`pair_counts`) and dropped with it.  A
 Steiner triple system is a TripleSystem in which every pair lies in exactly
 one triple (:func:`validate_steiner`, :func:`is_steiner`); the partial
 systems of the triangle-removal process are linear: every pair lies in at
@@ -25,11 +26,12 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from math import gcd
 from operator import or_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +130,16 @@ class Triple(NamedTuple):
     c: int
 
 
-Pair = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class TripleSystem:
     """A 3-uniform hypergraph on n vertices with an ordered triple list.
 
-    ``pair_index`` maps each covered unordered pair (u, v), u < v, to the
-    tuple of indices of triples containing it.  It is derived from
-    ``triples`` on first use and cached, so it cannot disagree with them.
-    ``labels``, when present, tags each triple with its construction type
-    (one label per triple, in triple order); equality and hashing ignore it.
+    ``pair_count`` is the number of distinct vertex pairs that lie in some
+    triple.  It is derived from ``triples`` on first use and cached, so it
+    cannot disagree with them.  It is the only cache, one int: no per-pair
+    table outlives the call that builds it.  ``labels``, when present, tags
+    each triple with its construction type (one label per triple, in triple
+    order); equality and hashing ignore it.
     """
 
     n: int
@@ -147,8 +147,16 @@ class TripleSystem:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     @cached_property
-    def pair_index(self) -> Mapping[Pair, tuple[int, ...]]:
-        return _build_pair_index(self.triples)
+    def pair_count(self) -> int:
+        """The number of distinct vertex pairs covered by some triple."""
+        n = self.n
+        codes: set[int] = set()
+        add = codes.add
+        for a, b, c in self.triples:
+            add(a * n + b)
+            add(a * n + c)
+            add(b * n + c)
+        return len(codes)
 
     @property
     def m(self) -> int:
@@ -156,8 +164,12 @@ class TripleSystem:
 
     @property
     def linear(self) -> bool:
-        """True when no vertex pair lies in two triples."""
-        return all(len(ix) == 1 for ix in self.pair_index.values())
+        """True when no vertex pair lies in two triples.
+
+        Each triple covers three distinct pairs, so they are distinct over
+        the whole system exactly when there are 3m of them.
+        """
+        return self.pair_count == 3 * self.m
 
     @property
     def base(self) -> "TripleSystem":
@@ -170,12 +182,10 @@ class TripleSystem:
         return self
 
 
-def _build_pair_index(triples: Sequence[Triple]) -> dict[Pair, tuple[int, ...]]:
-    acc: dict[Pair, tuple[int, ...]] = {}
-    for i, (a, b, c) in enumerate(triples):
-        for p in ((a, b), (a, c), (b, c)):
-            acc[p] = acc.get(p, ()) + (i,)
-    return acc
+def pair_counts(s: TripleSystem) -> Counter[int]:
+    """How many triples hold each covered pair (u, v), u < v, keyed u*n + v."""
+    n = s.n
+    return Counter(p for a, b, c in s.triples for p in (a * n + b, a * n + c, b * n + c))
 
 
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
@@ -243,33 +253,28 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
     if n % 6 not in (1, 3):
         raise BadOrder(n, f"Steiner triple systems need n = 1 or 3 (mod 6), got n={n}")
     if not is_steiner(s):
-        index = s.pair_index
+        counts = pair_counts(s)
         for u in range(n):
             for v in range(u + 1, n):
-                cnt = len(index.get((u, v), ()))
+                cnt = counts[u * n + v]
                 if cnt == 0:
                     raise PairUncovered(u, v)
                 if cnt > 1:
                     raise PairMulticovered(u, v, cnt)
     if labels is not None and len(labels) != s.m:
         raise ValueError("label count differs from triple count")
-    if labels is None:
-        return s
-    labeled = replace(s, labels=labels)
-    # same triples: the copy takes the cached index instead of building its own
-    labeled.__dict__["pair_index"] = s.pair_index
-    return labeled
+    return s if labels is None else replace(s, labels=labels)
 
 
 def is_steiner(s: TripleSystem) -> bool:
     """Whether every vertex pair lies in exactly one triple, n = 1 or 3 (mod 6).
 
     Each triple of a system from :func:`build_system` covers three distinct
-    pairs, so a pair index holding all n(n-1)/2 pairs, with 3m equal to
-    that count, covers each pair exactly once.
+    pairs, so all n(n-1)/2 pairs covered, with 3m equal to that count, means
+    each pair is covered exactly once.
     """
     n = s.n
-    return n % 6 in (1, 3) and len(s.pair_index) == n * (n - 1) // 2 == 3 * s.m
+    return n % 6 in (1, 3) and s.pair_count == n * (n - 1) // 2 == 3 * s.m
 
 
 def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
@@ -281,10 +286,11 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
     maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
     (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
     by the units u mod q.  Each is checked once through its permutation
-    against the triples, one pair index lookup per mapped triple, stopping
-    at the first triple it maps off the system.  The result lists every
-    product of the generators that pass, the identity first; they form a
-    group, and each maps every triple onto a triple.  Labels are not read.
+    against the triples, one lookup per mapped triple in the set of triple
+    codes (a*n + b)*n + c, a < b < c, stopping at the first triple it maps
+    off the system.  The result lists every product of the generators that
+    pass, the identity first; they form a group, and each maps every triple
+    onto a triple.  Labels are not read.
     Any other order, and any system whose generators all fail, gets the
     identity alone.
 
@@ -303,15 +309,18 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
         return fixed + tuple([c + i for c in cells for i in layers])
 
     triples = s.triples
-    index = s.pair_index
+    codes = {(a * n + b) * n + c for a, b, c in triples}
 
     def maps_triples(g: tuple[int, ...]) -> bool:
         for x, y, z in triples:
-            gx, gy, gz = g[x], g[y], g[z]
-            for i in index.get((gx, gy) if gx < gy else (gy, gx), ()):
-                if gz in triples[i]:
-                    break
-            else:
+            x, y, z = g[x], g[y], g[z]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            if (x * n + y) * n + z not in codes:
                 return False
         return True
 
@@ -335,20 +344,24 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """An r-coloring of a system's triples (some colors may be unused)."""
+    """An r-coloring of a system's triples (some colors may be unused).
+
+    ``r`` and each color are ints, not bools, and colors lie in [0, r).
+    """
 
     system: TripleSystem
     r: int
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("color count must be >= 1")
+        r = self.r
+        if type(r) is not int or r < 1:
+            raise ValueError(f"color count {r!r} is not an int >= 1")
         if len(self.colors) != self.system.m:
             raise ValueError("one color per triple required")
         for c in self.colors:
-            if not (0 <= c < self.r):
-                raise ValueError(f"color {c} outside [0, {self.r})")
+            if type(c) is not int or not (0 <= c < r):
+                raise ValueError(f"color {c!r} is not an int in [0, {r})")
 
 
 @dataclass(frozen=True)

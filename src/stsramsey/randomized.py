@@ -31,6 +31,7 @@ from .core import (
     Triple,
     TripleSystem,
     build_system,
+    pair_counts,
     validate_steiner,
 )
 from .search import SearchBudget, alpha_star
@@ -167,11 +168,10 @@ def linearize(g: TripleSystem) -> TripleSystem:
     Both members of a conflicting pair go; what survives is linear.  Order is
     inherited from the input.
     """
-    conflicted: set[int] = set()
-    for indices in g.pair_index.values():
-        if len(indices) > 1:
-            conflicted.update(indices)
-    return build_system(g.n, (t for i, t in enumerate(g.triples) if i not in conflicted))
+    n = g.n
+    counts = pair_counts(g)
+    return build_system(n, (t for t in g.triples if counts[t.a * n + t.b] == 1
+                            and counts[t.a * n + t.c] == 1 and counts[t.b * n + t.c] == 1))
 
 
 def _hill_climb_sts(n: int, rng: random.Random, max_iters: int) -> list[Triple] | None:

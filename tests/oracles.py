@@ -205,6 +205,16 @@ def brute_bicolorings(n, triples):
     return out
 
 
+def brute_pair_degrees(triples):
+    """Per covered vertex pair (u, v), u < v, the number of triples holding
+    it, by listing the two-element subsets of every triple."""
+    degrees = {}
+    for t in triples:
+        for pair in combinations(sorted(t), 2):
+            degrees[pair] = degrees.get(pair, 0) + 1
+    return degrees
+
+
 def brute_pasch_count(triples):
     """Number of Pasch configurations: four triples on six points, each point
     on exactly two of them, by enumeration of all 4-subsets of triples."""

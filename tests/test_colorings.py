@@ -20,6 +20,7 @@ from stsramsey import (
     SearchBudget,
     alpha_star,
     bicoloring_search,
+    binomial_3graph,
     bicoloring_to_bound,
     bose,
     bose_coloring,
@@ -372,6 +373,23 @@ class TestDecomposition:
         with pytest.raises(PairUncovered) as err:
             decompose_3coloring(ts, c)
         assert err.value.pair == (0, 6)
+
+    # the first uncovered pair of non-linear binomial graphs, recorded while
+    # the coverage test read a pair -> triples index
+    @pytest.mark.parametrize("n, p, seed, pair", [
+        (13, 0.12, 0, (0, 7)),
+        (13, 0.3, 3, (5, 8)),
+        (19, 0.2, 3, (5, 8)),
+        (15, 0.12, 6, (0, 2)),
+        (19, 0.05, 4, (0, 1)),
+    ])
+    def test_first_uncovered_pair_of_binomial_graphs(self, n, p, seed, pair):
+        g = binomial_3graph(n, p, seed)
+        assert not g.linear
+        with pytest.raises(PairUncovered) as err:
+            decompose_3coloring(g, EdgeColoring(system=g, r=3, colors=(0,) * g.m))
+        assert err.value.pair == pair
+        assert str(err.value) == f"pair {pair} is covered by no triple"
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_role_color_outside_the_palette_fails(self, bad):

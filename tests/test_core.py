@@ -1,7 +1,7 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 
@@ -18,6 +18,7 @@ from stsramsey import (
     SearchBudget,
     VertexOutOfRange,
     alpha_star,
+    binomial_3graph,
     bose,
     build_system,
     fano,
@@ -33,7 +34,6 @@ from stsramsey import (
     verify_hole,
 )
 from stsramsey.core import (
-    _build_pair_index,
     flood_components,
     layer_automorphisms,
     mask_vertices,
@@ -42,7 +42,7 @@ from stsramsey.core import (
 )
 from stsramsey.io import format_system, parse_system, read_system, write_system
 
-from oracles import brute_components, brute_hole_ok
+from oracles import brute_components, brute_hole_ok, brute_pair_degrees
 
 
 def fano_lines():
@@ -53,7 +53,7 @@ class TestBuildSystem:
     def test_smallest_system(self):
         ts = build_system(3, [(0, 1, 2)])
         assert ts.m == 1
-        assert len(ts.pair_index) == 3
+        assert ts.pair_count == 3
 
     def test_fano_lines(self):
         ts = build_system(7, fano_lines())
@@ -149,6 +149,25 @@ class TestValidateSteiner:
         assert (err.value.pair, err.value.count) == ((0, 1), 2)
         assert not is_steiner(build_system(7, lines))
 
+    # the first bad pair of non-linear binomial graphs, recorded while
+    # validation read a pair -> triples index
+    @pytest.mark.parametrize("n, p, seed, error, pair, count", [
+        (13, 0.12, 0, PairMulticovered, (0, 2), 2),
+        (13, 0.3, 3, PairMulticovered, (0, 2), 2),
+        (19, 0.2, 3, PairMulticovered, (0, 2), 3),
+        (13, 0.6, 3, PairMulticovered, (0, 1), 8),
+        (15, 0.12, 6, PairUncovered, (0, 2), None),
+        (19, 0.05, 4, PairUncovered, (0, 1), None),
+    ])
+    def test_first_bad_pair_of_binomial_graphs(self, n, p, seed, error, pair, count):
+        g = binomial_3graph(n, p, seed)
+        assert not g.linear
+        with pytest.raises(error) as err:
+            validate_steiner(g)
+        assert err.value.pair == pair and getattr(err.value, "count", None) == count
+        covered = f"by {count} triples" if count else "by no triple"
+        assert str(err.value) == f"pair {pair} is covered {covered}"
+
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             validate_steiner(build_system(5, [(0, 1, 2)]))
@@ -158,56 +177,92 @@ class TestValidateSteiner:
         assert st.n == 3 and st.m == 1
 
 
-class TestPairIndex:
-    @pytest.mark.parametrize("system", [fano(), s9(), bose(15), skolem(13)])
-    def test_rebuild_round_trip(self, system):
-        assert _build_pair_index(system.triples) == dict(system.pair_index)
+def oracle_pair_facts(system):
+    """(covered pairs, Steiner, linear) of ``system`` from the brute oracle."""
+    degrees = brute_pair_degrees(system.triples)
+    n = system.n
+    linear = all(d == 1 for d in degrees.values())
+    return len(degrees), n % 6 in (1, 3) and linear and len(degrees) == n * (n - 1) // 2, linear
 
-    @pytest.mark.parametrize("system", [
-        bose(15), build_system(5, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)])])
-    def test_pairs_in_order_of_first_cover(self, system):
-        expected = {}
-        for i, t in enumerate(system.triples):
-            for p in combinations(t, 2):
-                expected.setdefault(p, []).append(i)
-        got = _build_pair_index(system.triples)
-        assert list(got.items()) == [(p, tuple(ix)) for p, ix in expected.items()]
+
+class TestPairCount:
+    # each case with the (Steiner, linear) outcome its triples have
+    @pytest.mark.parametrize("make, kind", [
+        pytest.param(fano, (True, True), id="fano"),
+        pytest.param(s9, (True, True), id="s9"),
+        pytest.param(lambda: bose(15), (True, True), id="bose15"),
+        pytest.param(lambda: skolem(13), (True, True), id="skolem13"),
+        pytest.param(lambda: triangle_removal(19, 28, 5).system, (False, True),
+                     id="triangle-removal-19-28-5"),
+        pytest.param(lambda: triangle_removal(21, 35, 2).system, (False, True),
+                     id="triangle-removal-21-35-2"),
+        pytest.param(lambda: triangle_removal(99, 808, 1).system, (False, True),
+                     id="triangle-removal-99-808-1"),
+        pytest.param(lambda: binomial_3graph(13, 0.3, 3), (False, False), id="binomial-13-0.3-3"),
+        pytest.param(lambda: binomial_3graph(15, 0.12, 6), (False, False), id="binomial-15-0.12-6"),
+        pytest.param(lambda: binomial_3graph(45, 0.01, 3), (False, False), id="binomial-45-0.01-3"),
+        pytest.param(lambda: build_system(5, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)]),
+                     (False, False), id="multicovered5"),
+    ])
+    def test_agrees_with_the_oracle(self, make, kind):
+        system = make()
+        expected = oracle_pair_facts(system)
+        assert expected[1:] == kind
+        assert (system.pair_count, is_steiner(system), system.linear) == expected
 
     def test_follows_replaced_triples(self):
         # dropping the last triple uncovers its three pairs
         full = bose(99)
         cut = replace(full, triples=full.triples[:-1])
-        assert not is_steiner(cut)
-        assert len(cut.pair_index) == len(full.pair_index) - 3
+        assert cut.pair_count == full.pair_count - 3
+        assert (cut.pair_count, is_steiner(cut), cut.linear) == oracle_pair_facts(cut) \
+            == (99 * 98 // 2 - 3, False, True)
 
-    def test_labeled_copy_keeps_the_index(self, monkeypatch, tmp_path):
-        # validation builds the index; the labeled copy it returns must not
-        # build it again
-        import stsramsey.core as core
-        calls = []
-
-        def counting(triples):
-            calls.append(len(triples))
-            return _build_pair_index(triples)
-
-        monkeypatch.setattr(core, "_build_pair_index", counting)
+    def test_labeled_copy_counts_the_same_pairs(self, tmp_path):
         s = bose(27)
-        assert len(s.pair_index) == 27 * 26 // 2
-        assert calls == [s.m]
         path = tmp_path / "b27.sts"
         write_system(s, path)
-        back = read_system(path)
-        assert len(back.pair_index) == 27 * 26 // 2
-        calls.clear()
-        labeled = infer_labels(back)
+        labeled = infer_labels(read_system(path))
         assert labeled.labels == s.labels
-        assert len(labeled.pair_index) == 27 * 26 // 2
-        assert calls == []
+        assert labeled.pair_count == s.pair_count == oracle_pair_facts(labeled)[0] == 27 * 26 // 2
+        assert is_steiner(labeled)
 
     def test_derived_when_constructed_directly(self):
         ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
-        assert is_steiner(ts)
-        assert ts.pair_index == {(0, 1): (0,), (0, 2): (0,), (1, 2): (0,)}
+        assert (ts.pair_count, is_steiner(ts), ts.linear) == oracle_pair_facts(ts) == (3, True, True)
+
+    def test_is_steiner_keeps_no_pair_table(self):
+        # the system caches one int, not a table of its n(n-1)/2 pairs
+        # (a dict of pair tuples held about 480 KB here)
+        s = TripleSystem(99, bose(99).triples)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert is_steiner(s)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096
+
+
+class TestEdgeColoring:
+    # a float or bool color used to be kept, written to coloring files and
+    # returned in mc_exact certificates; 0.5 put a triple in no color class
+    @pytest.mark.parametrize("colors", [
+        (0.0, True, 2, 0, 1, 2, 0),
+        (0.5,) * 7,
+        (0, 1, 2, 0, 1, 2, "0"),
+        (0, 1, 2, 0, 1, 2, 3),
+        (-1, 1, 2, 0, 1, 2, 0),
+    ])
+    def test_color_that_is_not_an_int_in_range_rejected(self, fano_sys, colors):
+        with pytest.raises(ValueError, match="is not an int in"):
+            EdgeColoring(system=fano_sys, r=3, colors=colors)
+
+    @pytest.mark.parametrize("r", [3.0, True, "3", 0])
+    def test_color_count_that_is_not_a_positive_int_rejected(self, fano_sys, r):
+        with pytest.raises(ValueError, match="is not an int >= 1"):
+            EdgeColoring(system=fano_sys, r=r, colors=(0,) * 7)
 
 
 class TestMonoComponents:

@@ -100,6 +100,21 @@ class TestLinearize:
         out = linearize(g)
         assert out.m == 2 and out.linear
 
+    # sha256 of linearize on binomial graphs with conflicts, recorded while
+    # linearize read a pair -> triples index: triples kept, in input order
+    @pytest.mark.parametrize("n, p, seed, m, kept, digest", [
+        (20, 1 / 40, 55, 25, 4, "831e46f40432120902316d1bc8e32b0e59400581f21b0b2a6d3f1d01401daeb5"),
+        (30, 1 / 60, 7, 69, 15, "7f4ad82fb183c9af66048c850d1d855b866a507a02175f9f6c475dc29248751e"),
+        (45, 0.01, 3, 140, 37, "42b3e42a248ad28a37fe353cb9ead6c25fb8bc0534fb3ac7a1bab4bc161bd673"),
+        (99, 0.004, 5, 638, 194, "1a281eddddc52dd59a511d275d4ca17823be9998964048a80d05667ce35ab5c6"),
+        (99, 0.01, 1, 1555, 101, "e7978d3feae29911782872fc5f43afc41287157b57589acc2d6929beabd946de"),
+    ])
+    def test_pinned_outputs(self, n, p, seed, m, kept, digest):
+        g = binomial_3graph(n, p, seed)
+        out = linearize(g)
+        assert (g.m, out.m) == (m, kept)
+        assert _digest(out.triples) == digest
+
     def test_random_samples_always_linear(self):
         for i in range(100):
             g = binomial_3graph(20, 1 / 40, derive_seed(55, i))
