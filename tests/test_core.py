@@ -37,6 +37,7 @@ from stsramsey.core import (
     flood_components,
     layer_automorphisms,
     mask_vertices,
+    pair_counts,
     shadow,
     vertex_mask,
 )
@@ -209,6 +210,18 @@ class TestPairCount:
         expected = oracle_pair_facts(system)
         assert expected[1:] == kind
         assert (system.pair_count, is_steiner(system), system.linear) == expected
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: bose(15), id="bose15"),
+        pytest.param(lambda: build_system(5, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)]),
+                     id="multicovered5"),
+    ])
+    def test_pair_counts_agree_with_the_oracle(self, make):
+        # the per-call table holds each covered pair's triple count
+        system = make()
+        n = system.n
+        got = {(code // n, code % n): k for code, k in pair_counts(system).items()}
+        assert got == brute_pair_degrees(system.triples)
 
     def test_follows_replaced_triples(self):
         # dropping the last triple uncovers its three pairs
