@@ -45,7 +45,8 @@ from .core import (
     largest_mono_component,
     mono_components,
 )
-from .search import SearchBudget, alpha_star, independence_number, mc_exact
+from .search import (SearchBudget, alpha_star, independence_number, mc3_by_decomposition,
+                     mc_exact)
 
 REPORT_SCHEMA = "sts-report/1"
 
@@ -120,22 +121,11 @@ def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
         _fail(str(exc), 5)
 
 
-def _candidate_upper_colorings(ts: TripleSystem, labeled: TripleSystem | None,
-                               hole_cert) -> list[tuple[str, EdgeColoring]]:
-    """Colorings usable to seed/bound the mc search, best effort.
-
-    ``labeled`` is ``ts`` with its Bose or Skolem labels, or None when the
-    system matches neither pattern.
-    """
-    out: list[tuple[str, EdgeColoring]] = []
-    if labeled is not None:
-        if ts.n % 6 == 3:
-            out.append(("bose_coloring", col.bose_coloring(labeled)))
-        else:
-            out.append(("skolem_coloring", col.skolem_coloring(labeled)))
-    if hole_cert is not None and hole_cert.a > 0:
-        out.append(("hole_coloring", col.hole_coloring(ts, hole_cert)))
-    return out
+def _construction_coloring(labeled: TripleSystem) -> tuple[str, EdgeColoring]:
+    """The layer coloring of a system carrying Bose or Skolem labels."""
+    if labeled.n % 6 == 3:
+        return "bose_coloring", col.bose_coloring(labeled)
+    return "skolem_coloring", col.skolem_coloring(labeled)
 
 
 def _result_doc(res, certificate_doc) -> dict:
@@ -187,20 +177,23 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             astar_res, {"k": hole.k, "a": hole.a, "parts": [sorted(p) for p in hole.parts]})
     if "mc3" in want:
         click.echo("searching monochromatic-component number...", err=True)
-        hole_cert = astar_res.lower_certificate if astar_res else None
-        candidates = _candidate_upper_colorings(ts, labeled, hole_cert)
-        initial = None
-        best_ub = None
-        for name, coloring in candidates:
-            ub = largest_mono_component(coloring)[0]
-            if best_ub is None or ub < best_ub:
-                best_ub, initial, initial_name = ub, coloring, name
-        mc_res = mc_exact(ts, 3, budget, initial=initial)
+        if steiner:
+            layer = [] if labeled is None else [_construction_coloring(labeled)]
+            mc_res, upper_source = mc3_by_decomposition(ts, astar_res, budget, layer)
+            lower_source = "decomposition"
+        else:
+            hole_cert = astar_res.lower_certificate if astar_res else None
+            initial = (col.hole_coloring(ts, hole_cert)
+                       if hole_cert is not None and hole_cert.a > 0 else None)
+            mc_res = mc_exact(ts, 3, budget, initial=initial)
+            upper_source = (
+                "search" if mc_res.exact or initial is None
+                or mc_res.value < largest_mono_component(initial)[0] else "hole_coloring")
+            lower_source = "search"
         parameters["mc3"] = _result_doc(
             mc_res, {"r": 3, "colors": list(mc_res.lower_certificate.colors)})
-        parameters["mc3"]["upper_bound_source"] = (
-            "search" if mc_res.exact or initial is None
-            or mc_res.value < best_ub else initial_name)
+        parameters["mc3"]["upper_bound_source"] = upper_source
+        parameters["mc3"]["lower_bound_source"] = lower_source if mc_res.exact else None
 
     n = ts.n
     a_exact = astar_res.value if (astar_res and astar_res.exact) else None

@@ -20,7 +20,8 @@ randomized tests lean on.  Both read the shadow straight off the colored
 triples: a pair carries color c exactly when some c-colored triple holds both
 of its vertices.  Both hold it as the per-vertex bitmasks of
 :func:`core.shadow` and find components by flood fill, with no cache on the
-system or the coloring.
+system or the coloring.  :func:`l2_coloring` goes the other way, from an L2
+partition to a coloring that realizes it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .search import SearchBudget, _Meter
 
 
 # ---------------------------------------------------------------------------
-# Hole-based coloring (one color per part it avoids)
+# Partition colorings: hole-based (one color per part it avoids) and L2
 # ---------------------------------------------------------------------------
 
 def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
@@ -86,6 +87,35 @@ def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
             i += 1
         colors.append(i)
     return EdgeColoring(system=ts, r=h.k, colors=tuple(colors))
+
+
+def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
+    """Color each triple by the perfect matching of the parts it meets.
+
+    ``parts`` is an L2 partition (W, X, Y, Z): four non-empty parts that
+    partition the vertices, no triple meeting three of them.  Color 0 pairs
+    W with X and Y with Z, color 1 pairs W with Y and X with Z, and color 2
+    pairs W with Z and X with Y, the blue, red and green of case L2 of
+    :func:`decompose_3coloring`.  A triple inside one part gets color 0.
+    Each color's components lie inside the two unions its matching names;
+    in a Steiner system every cross pair is covered, so they are exactly
+    those unions, and the largest component is the sum of the two largest
+    parts.  Parts that do not partition the vertices into four, or a triple
+    meeting three parts, raise ``MalformedCertificate``.
+    """
+    masks = [vertex_mask(p) for p in parts]
+    if (len(masks) != 4 or not all(masks) or sum(m.bit_count() for m in masks) != ts.n
+            or reduce(or_, masks) != (1 << ts.n) - 1):
+        raise MalformedCertificate("an L2 partition needs four non-empty parts of the vertices")
+    colors = []
+    for a, b, c in ts.triples:
+        t = (1 << a) | (1 << b) | (1 << c)
+        met = [i for i, m in enumerate(masks) if t & m]
+        if len(met) > 2:
+            raise MalformedCertificate(f"triple {(a, b, c)} meets three parts")
+        # parts i and j are paired by color (i ^ j) - 1
+        colors.append(0 if len(met) == 1 else (met[0] ^ met[1]) - 1)
+    return EdgeColoring(system=ts, r=3, colors=tuple(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +305,23 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
     bitmask flood fills (:func:`core.flood_components`); a spanning
     component is the largest there is, so the first color whose component
     through vertex 0 spans settles L1 before the next color is read.
+
+    On a Steiner system this bounds the largest component t of any
+    3-coloring, the proof behind
+    :func:`~stsramsey.search.mc3_by_decomposition`.  When t < n no color
+    spans, so the case is L2 or L3:
+
+    * L3: the X-Y pairs are blue, the X-Z pairs red and the Y-Z pairs
+      green, so no triple meets X, Y and Z, and cut to the smallest of them
+      they form a 3-partite hole.  W+X+Y, W+X+Z and W+Y+Z each lie in one
+      component, so each of X, Y and Z has at least n - t vertices, and
+      t >= n - alpha*_3.
+    * L2: the four parts are non-empty and no triple meets three of them.
+      Each color is one perfect matching of the parts, and its components
+      are exactly the two unions the matching names (every cross pair is
+      covered); a triple inside one part stays inside them.  So t is the
+      sum of the two largest parts, however the one-part triples are
+      colored.
     """
     n = ts.n
     if ts.pair_count != n * (n - 1) // 2:

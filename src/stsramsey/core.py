@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from math import gcd
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,7 @@ class TripleSystem:
     @cached_property
     def pair_count(self) -> int:
         """The number of distinct vertex pairs covered by some triple."""
-        n = self.n
-        codes: set[int] = set()
-        add = codes.add
-        for a, b, c in self.triples:
-            add(a * n + b)
-            add(a * n + c)
-            add(b * n + c)
-        return len(codes)
+        return len(set(_pair_codes(self)))
 
     @property
     def m(self) -> int:
@@ -182,10 +175,28 @@ class TripleSystem:
         return self
 
 
+def _pair_codes(s: TripleSystem) -> Iterator[int]:
+    """The code u*n + v, u < v, of each pair of each triple.
+
+    A system built directly may list a triple's vertices in any order, so
+    each triple is sorted first.
+    """
+    n = s.n
+    for a, b, c in s.triples:
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        yield a * n + b
+        yield a * n + c
+        yield b * n + c
+
+
 def pair_counts(s: TripleSystem) -> Counter[int]:
     """How many triples hold each covered pair (u, v), u < v, keyed u*n + v."""
-    n = s.n
-    return Counter(p for a, b, c in s.triples for p in (a * n + b, a * n + c, b * n + c))
+    return Counter(_pair_codes(s))
 
 
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:

@@ -1,10 +1,12 @@
 """Exact computation of alpha, alpha*_k, and mc_r by budgeted search.
 
-All three searches return a :class:`ParamResult`.  ``exact=True`` means the
-search ran to completion: the certificate proves the value from one side and
-the exhausted search refutes the adjacent value from the other.  Running out
-of budget is a normal outcome, not an error; the best verified bound found so
-far is returned with ``exact=False``.
+The three parameter searches return a :class:`ParamResult`, and so does
+:func:`mc3_by_decomposition`, which derives ``mc_3`` of a Steiner system
+from ``alpha*_3`` and the enumeration of :func:`l2_partitions`.
+``exact=True`` means the search ran to completion: the certificate proves
+the value from one side and the exhausted search refutes the adjacent value
+from the other.  Running out of budget is a normal outcome, not an error;
+the best verified bound found so far is returned with ``exact=False``.
 
 Search values are deterministic for a given input and node budget.  Wall-time
 budgets can flip ``exact`` to False nondeterministically (the clock is not a
@@ -16,6 +18,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Sequence
 
 from .core import (
     BadK,
@@ -26,6 +31,7 @@ from .core import (
     is_steiner,
     largest_mono_component,
     layer_automorphisms,
+    mask_vertices,
     verify_hole,
 )
 
@@ -578,9 +584,13 @@ def alpha_star(ts: TripleSystem, k: int,
     ``exact=False``.  The certificate is re-checked by ``verify_hole``; a
     failure raises ``InvalidHole``, also under ``python -O``.
     """
+    return _alpha_star(ts, k, _Meter(budget))
+
+
+def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
+    """:func:`alpha_star` on the nodes and clock of ``meter``."""
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
-    meter = _Meter(budget)
     n = ts.n
     ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -800,3 +810,236 @@ def mc_exact(ts: TripleSystem, r: int,
     return ParamResult(value=best, exact=exact,
                        lower_certificate=certificate, budget_spent=meter.spent(nodes))
 
+
+# ---------------------------------------------------------------------------
+# mc_3 of a Steiner system by the decomposition
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class L2Partitions:
+    """Every L2 partition of a system, or those found before the budget ran
+    out (``exact=False``).  Each is four vertex sets (W, X, Y, Z), ordered
+    by their lowest vertices."""
+
+    partitions: tuple[tuple[frozenset[int], ...], ...]
+    exact: bool
+    budget_spent: BudgetSpent
+
+
+def _l2_search(ts: TripleSystem, meter: _Meter,
+               nodes: int) -> tuple[list[tuple[int, ...]], int, bool]:
+    """The L2 partitions of ``ts`` as four vertex masks each, the running
+    node count, which enters as ``nodes``, and whether the enumeration
+    finished; see :func:`l2_partitions`."""
+    n = ts.n
+    found: list[tuple[int, ...]] = []
+    if n < 4:
+        return found, nodes, True
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, y, z in ts.triples:
+        pairs[x].append((y, z))
+        pairs[y].append((x, z))
+        pairs[z].append((x, y))
+    bits = [1 << v for v in range(n)]
+    everyone = (1 << n) - 1
+    parts4 = range(4)
+    # drop[p][q]: the parts a vertex loses when it shares a triple with a
+    # vertex in part p and one in part q != p
+    drop = [[[j for j in parts4 if j != p and j != q] for q in parts4] for p in parts4]
+    part = [-1] * n             # -1: undecided
+    part[0] = 0
+    has = [everyone ^ 1] * 4    # has[j]: undecided vertices that may still join part j
+    inside = [1, 0, 0, 0]       # inside[j]: the vertices placed in part j
+    # frame: [vertex placed by the option being searched (-1 before the
+    #         first), has and inside before the frame, options left (a
+    #         vertex mask for a root frame, else a bit per part), the part a
+    #         root frame opens (-1 for a placement frame)]
+    stack: list[list] = []
+    # keep the meter's schedule; a meter that has refused is asked again
+    stop = max(meter.stop, nodes)
+    undecided = everyone ^ 1
+    while True:
+        opened = 4 if inside[3] else 3 if inside[2] else 2 if inside[1] else 1
+        if not undecided:
+            if opened == 4:
+                found.append(tuple(inside))
+        else:
+            # cnt[m]: undecided vertices with more than m parts left
+            cnt = [0, 0, 0, 0]
+            for h in has:
+                cnt[3] |= cnt[2] & h
+                cnt[2] |= cnt[1] & h
+                cnt[1] |= cnt[0] & h
+                cnt[0] |= h
+            # a vertex with one opened part left goes first, then the next
+            # root; once all parts are open, one with the fewest parts left
+            pool = cnt[0] & ~cnt[1] & reduce(or_, has[:opened])
+            if not pool and opened == 4:
+                pool = cnt[1] & ~cnt[2] or cnt[2] & ~cnt[3] or cnt[3]
+            if pool:
+                low = pool & -pool
+                opts = sum(1 << j for j in parts4 if has[j] & low)
+                stack.append([low.bit_length() - 1, tuple(has), tuple(inside), opts, -1])
+            else:
+                # the next part's lowest vertex lies above the last part's
+                last = inside[opened - 1]
+                above = everyone & -((last & -last) << 1)
+                stack.append([-1, tuple(has), tuple(inside), has[opened] & above, opened])
+        while stack:
+            frame = stack[-1]
+            v, saved_has, saved_inside, opts, opens = frame
+            if v >= 0:
+                part[v] = -1
+            if not opts:
+                stack.pop()
+                continue
+            has[:] = saved_has
+            inside[:] = saved_inside
+            low = opts & -opts
+            frame[3] = opts ^ low
+            if opens >= 0:
+                # v opens part p as its lowest vertex: no undecided vertex
+                # below v joins p or a later part
+                v = low.bit_length() - 1
+                p = opens
+                for j in range(p, 4):
+                    has[j] &= ~(low - 1)
+                frame[0] = v
+            else:
+                p = low.bit_length() - 1
+            if nodes == stop and (stop := meter.ask(nodes)) < 0:
+                return found, nodes, False
+            nodes += 1
+            vb = bits[v]
+            part[v] = p
+            inside[p] |= vb
+            # forward check: a triple through v and a vertex in another part
+            # keeps its third vertex in one of the two parts
+            row = drop[p]
+            for x, y in pairs[v]:
+                px = part[x]
+                py = part[y]
+                if px >= 0:
+                    if py < 0 and px != p:
+                        for j in row[px]:
+                            has[j] &= ~bits[y]
+                elif py >= 0 and py != p:
+                    for j in row[py]:
+                        has[j] &= ~bits[x]
+            for j in parts4:
+                has[j] &= ~vb
+            undecided = everyone ^ (inside[0] | inside[1] | inside[2] | inside[3])
+            if undecided & ~(has[0] | has[1] | has[2] | has[3]):
+                continue
+            # each unopened part still needs a lowest vertex above v
+            if opens >= 0 and any(not has[j] >> v for j in range(p + 1, 4)):
+                continue
+            break
+        else:
+            return found, nodes, True
+
+
+def l2_partitions(ts: TripleSystem, budget: SearchBudget | None = None) -> L2Partitions:
+    """Every partition of the vertices of ``ts`` into four non-empty parts
+    that no triple meets three of.
+
+    Such a partition is the partition of an L2 coloring (see
+    :func:`~stsramsey.colorings.decompose_3coloring`).  The parts are
+    rooted at their lowest vertices 0 < r1 < r2 < r3: vertex 0 lies in W,
+    and r1, r2 and r3 are tried in turn, each a node, as the lowest
+    vertices of X, Y and Z.  Every undecided vertex keeps the parts it may
+    still join, one vertex bitmask per part, with forward checking (Haralick
+    & Elliott 1980): once two vertices of a triple lie in different parts,
+    the third keeps only those two.  Placing r_i also takes parts i and up
+    from every undecided vertex below it.  A vertex with one opened part
+    left is placed before the next root is tried; once all four parts are
+    open, the next vertex is one with the fewest parts left, the lowest
+    first, placed in each of them in turn.  Each placement is a node.  A
+    branch dies when some undecided vertex has no part left, or when an
+    unopened part has no candidate lowest vertex above the newest root.
+
+    The node cap of ``budget`` is checked before a node is counted, so
+    ``budget_spent.nodes`` never exceeds it; a run that stops early returns
+    the partitions found so far with ``exact=False``.  The tree is walked
+    with an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.
+    """
+    meter = _Meter(budget)
+    found, nodes, finished = _l2_search(ts, meter, 0)
+    return L2Partitions(
+        partitions=tuple(tuple(map(mask_vertices, parts)) for parts in found),
+        exact=finished, budget_spent=meter.spent(nodes))
+
+
+def _two_largest(parts: tuple[int, ...]) -> int:
+    sizes = sorted(m.bit_count() for m in parts)
+    return sizes[2] + sizes[3]
+
+
+def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
+                         budget: SearchBudget | None = None,
+                         candidates: Sequence[tuple[str, EdgeColoring]] = (),
+                         ) -> tuple[ParamResult, str]:
+    """``mc_3`` of a Steiner triple system from ``alpha*_3`` and its L2
+    partitions, with no color search.
+
+    Let a 3-coloring have largest component t < n.  No color spans, so
+    :func:`~stsramsey.colorings.decompose_3coloring` returns case L2 or L3:
+
+    * L3: the X-Y pairs are blue, the X-Z pairs red and the Y-Z pairs green,
+      so no triple meets X, Y and Z.  W+X+Y, W+X+Z and W+Y+Z each lie in one
+      component, so each of X, Y and Z has at least n - t vertices, and
+      t >= n - alpha*_3.
+    * L2: the four parts are non-empty and no triple meets three of them.
+      Each color is one perfect matching of the parts, and its components
+      are exactly the two unions the matching names; a triple inside one
+      part stays inside them.  So t is the sum of the two largest parts,
+      however the one-part triples are colored.
+
+    The hole coloring reaches n - alpha*_3 (with the empty hole it is one
+    color, and reaches n).  So ``mc_3`` is n - alpha*_3 or the best sum of
+    two largest parts over the L2 partitions of :func:`l2_partitions`,
+    whichever is smaller; a system with no triple, n = 1, has ``mc_3`` = 0.
+
+    ``hole`` is the result of ``alpha_star(ts, 3)``.  When it is None, that
+    search runs here first, on the same meter, and the enumeration gets the
+    nodes and seconds it left, so ``budget_spent`` covers both.  The
+    certificate is the best of the L2 coloring of the best partition, the
+    hole coloring and ``candidates``, (name, coloring) pairs of ``ts``, the
+    first on ties; its name is returned with the result.  The result is
+    exact when ``hole`` is exact and the enumeration finished, and the value
+    is then re-checked against the bound: a certificate whose largest
+    component, by ``largest_mono_component``, differs from it raises
+    ``RuntimeError``, also under ``python -O``.  A system that is not
+    Steiner, a hole that is not 3-partite and a candidate that is not a
+    3-coloring of ``ts`` raise ``ValueError``.
+    """
+    from .colorings import hole_coloring, l2_coloring   # colorings imports this module
+    if not is_steiner(ts):
+        raise ValueError("the decomposition needs a Steiner triple system")
+    if hole is not None and hole.lower_certificate.k != 3:
+        raise ValueError("hole must be a 3-partite hole")
+    if any((c.system is not ts and c.system != ts) or c.r > 3 for _, c in candidates):
+        raise ValueError("candidate colorings must 3-color this system")
+    meter = _Meter(budget)
+    nodes = 0
+    if hole is None:
+        hole = _alpha_star(ts, 3, meter)
+        nodes = hole.budget_spent.nodes
+    found, nodes, finished = _l2_search(ts, meter, nodes)
+    bound = ts.n - hole.value if ts.triples else 0
+    named = []
+    if found:
+        parts = min(found, key=_two_largest)
+        bound = min(bound, _two_largest(parts))
+        named.append(("l2_coloring", l2_coloring(ts, tuple(map(mask_vertices, parts)))))
+    named.append(("hole_coloring", hole_coloring(ts, hole.lower_certificate)))
+    named += candidates
+    sizes = [largest_mono_component(c)[0] for _, c in named]
+    best = sizes.index(min(sizes))
+    exact = hole.exact and finished
+    if exact and sizes[best] != bound:
+        raise RuntimeError("mc_3 certificate misses the decomposition bound")
+    name, coloring = named[best]
+    return (ParamResult(value=sizes[best], exact=exact, lower_certificate=coloring,
+                        budget_spent=meter.spent(nodes)), name)

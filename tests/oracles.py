@@ -184,6 +184,34 @@ def brute_alpha_star2(n, triples):
     return 0
 
 
+def brute_l2_partitions(n, triples):
+    """Every partition of range(n) into four non-empty blocks that no triple
+    meets three of, as a set of frozensets of blocks.
+
+    Restricted-growth enumeration: vertex v joins a used block or the next
+    new one, and each complete 4-block labelling is tested against every
+    triple.
+    """
+    tsets = [set(t) for t in triples]
+    label = [0] * n
+    out = set()
+
+    def grow(v, used):
+        if v == n:
+            if used == 4:
+                blocks = [{u for u in range(n) if label[u] == b} for b in range(4)]
+                if all(sum(1 for b in blocks if b & t) < 3 for t in tsets):
+                    out.add(frozenset(frozenset(b) for b in blocks))
+            return
+        for b in range(min(used + 1, 4)):
+            label[v] = b
+            grow(v + 1, max(used, b + 1))
+
+    if n:
+        grow(0, 0)
+    return out
+
+
 def brute_hole_ok(n, triples, parts):
     """Direct restatement: no triple intersects all parts."""
     psets = [set(p) for p in parts]

@@ -142,15 +142,33 @@ class TestAnalyze:
         assert doc2["input"]["construction"] is None
 
     def test_budgeted_b27_uses_coloring_bound(self, tmp_path):
+        # alpha_star and the L2 enumeration share the one node cap: at 5000
+        # nodes the hole found so far gives 20, below the Bose coloring's 21,
+        # which wins only once the cap stops the hole search near its start
         path = tmp_path / "b27.sts"
         run("gen", "--construction", "bose", "--n", "27", "-o", str(path))
-        res = run("analyze", "-i", str(path), "--param", "mc3",
-                  "--max-nodes", "5000", "--max-seconds", "5")
-        doc = json.loads(res.stdout)
+        for cap, value, source in (("5000", 20, "hole_coloring"), ("50", 21, "bose_coloring")):
+            res = run("analyze", "-i", str(path), "--param", "mc3",
+                      "--max-nodes", cap, "--max-seconds", "5")
+            mc3 = json.loads(res.stdout)["parameters"]["mc3"]
+            assert (mc3["value"], mc3["exact"], mc3["nodes"]) == (value, False, int(cap))
+            assert mc3["upper_bound_source"] == source
+            assert mc3["lower_bound_source"] is None
+
+    def test_steiner_mc3_comes_from_the_decomposition(self, tmp_path):
+        path = tmp_path / "sk19.sts"
+        run("gen", "--construction", "skolem", "--n", "19", "-o", str(path))
+        mc3 = json.loads(run("analyze", "-i", str(path), "--param", "mc3").stdout)["parameters"]["mc3"]
+        assert (mc3["value"], mc3["exact"], mc3["lower_bound_source"]) == (14, True, "decomposition")
+
+    def test_partial_system_mc3_comes_from_the_search(self, tmp_path):
+        path = tmp_path / "tr.sts"
+        run("random", "--process", "triangle-removal", "--n", "19", "--m", "28", "--seed", "7",
+            "-o", str(path))
+        doc = json.loads(run("analyze", "-i", str(path)).stdout)
         mc3 = doc["parameters"]["mc3"]
-        assert not mc3["exact"]
-        assert mc3["value"] <= 21
-        assert mc3["upper_bound_source"] == "bose_coloring"
+        assert not doc["input"]["steiner"]
+        assert mc3["exact"] and mc3["lower_bound_source"] == "search"
 
     def test_verdicts_recompute(self, tmp_path):
         path = tmp_path / "s9.sts"

@@ -13,6 +13,7 @@ from stsramsey import (
     EmptyClass,
     HoleCertificate,
     InvalidHole,
+    MalformedCertificate,
     MissingLabels,
     MonochromaticTriple,
     PairUncovered,
@@ -42,9 +43,10 @@ from stsramsey import (
     verify_hole,
     verify_z2_range,
 )
-from stsramsey.colorings import DecompositionResult
+from stsramsey.colorings import DecompositionResult, l2_coloring
 from stsramsey.core import LABEL_TYPE1, LABEL_TYPE3
 from stsramsey.io import format_system
+from stsramsey.search import l2_partitions
 
 from oracles import brute_decomposition_ok, max_component_size
 
@@ -75,6 +77,30 @@ class TestHoleColoring:
         bad = HoleCertificate(k=2, a=1, parts=(frozenset([0]), frozenset([0])))
         with pytest.raises(InvalidHole):
             hole_coloring(fano_sys, bad)
+
+
+class TestL2Coloring:
+    @pytest.mark.parametrize("make", [lambda: bose(21), lambda: bose(27)], ids=["bose21", "bose27"])
+    def test_largest_component_is_the_two_largest_parts(self, make):
+        ts = make()
+        for parts in l2_partitions(ts).partitions[:40]:
+            coloring = l2_coloring(ts, parts)
+            claim = DecompositionResult(case="L2", role_colors=(0, 1, 2), parts=parts)
+            assert verify_decomposition(ts, coloring, claim)
+            assert brute_decomposition_ok(ts.n, ts.triples, coloring.colors, claim)
+            two = sum(sorted(map(len, parts))[2:])
+            assert largest_mono_component(coloring)[0] == two
+            assert max_component_size(ts.n, ts.triples, coloring.colors) == two
+            assert decompose_3coloring(ts, coloring).case == "L2"
+
+    def test_bad_partitions_rejected(self, fano_sys):
+        parts = (frozenset({0, 1}), frozenset({2}), frozenset({3, 4}), frozenset({5, 6}))
+        with pytest.raises(MalformedCertificate, match="meets three parts"):
+            l2_coloring(fano_sys, parts)
+        for bad in (parts[:3], parts[:3] + (frozenset(),), parts[:3] + (frozenset({5}),),
+                    parts[:3] + (frozenset({4, 5, 6}),)):
+            with pytest.raises(MalformedCertificate, match="four non-empty parts"):
+                l2_coloring(fano_sys, bad)
 
 
 def bose_span_bound(n):

@@ -244,6 +244,30 @@ class TestPairCount:
         ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
         assert (ts.pair_count, is_steiner(ts), ts.linear) == oracle_pair_facts(ts) == (3, True, True)
 
+    def test_unsorted_triples_count_each_pair_once(self):
+        # a system built directly may list a triple's vertices in any order;
+        # the pair (0, 1) lies in both triples
+        ts = TripleSystem(7, ((1, 0, 2), (0, 1, 3)))
+        assert (ts.pair_count, ts.linear) == (5, False)
+        assert pair_counts(ts)[0 * 7 + 1] == 2
+
+    def test_shuffled_copies_count_the_same_pairs(self):
+        # fano with its triple {2, 3, 5} moved onto {1, 2, 3}: pairs (1, 2)
+        # and (1, 3) covered twice, (2, 5) and (3, 5) not at all; listed
+        # unsorted, the two covers of a pair were once coded as two pairs
+        triples = [t for t in fano().triples if t != (2, 3, 5)] + [(1, 2, 3)]
+        bad = build_system(7, triples)
+        assert not is_steiner(bad)
+        assert not is_steiner(TripleSystem(7, tuple(bad.triples[:-1]) + ((3, 2, 1),)))
+        rng = random.Random(3)
+        for system in (bad, triangle_removal(19, 28, 5).system, binomial_3graph(13, 0.3, 3)):
+            for _ in range(5):
+                shuffled = tuple(tuple(rng.sample(t, 3)) for t in system.triples)
+                copy = TripleSystem(system.n, shuffled)
+                assert (copy.pair_count, is_steiner(copy), copy.linear) == \
+                    oracle_pair_facts(system)
+                assert pair_counts(copy) == pair_counts(system)
+
     def test_is_steiner_keeps_no_pair_table(self):
         # the system caches one int, not a table of its n(n-1)/2 pairs
         # (a dict of pair tuples held about 480 KB here)

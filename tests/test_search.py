@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from oracles import (
     brute_alpha,
     brute_alpha_star2,
     brute_alpha_star3,
+    brute_l2_partitions,
     brute_mc2,
     brute_mc3,
     max_component_size,
@@ -528,7 +530,8 @@ class TestBudgetCaps:
         (mc_exact, lambda: skolem(13), (3,)),
         (independence_number, lambda: bose(27), ()),
         (alpha_star, lambda: bose(21), (3,)),
-    ], ids=["mc_exact", "independence_number", "alpha_star"])
+        (search.l2_partitions, lambda: bose(27), ()),
+    ], ids=["mc_exact", "independence_number", "alpha_star", "l2_partitions"])
     def test_clock_refuses_the_4096th_node(self, monkeypatch, engine, make, args):
         system = make()
         self._clock_past_deadline(monkeypatch)
@@ -667,3 +670,188 @@ class TestMcUpper:
     def test_s9_hole_coloring_bound(self, s9_sys):
         hole = alpha_star(s9_sys, 3).lower_certificate
         assert largest_mono_component(hole_coloring(s9_sys, hole))[0] <= 7
+
+
+def pg32():
+    """PG(3,2): vertex v - 1 for each nonzero vector v of F_2^4, and the
+    lines {x, y, x ^ y}."""
+    return validate_steiner(build_system(15, sorted({
+        tuple(sorted((x - 1, y - 1, (x ^ y) - 1))) for x in range(1, 16) for y in range(x + 1, 16)})))
+
+
+def _partial_linear(n, seed, planted):
+    """A seeded linear system on n vertices; with ``planted``, every triple
+    meets at most two blocks of a random partition into four, so the system
+    has at least that L2 partition."""
+    rng = random.Random(seed)
+    block = list(range(4)) + [rng.randrange(4) for _ in range(n - 4)]
+    rng.shuffle(block)
+    cand = list(combinations(range(n), 3))
+    rng.shuffle(cand)
+    used, triples = set(), []
+    for t in cand:
+        pairs = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+        if pairs & used or (planted and len({block[v] for v in t}) > 2):
+            continue
+        used |= pairs
+        triples.append(t)
+    return build_system(n, triples)
+
+
+def _as_sets(res):
+    return {frozenset(parts) for parts in res.partitions}
+
+
+class TestL2Partitions:
+    @pytest.mark.parametrize("make", [
+        fano, s9, single_triple, lambda: build_system(4, []),
+        *[lambda s=s: _partial_linear(9, s, planted=False) for s in range(4)],
+        *[lambda s=s: _partial_linear(n, s, planted=True) for n, s in
+          ((6, 10), (8, 11), (9, 12), (9, 13), (10, 14))],
+    ], ids=["fano", "s9", "n3", "n4-empty", *[f"linear9-{s}" for s in range(4)],
+            "planted6", "planted8", "planted9a", "planted9b", "planted10"])
+    def test_matches_the_oracle(self, make):
+        ts = make()
+        res = search.l2_partitions(ts)
+        assert res.exact
+        got = _as_sets(res)
+        assert len(got) == len(res.partitions)
+        assert got == brute_l2_partitions(ts.n, ts.triples)
+        for parts in res.partitions:
+            # ordered by their lowest vertices
+            assert [min(p) for p in parts] == sorted(min(p) for p in parts)
+
+    def test_planted_systems_have_partitions(self):
+        assert all(search.l2_partitions(_partial_linear(n, s, planted=True)).partitions
+                   for n, s in ((6, 10), (8, 11), (9, 12), (9, 13), (10, 14)))
+
+    @pytest.mark.parametrize("make, count, best, nodes", [
+        (lambda: bose(21), 63, 18, 2_524),
+        (lambda: bose(27), 351, 22, 8_791),
+        (pg32, 315, 12, 1_864),
+    ], ids=["bose21", "bose27", "pg32"])
+    def test_pinned_counts(self, make, count, best, nodes):
+        res = search.l2_partitions(make())
+        assert (len(res.partitions), res.exact, res.budget_spent.nodes) == (count, True, nodes)
+        assert min(sum(sorted(map(len, p))[2:]) for p in res.partitions) == best
+
+    def test_pg32_parts_are_nested_subspaces(self):
+        res = search.l2_partitions(pg32())
+        assert {tuple(sorted(map(len, p))) for p in res.partitions} == {(1, 2, 4, 8)}
+
+    @pytest.mark.parametrize("make", [s9, lambda: _partial_linear(9, 12, planted=True)],
+                             ids=["s9", "planted9"])
+    def test_node_cap_is_never_exceeded(self, make):
+        system = make()
+        full = search.l2_partitions(system)
+        for cap in range(1, 65):
+            res = search.l2_partitions(system, SearchBudget(max_nodes=cap))
+            if res.exact:
+                assert res.budget_spent.nodes == full.budget_spent.nodes <= cap
+                assert res.partitions == full.partitions
+            else:
+                assert res.budget_spent.nodes == cap < full.budget_spent.nodes
+                assert set(res.partitions) <= set(full.partitions)
+
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        res = search.l2_partitions(bose(99), SearchBudget(max_nodes=3_000))
+        assert res.budget_spent.nodes <= 3_000
+
+
+def _seeded_mc_exact(system):
+    hole = alpha_star(system, 3).lower_certificate
+    return mc_exact(system, 3, initial=hole_coloring(system, hole) if hole.a else None)
+
+
+class TestMc3ByDecomposition:
+    @pytest.mark.parametrize("make", [
+        fano, s9, lambda: skolem(13),
+        *[lambda s=s: random_sts(13, 1_000_003 + s) for s in (131, 132, 133)],
+        lambda: bose(15), lambda: _relabeled(skolem(13), 5), lambda: _relabeled(bose(15), 6),
+        lambda: build_system(1, []), single_triple,
+    ], ids=["fano", "s9", "skolem13", "random_sts13_a", "random_sts13_b", "random_sts13_c",
+            "bose15", "skolem13-relabeled", "bose15-relabeled", "n1", "n3"])
+    def test_agrees_with_mc_exact(self, make):
+        system = make()
+        res, name = search.mc3_by_decomposition(system, alpha_star(system, 3))
+        ref = _seeded_mc_exact(system)
+        assert (res.value, res.exact) == (ref.value, ref.exact) == (ref.value, True)
+        assert largest_mono_component(res.lower_certificate)[0] == res.value
+        assert name in ("hole_coloring", "l2_coloring")
+
+    @pytest.mark.parametrize("make, value, name", [
+        (lambda: skolem(19), 14, "hole_coloring"),
+        (lambda: random_sts(19, 7), 14, "hole_coloring"),
+        (lambda: bose(21), 16, "hole_coloring"),
+        (pg32, 12, "l2_coloring"),
+    ], ids=["skolem19", "random_sts19", "bose21", "pg32"])
+    def test_pinned_values(self, make, value, name):
+        system = make()
+        res, got_name = search.mc3_by_decomposition(system, alpha_star(system, 3))
+        assert (res.value, res.exact, got_name) == (value, True, name)
+        assert largest_mono_component(res.lower_certificate)[0] == value
+
+    def test_without_a_hole_shares_one_meter(self, s9_sys):
+        hole = alpha_star(s9_sys, 3)
+        alone, _ = search.mc3_by_decomposition(s9_sys, hole)
+        shared, _ = search.mc3_by_decomposition(s9_sys)
+        assert (shared.value, shared.exact) == (alone.value, alone.exact) == (7, True)
+        assert shared.budget_spent.nodes == hole.budget_spent.nodes + alone.budget_spent.nodes
+
+    @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
+    def test_node_cap_is_never_exceeded(self, make):
+        system = make()
+        full, _ = search.mc3_by_decomposition(system)
+        for cap in range(1, 65):
+            res, _ = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=cap))
+            assert largest_mono_component(res.lower_certificate)[0] == res.value
+            if res.exact:
+                assert res.budget_spent.nodes == full.budget_spent.nodes <= cap
+                assert res.value == full.value
+            else:
+                assert res.budget_spent.nodes == cap < full.budget_spent.nodes
+
+    def test_candidates_win_only_when_strictly_better(self):
+        from stsramsey import bose_coloring, infer_labels
+        system = bose(27)
+        layer = [("bose_coloring", bose_coloring(infer_labels(system)))]
+        small, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=50),
+                                                  candidates=layer)
+        assert (small.value, small.exact, name) == (21, False, "bose_coloring")
+        res, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=5_000),
+                                                candidates=layer)
+        assert (res.value, res.exact, name) == (20, False, "hole_coloring")
+
+    def test_bad_inputs_rejected(self, fano_sys, s9_sys):
+        with pytest.raises(ValueError, match="Steiner"):
+            search.mc3_by_decomposition(_partial_linear(9, 0, planted=False))
+        with pytest.raises(ValueError, match="3-partite"):
+            search.mc3_by_decomposition(s9_sys, alpha_star(s9_sys, 2))
+        for other in (EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7),
+                      EdgeColoring(system=s9_sys, r=4, colors=(3,) * 12)):
+            with pytest.raises(ValueError, match="3-color this system"):
+                search.mc3_by_decomposition(s9_sys, candidates=[("other", other)])
+
+    def test_certificate_that_misses_the_bound_raises(self, s9_sys, monkeypatch):
+        # understate alpha*_3 by one: the bound n - alpha*_3 rises past what
+        # the hole coloring reaches
+        hole = alpha_star(s9_sys, 3)
+        low = search.ParamResult(hole.value - 1, True, hole.lower_certificate, hole.budget_spent)
+        with pytest.raises(RuntimeError, match="misses the decomposition bound"):
+            search.mc3_by_decomposition(s9_sys, low)
+
+    def test_bound_check_survives_optimization(self):
+        src = str(Path(stsramsey.__file__).resolve().parents[1])
+        code = ("import stsramsey, stsramsey.search as search\n"
+                "s = stsramsey.s9()\n"
+                "h = search.alpha_star(s, 3)\n"
+                "low = search.ParamResult(h.value - 1, True, h.lower_certificate,"
+                " h.budget_spent)\n"
+                "try:\n"
+                "    search.mc3_by_decomposition(s, low)\n"
+                "except RuntimeError as exc:\n"
+                "    print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "mc_3 certificate misses the decomposition bound"
