@@ -321,7 +321,15 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
       are exactly the two unions the matching names (every cross pair is
       covered); a triple inside one part stays inside them.  So t is the
       sum of the two largest parts, however the one-part triples are
-      colored.
+      colored.  The part sizes p_i satisfy 3 sum_i p_i^2 >= n^2 + 2n: the
+      triple through a pair of vertices in two different parts has its
+      third vertex in one of those two parts, so it holds two such cross
+      pairs and one pair inside a part, and no pair lies in two triples.
+      The cross pairs thus number at most twice the inside pairs,
+      (n^2 - sum_i p_i^2) / 2 <= sum_i p_i (p_i - 1).  On every admissible
+      n from 9 to 199 this keeps t at or above the Gyarfas bound
+      ceil(2n/3) + 1 = n - (floor(n/3) - 1), so when alpha*_3 is at its
+      cap floor(n/3) - 1 no L2 coloring beats the hole coloring.
     """
     n = ts.n
     if ts.pair_count != n * (n - 1) // 2:

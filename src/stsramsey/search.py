@@ -976,6 +976,25 @@ def _two_largest(parts: tuple[int, ...]) -> int:
     return sizes[2] + sizes[3]
 
 
+def _least_l2_sum(n: int) -> int:
+    """The least p1 + p2 over sizes p1 >= p2 >= p3 >= p4 >= 1 summing to n
+    with 3(p1^2 + p2^2 + p3^2 + p4^2) >= n^2 + 2n, or n when none has it.
+
+    For each sum s = p1 + p2, lowest first, and each p2, the sizes p3 and p4
+    are taken as unbalanced as p3 <= p2 allows, which makes the sum of
+    squares largest."""
+    need = n * n + 2 * n
+    for s in range(2, n - 1):
+        rest = n - s
+        for p2 in range(1, s // 2 + 1):
+            p1 = s - p2
+            p3 = min(p2, rest - 1)
+            p4 = rest - p3
+            if p4 <= p3 and 3 * (p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4) >= need:
+                return s
+    return n
+
+
 def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
                          budget: SearchBudget | None = None,
                          candidates: Sequence[tuple[str, EdgeColoring]] = (),
@@ -1001,18 +1020,32 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     two largest parts over the L2 partitions of :func:`l2_partitions`,
     whichever is smaller; a system with no triple, n = 1, has ``mc_3`` = 0.
 
+    Sizes p1 >= p2 >= p3 >= p4 of an L2 partition satisfy
+    3(p1^2 + p2^2 + p3^2 + p4^2) >= n^2 + 2n.  A cross pair, two vertices in
+    different parts, lies in one triple, whose third vertex lies in one of
+    those two parts; so that triple holds two cross pairs and one inside
+    pair, and distinct triples hold distinct pairs.  The cross pairs thus
+    number at most twice the inside pairs, sum_{i<j} p_i p_j <=
+    sum_i p_i (p_i - 1), and the left side is (n^2 - sum_i p_i^2) / 2.
+    When the least p1 + p2 that the inequality allows is at least
+    n - ``hole.value``, no L2 partition can lower the bound, and the
+    enumeration is skipped: it spends no node and counts as finished.  On
+    every admissible n from 9 to 199 that least sum is ceil(2n/3) + 1 =
+    n - (floor(n/3) - 1), so the enumeration runs exactly when alpha*_3 is
+    below its cap floor(n/3) - 1.
+
     ``hole`` is the result of ``alpha_star(ts, 3)``.  When it is None, that
     search runs here first, on the same meter, and the enumeration gets the
     nodes and seconds it left, so ``budget_spent`` covers both.  The
     certificate is the best of the L2 coloring of the best partition, the
     hole coloring and ``candidates``, (name, coloring) pairs of ``ts``, the
     first on ties; its name is returned with the result.  The result is
-    exact when ``hole`` is exact and the enumeration finished, and the value
-    is then re-checked against the bound: a certificate whose largest
-    component, by ``largest_mono_component``, differs from it raises
-    ``RuntimeError``, also under ``python -O``.  A system that is not
-    Steiner, a hole that is not 3-partite and a candidate that is not a
-    3-coloring of ``ts`` raise ``ValueError``.
+    exact when ``hole`` is exact and the enumeration finished or was
+    skipped, and the value is then re-checked against the bound: a
+    certificate whose largest component, by ``largest_mono_component``,
+    differs from it raises ``RuntimeError``, also under ``python -O``.  A
+    system that is not Steiner, a hole that is not 3-partite and a
+    candidate that is not a 3-coloring of ``ts`` raise ``ValueError``.
     """
     from .colorings import hole_coloring, l2_coloring   # colorings imports this module
     if not is_steiner(ts):
@@ -1026,7 +1059,10 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     if hole is None:
         hole = _alpha_star(ts, 3, meter)
         nodes = hole.budget_spent.nodes
-    found, nodes, finished = _l2_search(ts, meter, nodes)
+    if _least_l2_sum(ts.n) >= ts.n - hole.value:
+        found, finished = [], True
+    else:
+        found, nodes, finished = _l2_search(ts, meter, nodes)
     bound = ts.n - hole.value if ts.triples else 0
     named = []
     if found:

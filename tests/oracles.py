@@ -212,6 +212,20 @@ def brute_l2_partitions(n, triples):
     return out
 
 
+def brute_least_l2_sum(n):
+    """The least sum of the two largest of four positive sizes summing to n,
+    over the size lists whose squares sum to at least (n^2 + 2n) / 3, or n
+    when none does.  Every composition of n into four parts is tried."""
+    best = n
+    for a in range(1, n):
+        for b in range(1, n - a):
+            for c in range(1, n - a - b):
+                sizes = sorted((a, b, c, n - a - b - c))
+                if 3 * sum(p * p for p in sizes) >= n * n + 2 * n:
+                    best = min(best, sizes[2] + sizes[3])
+    return best
+
+
 def brute_hole_ok(n, triples, parts):
     """Direct restatement: no triple intersects all parts."""
     psets = [set(p) for p in parts]

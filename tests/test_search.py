@@ -21,6 +21,7 @@ from stsramsey import (
     bicoloring_search,
     bose,
     build_system,
+    closed_form_bounds,
     fano,
     hole_coloring,
     independence_number,
@@ -39,6 +40,7 @@ from oracles import (
     brute_alpha_star2,
     brute_alpha_star3,
     brute_l2_partitions,
+    brute_least_l2_sum,
     brute_mc2,
     brute_mc3,
     max_component_size,
@@ -702,6 +704,16 @@ def _as_sets(res):
     return {frozenset(parts) for parts in res.partitions}
 
 
+def _meets_the_pair_count(n, parts):
+    """3 (sum of squared part sizes) >= n^2 + 2n, which every L2 partition
+    of a Steiner system satisfies."""
+    return 3 * sum(len(p) ** 2 for p in parts) >= n * n + 2 * n
+
+
+def _two_largest(parts):
+    return sum(sorted(map(len, parts))[2:])
+
+
 class TestL2Partitions:
     @pytest.mark.parametrize("make", [
         fano, s9, single_triple, lambda: build_system(4, []),
@@ -731,13 +743,23 @@ class TestL2Partitions:
         (pg32, 315, 12, 1_864),
     ], ids=["bose21", "bose27", "pg32"])
     def test_pinned_counts(self, make, count, best, nodes):
-        res = search.l2_partitions(make())
+        system = make()
+        res = search.l2_partitions(system)
         assert (len(res.partitions), res.exact, res.budget_spent.nodes) == (count, True, nodes)
-        assert min(sum(sorted(map(len, p))[2:]) for p in res.partitions) == best
+        assert min(map(_two_largest, res.partitions)) == best
+        assert all(_meets_the_pair_count(system.n, p) for p in res.partitions)
 
     def test_pg32_parts_are_nested_subspaces(self):
         res = search.l2_partitions(pg32())
         assert {tuple(sorted(map(len, p))) for p in res.partitions} == {(1, 2, 4, 8)}
+        # they meet the pair count with equality
+        assert all(3 * sum(len(b) ** 2 for b in p) == 15 * 15 + 2 * 15 for p in res.partitions)
+
+    @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
+    def test_brute_partitions_meet_the_pair_count(self, make):
+        system = make()
+        assert all(_meets_the_pair_count(system.n, p)
+                   for p in brute_l2_partitions(system.n, system.triples))
 
     @pytest.mark.parametrize("make", [s9, lambda: _partial_linear(9, 12, planted=True)],
                              ids=["s9", "planted9"])
@@ -756,6 +778,18 @@ class TestL2Partitions:
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
         res = search.l2_partitions(bose(99), SearchBudget(max_nodes=3_000))
         assert res.budget_spent.nodes <= 3_000
+
+
+class TestLeastL2Sum:
+    def test_matches_the_brute_minimum(self):
+        for n in range(4, 61):
+            assert search._least_l2_sum(n) == brute_least_l2_sum(n), n
+
+    def test_equals_the_gyarfas_bound(self):
+        # ceil(2n/3) + 1 = n - (floor(n/3) - 1): the skip fires exactly at the cap
+        for n in range(9, 200):
+            if n % 6 in (1, 3):
+                assert search._least_l2_sum(n) == closed_form_bounds(n).gyarfas, n
 
 
 def _seeded_mc_exact(system):
@@ -779,17 +813,39 @@ class TestMc3ByDecomposition:
         assert largest_mono_component(res.lower_certificate)[0] == res.value
         assert name in ("hole_coloring", "l2_coloring")
 
-    @pytest.mark.parametrize("make, value, name", [
-        (lambda: skolem(19), 14, "hole_coloring"),
-        (lambda: random_sts(19, 7), 14, "hole_coloring"),
-        (lambda: bose(21), 16, "hole_coloring"),
-        (pg32, 12, "l2_coloring"),
+    @pytest.mark.parametrize("make, value, name, nodes", [
+        (lambda: skolem(19), 14, "hole_coloring", 0),
+        (lambda: random_sts(19, 7), 14, "hole_coloring", 0),
+        (lambda: bose(21), 16, "hole_coloring", 2_524),
+        (pg32, 12, "l2_coloring", 1_864),
     ], ids=["skolem19", "random_sts19", "bose21", "pg32"])
-    def test_pinned_values(self, make, value, name):
+    def test_pinned_values(self, make, value, name, nodes):
         system = make()
         res, got_name = search.mc3_by_decomposition(system, alpha_star(system, 3))
         assert (res.value, res.exact, got_name) == (value, True, name)
+        assert res.budget_spent.nodes == nodes
         assert largest_mono_component(res.lower_certificate)[0] == value
+
+    @pytest.mark.parametrize("make, value", [
+        (s9, 7), (lambda: skolem(13), 10),
+        *[(lambda s=s: random_sts(13, 1_000_003 + s), 10) for s in (131, 132, 133)],
+        (lambda: bose(15), 11), (lambda: skolem(19), 14), (lambda: random_sts(19, 7), 14),
+        (lambda: random_sts(15, 39), 11), (lambda: random_sts(19, 8), 14),
+    ], ids=["s9", "skolem13", "random_sts13_a", "random_sts13_b", "random_sts13_c",
+            "bose15", "skolem19", "random_sts19", "random_sts15_l2", "random_sts19_l2"])
+    def test_at_the_cap_the_enumeration_is_skipped(self, make, value):
+        system = make()
+        hole = alpha_star(system, 3)
+        assert hole.value == system.n // 3 - 1
+        res, name = search.mc3_by_decomposition(system)
+        assert (res.value, res.exact, name) == (value, True, "hole_coloring")
+        assert res.budget_spent.nodes == hole.budget_spent.nodes
+        # what the skipped enumeration would find: none of the L2 partitions
+        # beats n - alpha*_3, and on a tie the hole coloring would be kept
+        # (the last two systems have 21 and 3 partitions)
+        parts = search.l2_partitions(system).partitions
+        assert all(_meets_the_pair_count(system.n, p) for p in parts)
+        assert all(_two_largest(p) >= value for p in parts)
 
     def test_without_a_hole_shares_one_meter(self, s9_sys):
         hole = alpha_star(s9_sys, 3)
@@ -832,26 +888,31 @@ class TestMc3ByDecomposition:
             with pytest.raises(ValueError, match="3-color this system"):
                 search.mc3_by_decomposition(s9_sys, candidates=[("other", other)])
 
-    def test_certificate_that_misses_the_bound_raises(self, s9_sys, monkeypatch):
-        # understate alpha*_3 by one: the bound n - alpha*_3 rises past what
-        # the hole coloring reaches
+    def test_certificate_that_misses_the_bound_raises(self, s9_sys):
+        # understating alpha*_3 by one raises the bound n - alpha*_3 past
+        # what the hole coloring reaches, and the enumeration runs;
+        # overstating it lowers the bound below, and the enumeration is
+        # skipped
         hole = alpha_star(s9_sys, 3)
-        low = search.ParamResult(hole.value - 1, True, hole.lower_certificate, hole.budget_spent)
-        with pytest.raises(RuntimeError, match="misses the decomposition bound"):
-            search.mc3_by_decomposition(s9_sys, low)
+        for shift in (-1, 1):
+            wrong = search.ParamResult(hole.value + shift, True, hole.lower_certificate,
+                                       hole.budget_spent)
+            with pytest.raises(RuntimeError, match="misses the decomposition bound"):
+                search.mc3_by_decomposition(s9_sys, wrong)
 
     def test_bound_check_survives_optimization(self):
         src = str(Path(stsramsey.__file__).resolve().parents[1])
         code = ("import stsramsey, stsramsey.search as search\n"
                 "s = stsramsey.s9()\n"
                 "h = search.alpha_star(s, 3)\n"
-                "low = search.ParamResult(h.value - 1, True, h.lower_certificate,"
+                "for shift in (-1, 1):\n"
+                "    wrong = search.ParamResult(h.value + shift, True, h.lower_certificate,"
                 " h.budget_spent)\n"
-                "try:\n"
-                "    search.mc3_by_decomposition(s, low)\n"
-                "except RuntimeError as exc:\n"
-                "    print(exc)\n")
+                "    try:\n"
+                "        search.mc3_by_decomposition(s, wrong)\n"
+                "    except RuntimeError as exc:\n"
+                "        print(exc)\n")
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "mc_3 certificate misses the decomposition bound"
+        assert out.stdout.splitlines() == ["mc_3 certificate misses the decomposition bound"] * 2
