@@ -45,8 +45,8 @@ from .core import (
     largest_mono_component,
     mono_components,
 )
-from .search import (SearchBudget, alpha_star, independence_number, mc3_by_decomposition,
-                     mc_exact)
+from .search import (SearchBudget, alpha_star, bicoloring_search, independence_number,
+                     mc3_by_decomposition, mc_exact)
 
 REPORT_SCHEMA = "sts-report/1"
 
@@ -287,7 +287,7 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             if ts.n % 6 != residue:
                 raise MissingLabels(f"n={ts.n} is not a {name} order (need n = {residue} mod 6)")
             labeled = cons.infer_labels(ts)
-            coloring = (col.bose_coloring if scheme == "bose" else col.skolem_coloring)(labeled)
+            _, coloring = _construction_coloring(labeled)
             # each color misses a layer of n//3 points except at its type-1 triples
             bound = ts.n - ts.n // 3 + -(-labeled.labels.count(LABEL_TYPE1) // 3)
         elif scheme == "hole":
@@ -305,7 +305,7 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             bound = ts.n - hole.a
         else:  # bicolor
             click.echo("searching bicoloring...", err=True)
-            bi = col.bicoloring_search(ts, budget)
+            bi = bicoloring_search(ts, budget)
             if bi is None:
                 raise MissingLabels("system admits no bicoloring")
             hole, bicolor_bound = col.bicoloring_to_bound(bi)

@@ -33,7 +33,6 @@ from functools import reduce
 from operator import or_
 
 from .core import (
-    BudgetExhausted,
     EdgeColoring,
     EmptyClass,
     HoleCertificate,
@@ -56,7 +55,6 @@ from .core import (
     vertex_mask,
     verify_hole,
 )
-from .search import SearchBudget, _Meter
 
 
 # ---------------------------------------------------------------------------
@@ -200,53 +198,6 @@ def verify_bicoloring(ts: TripleSystem, phi) -> Bicoloring:
             raise RainbowTriple(i, t)
     sizes = tuple(sorted(classes.count(c) for c in (1, 2, 3)))
     return Bicoloring(system=ts, classes=classes, sizes=sizes)
-
-
-def bicoloring_search(ts: TripleSystem,
-                      budget: SearchBudget | None = None) -> Bicoloring | None:
-    """First bicoloring in lexicographic order, or None.
-
-    Vertex 0 is pinned to color 1 (colors are interchangeable).  For systems
-    on more than 3 vertices all three classes must be non-empty; the
-    degenerate 3-vertex system is allowed an empty class.  Intended for
-    n <= 15.  The tree is walked with an explicit stack, so its depth is not
-    limited by the recursion limit.  A node is one vertex given one color;
-    the node cap is checked before a node is counted.  Running out of budget
-    raises BudgetExhausted.
-    """
-    meter = _Meter(budget)
-    n = ts.n
-    require_nonempty = n > 3
-    by_max: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(ts.triples):
-        by_max[t.c].append(i)
-    # classes[v] is the color vertex v holds or last held; 0 before its first
-    classes = [0] * n
-    nodes = 0
-    stop = meter.stop
-    v = 0
-    while v >= 0:
-        if v == n:
-            if (not require_nonempty) or all(c in classes for c in (1, 2, 3)):
-                return verify_bicoloring(ts, tuple(classes))
-            v -= 1
-            continue
-        c = classes[v] + 1
-        # on arrival at v: too few vertices left for the classes still empty
-        pruned = (c == 1 and require_nonempty
-                  and n - v < sum(1 for x in (1, 2, 3) if x not in classes[:v]))
-        if pruned or c > (1 if v == 0 else 3):
-            classes[v] = 0
-            v -= 1
-            continue
-        if nodes == stop and (stop := meter.ask(nodes)) < 0:
-            raise BudgetExhausted(f"bicoloring search ran out of budget after {nodes} nodes")
-        nodes += 1
-        classes[v] = c
-        if all(len({classes[t.a], classes[t.b], classes[t.c]}) == 2
-               for t in (ts.triples[i] for i in by_max[v])):
-            v += 1
-    return None
 
 
 def bicoloring_to_bound(bi: Bicoloring) -> tuple[HoleCertificate, int]:

@@ -1,12 +1,16 @@
 """Exact computation of alpha, alpha*_k, and mc_r by budgeted search.
 
-The three parameter searches return a :class:`ParamResult`, and so does
-:func:`mc3_by_decomposition`, which derives ``mc_3`` of a Steiner system
-from ``alpha*_3`` and the enumeration of :func:`l2_partitions`.
-``exact=True`` means the search ran to completion: the certificate proves
-the value from one side and the exhausted search refutes the adjacent value
-from the other.  Running out of budget is a normal outcome, not an error;
-the best verified bound found so far is returned with ``exact=False``.
+Every budgeted search of the package lives here and draws on one budget
+meter: the three parameter searches, :func:`l2_partitions` and
+:func:`bicoloring_search`.  The three parameter searches return a
+:class:`ParamResult`, and so does :func:`mc3_by_decomposition`, which
+derives ``mc_3`` of a Steiner system from ``alpha*_3`` and the enumeration
+of :func:`l2_partitions`.  ``exact=True`` means the search ran to
+completion: the certificate proves the value from one side and the
+exhausted search refutes the adjacent value from the other.  Running out of
+budget is a normal outcome, not an error; the best verified bound found so
+far is returned with ``exact=False``.  :func:`bicoloring_search` has no
+partial answer to give and raises ``BudgetExhausted`` instead.
 
 Search values are deterministic for a given input and node budget.  Wall-time
 budgets can flip ``exact`` to False nondeterministically (the clock is not a
@@ -22,8 +26,10 @@ from functools import reduce
 from operator import or_
 from typing import Sequence
 
+from .colorings import Bicoloring, hole_coloring, l2_coloring, verify_bicoloring
 from .core import (
     BadK,
+    BudgetExhausted,
     EdgeColoring,
     HoleCertificate,
     InvalidHole,
@@ -64,20 +70,6 @@ class ParamResult:
     budget_spent: BudgetSpent
 
 
-class _OutOfBudget(Exception):
-    """The meter refused a node inside a nested search; ``nodes`` is the
-    count spent until then."""
-
-    def __init__(self, nodes: int):
-        super().__init__(nodes)
-        self.nodes = nodes
-
-
-class _SliceSpent(_OutOfBudget):
-    """A nested search reached its own node limit before the meter was
-    asked; ``nodes`` is the limit."""
-
-
 class _Meter:
     """The budget policy of one search call: its node cap and its clock.
 
@@ -116,6 +108,15 @@ def _triples_at(ts: TripleSystem) -> list[list[int]]:
         for v in t:
             at[v].append(i)
     return at
+
+
+def _pairs_at(ts: TripleSystem) -> list[list[tuple[int, int]]]:
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(ts.n)]
+    for x, y, z in ts.triples:
+        pairs[x].append((y, z))
+        pairs[y].append((x, z))
+        pairs[z].append((x, y))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +313,16 @@ def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
 
 def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                group: tuple[tuple[int, ...], ...], meter: _Meter,
-               nodes: int, limit: float) -> tuple[tuple[frozenset[int], ...] | None, int]:
+               nodes: int, limit: float,
+               ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
     """k disjoint parts of size a that no triple meets all of, or None, with
-    the running node count, which enters as ``nodes``.
+    the running node count, which enters as ``nodes``, and whether the
+    search settled the level.
 
-    ``group`` is a group of automorphisms of the system.  Raises
-    _OutOfBudget when the meter refuses a node, and _SliceSpent when the
-    count reaches ``limit`` first; see alpha_star.
+    ``group`` is a group of automorphisms of the system.  The search stops
+    unsettled, with None, when the count reaches ``limit`` or the meter
+    refuses a node; only a refusal leaves the meter's ``stop`` negative.
+    See alpha_star.
     """
     bits = [1 << v for v in range(n)]
     rk = range(k)
@@ -358,7 +362,7 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     stop = min(meter.stop, limit)
     while True:
         if placed == goal:
-            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk), nodes
+            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk), nodes, True
         # prune when a part, or all parts together, can no longer be filled
         deficit = 0
         union = 0
@@ -456,10 +460,8 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
             if orbit:
                 frame[8] = bit
             if nodes == stop:
-                if nodes == limit:
-                    raise _SliceSpent(nodes)
-                if (stop := meter.ask(nodes)) < 0:
-                    raise _OutOfBudget(nodes)
+                if nodes == limit or (stop := meter.ask(nodes)) < 0:
+                    return None, nodes, False
                 stop = min(stop, limit)
             nodes += 1
             j = bit.bit_length() - 1
@@ -488,7 +490,7 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                 has[j] = 0
             break
         else:
-            return None, nodes
+            return None, nodes, True
 
 
 def alpha_star(ts: TripleSystem, k: int,
@@ -593,11 +595,7 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
         raise BadK(f"need at least 2 parts, got {k}")
     n = ts.n
     ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x, y, z in ts.triples:
-        pairs[x].append((y, z))
-        pairs[y].append((x, z))
-        pairs[z].append((x, y))
+    pairs = _pairs_at(ts)
     group = layer_automorphisms(ts)
 
     best = tuple(frozenset() for _ in range(k))
@@ -606,19 +604,15 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     # the probe: the cap level first, within a slice of k * n nodes
     level, limit = ub, k * n
     while len(best[0]) < ub:
-        try:
-            parts, nodes = _find_hole(n, k, level, pairs, group, meter, nodes, limit)
-        except _SliceSpent as spent:
-            nodes = spent.nodes
-        except _OutOfBudget as out:
-            nodes = out.nodes
-            exact = False
-            break
-        else:
+        parts, nodes, settled = _find_hole(n, k, level, pairs, group, meter, nodes, limit)
+        if settled:
             if parts is None:
                 ub = level - 1
             else:
                 best = parts
+        elif meter.stop < 0:
+            exact = False
+            break
         level, limit = len(best[0]) + 1, math.inf
     h = HoleCertificate(k=k, a=len(best[0]), parts=best)
     if not verify_hole(ts, h):
@@ -835,11 +829,7 @@ def _l2_search(ts: TripleSystem, meter: _Meter,
     found: list[tuple[int, ...]] = []
     if n < 4:
         return found, nodes, True
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x, y, z in ts.triples:
-        pairs[x].append((y, z))
-        pairs[y].append((x, z))
-        pairs[z].append((x, y))
+    pairs = _pairs_at(ts)
     bits = [1 << v for v in range(n)]
     everyone = (1 << n) - 1
     parts4 = range(4)
@@ -1002,37 +992,20 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     """``mc_3`` of a Steiner triple system from ``alpha*_3`` and its L2
     partitions, with no color search.
 
-    Let a 3-coloring have largest component t < n.  No color spans, so
-    :func:`~stsramsey.colorings.decompose_3coloring` returns case L2 or L3:
+    By the proof in :func:`~stsramsey.colorings.decompose_3coloring`, a
+    3-coloring whose largest component t is below n has t >= n - alpha*_3
+    (case L3) or t equal to the sum of the two largest parts of an L2
+    partition (case L2).  The hole coloring reaches n - alpha*_3 (with the
+    empty hole it is one color, and reaches n).  So ``mc_3`` is
+    n - alpha*_3 or the best sum of two largest parts over the L2
+    partitions of :func:`l2_partitions`, whichever is smaller; a system
+    with no triple, n = 1, has ``mc_3`` = 0.
 
-    * L3: the X-Y pairs are blue, the X-Z pairs red and the Y-Z pairs green,
-      so no triple meets X, Y and Z.  W+X+Y, W+X+Z and W+Y+Z each lie in one
-      component, so each of X, Y and Z has at least n - t vertices, and
-      t >= n - alpha*_3.
-    * L2: the four parts are non-empty and no triple meets three of them.
-      Each color is one perfect matching of the parts, and its components
-      are exactly the two unions the matching names; a triple inside one
-      part stays inside them.  So t is the sum of the two largest parts,
-      however the one-part triples are colored.
-
-    The hole coloring reaches n - alpha*_3 (with the empty hole it is one
-    color, and reaches n).  So ``mc_3`` is n - alpha*_3 or the best sum of
-    two largest parts over the L2 partitions of :func:`l2_partitions`,
-    whichever is smaller; a system with no triple, n = 1, has ``mc_3`` = 0.
-
-    Sizes p1 >= p2 >= p3 >= p4 of an L2 partition satisfy
-    3(p1^2 + p2^2 + p3^2 + p4^2) >= n^2 + 2n.  A cross pair, two vertices in
-    different parts, lies in one triple, whose third vertex lies in one of
-    those two parts; so that triple holds two cross pairs and one inside
-    pair, and distinct triples hold distinct pairs.  The cross pairs thus
-    number at most twice the inside pairs, sum_{i<j} p_i p_j <=
-    sum_i p_i (p_i - 1), and the left side is (n^2 - sum_i p_i^2) / 2.
-    When the least p1 + p2 that the inequality allows is at least
-    n - ``hole.value``, no L2 partition can lower the bound, and the
-    enumeration is skipped: it spends no node and counts as finished.  On
-    every admissible n from 9 to 199 that least sum is ceil(2n/3) + 1 =
-    n - (floor(n/3) - 1), so the enumeration runs exactly when alpha*_3 is
-    below its cap floor(n/3) - 1.
+    The enumeration is skipped, spending no node and counting as finished,
+    when the least p1 + p2 that the part-size lemma there allows
+    (:func:`_least_l2_sum`) is at least n - ``hole.value``: no L2 partition
+    can then lower the bound.  On every admissible n from 9 to 199 that is
+    exactly when alpha*_3 is at its cap floor(n/3) - 1.
 
     ``hole`` is the result of ``alpha_star(ts, 3)``.  When it is None, that
     search runs here first, on the same meter, and the enumeration gets the
@@ -1047,7 +1020,6 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     system that is not Steiner, a hole that is not 3-partite and a
     candidate that is not a 3-coloring of ``ts`` raise ``ValueError``.
     """
-    from .colorings import hole_coloring, l2_coloring   # colorings imports this module
     if not is_steiner(ts):
         raise ValueError("the decomposition needs a Steiner triple system")
     if hole is not None and hole.lower_certificate.k != 3:
@@ -1079,3 +1051,54 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     name, coloring = named[best]
     return (ParamResult(value=sizes[best], exact=exact, lower_certificate=coloring,
                         budget_spent=meter.spent(nodes)), name)
+
+
+# ---------------------------------------------------------------------------
+# Bicolorings
+# ---------------------------------------------------------------------------
+
+def bicoloring_search(ts: TripleSystem,
+                      budget: SearchBudget | None = None) -> Bicoloring | None:
+    """First bicoloring in lexicographic order, or None.
+
+    Vertex 0 is pinned to color 1 (colors are interchangeable).  For systems
+    on more than 3 vertices all three classes must be non-empty; the
+    degenerate 3-vertex system is allowed an empty class.  Intended for
+    n <= 15.  The tree is walked with an explicit stack, so its depth is not
+    limited by the recursion limit.  A node is one vertex given one color;
+    the node cap is checked before a node is counted.  Running out of budget
+    raises BudgetExhausted.
+    """
+    meter = _Meter(budget)
+    n = ts.n
+    require_nonempty = n > 3
+    by_max: list[list[int]] = [[] for _ in range(n)]
+    for i, t in enumerate(ts.triples):
+        by_max[t.c].append(i)
+    # classes[v] is the color vertex v holds or last held; 0 before its first
+    classes = [0] * n
+    nodes = 0
+    stop = meter.stop
+    v = 0
+    while v >= 0:
+        if v == n:
+            if (not require_nonempty) or all(c in classes for c in (1, 2, 3)):
+                return verify_bicoloring(ts, tuple(classes))
+            v -= 1
+            continue
+        c = classes[v] + 1
+        # on arrival at v: too few vertices left for the classes still empty
+        pruned = (c == 1 and require_nonempty
+                  and n - v < sum(1 for x in (1, 2, 3) if x not in classes[:v]))
+        if pruned or c > (1 if v == 0 else 3):
+            classes[v] = 0
+            v -= 1
+            continue
+        if nodes == stop and (stop := meter.ask(nodes)) < 0:
+            raise BudgetExhausted(f"bicoloring search ran out of budget after {nodes} nodes")
+        nodes += 1
+        classes[v] = c
+        if all(len({classes[t.a], classes[t.b], classes[t.c]}) == 2
+               for t in (ts.triples[i] for i in by_max[v])):
+            v += 1
+    return None

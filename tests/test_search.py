@@ -334,6 +334,16 @@ class TestAlphaStar:
         assert res.budget_spent.nodes <= 3 * 19
         assert verify_hole(system, res.lower_certificate)
 
+    @pytest.mark.parametrize("cap", [62, 63, 64, 65])
+    def test_budget_runs_out_either_side_of_the_probe_slice(self, cap):
+        # bose(21)'s probe spends its slice of 3 * 21 = 63 nodes without
+        # settling the cap 6: a cap of 62 stops the probe, 63 stops the
+        # ladder at its first question to the meter, and 64 and 65 stop it
+        # inside its first level, which needs 66 nodes for the 1-hole
+        res = alpha_star(bose(21), 3, SearchBudget(max_nodes=cap))
+        assert (res.value, res.exact, res.budget_spent.nodes) == (0, False, cap)
+        assert verify_hole(bose(21), res.lower_certificate)
+
     def test_search_depth_is_not_bounded_by_recursion_limit(self):
         # 1100 vertices, deeper than the default recursion limit: the probe
         # places 3 * 366 vertices in one descent to the cap 1100 // 3,
@@ -853,6 +863,20 @@ class TestMc3ByDecomposition:
         shared, _ = search.mc3_by_decomposition(s9_sys)
         assert (shared.value, shared.exact) == (alone.value, alone.exact) == (7, True)
         assert shared.budget_spent.nodes == hole.budget_spent.nodes + alone.budget_spent.nodes
+
+    @pytest.mark.parametrize("cap, exact", [
+        (22_922, False), (22_923, False), (22_924, False), (25_446, False), (25_447, True),
+    ])
+    def test_one_meter_hands_over_from_the_hole_to_the_enumeration(self, cap, exact):
+        # alpha_star settles bose(21) at 5 after 22,923 nodes, and the L2
+        # enumeration below the cap takes 2,524 more on the same meter.  A
+        # cap short of the sum stops the hole search or the enumeration, and
+        # the hole coloring's 16 stands, inexact
+        system = bose(21)
+        res, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=cap))
+        assert (res.value, res.exact, name) == (16, exact, "hole_coloring")
+        assert res.budget_spent.nodes == cap
+        assert largest_mono_component(res.lower_certificate)[0] == 16
 
     @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
     def test_node_cap_is_never_exceeded(self, make):
