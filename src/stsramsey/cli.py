@@ -7,9 +7,9 @@ error.  Exit codes partition the failure classes:
 * 2 - construction-level failure (bad order, or an --n that the
   construction does not have)
 * 3 - a file that cannot be read or written, or an invalid input file
-* 4 - scheme/label mismatch (no labels, no hole, no bicoloring, or a
-  ``--hole-file`` without ``--scheme hole``), or a bicoloring search that
-  ran out of budget
+* 4 - scheme mismatch (a system off the Bose/Skolem layer pattern, no
+  hole, no bicoloring, or a ``--hole-file`` without ``--scheme hole``), or
+  a bicoloring search that ran out of budget
 * 5 - parameter violation in random processes and experiments (including
   an option the process does not read), or a search budget (``--max-nodes``,
   ``--max-seconds``) that is not positive, such as 0 or NaN
@@ -37,7 +37,6 @@ from . import randomized as rnd
 from .core import (
     EdgeColoring,
     InvalidHole,
-    LABEL_TYPE1,
     MissingLabels,
     StsError,
     TripleSystem,
@@ -121,11 +120,11 @@ def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
         _fail(str(exc), 5)
 
 
-def _construction_coloring(labeled: TripleSystem) -> tuple[str, EdgeColoring]:
-    """The layer coloring of a system carrying Bose or Skolem labels."""
-    if labeled.n % 6 == 3:
-        return "bose_coloring", col.bose_coloring(labeled)
-    return "skolem_coloring", col.skolem_coloring(labeled)
+def _construction_coloring(ts: TripleSystem) -> tuple[str, EdgeColoring]:
+    """The layer coloring of a Bose or Skolem system, by its order."""
+    if ts.n % 6 == 3:
+        return "bose_coloring", col.bose_coloring(ts)
+    return "skolem_coloring", col.skolem_coloring(ts)
 
 
 def _result_doc(res, certificate_doc) -> dict:
@@ -153,10 +152,10 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
     steiner = is_steiner(ts)
-    labeled = None
+    layer = []
     if steiner:
         try:
-            labeled = cons.infer_labels(ts)
+            layer = [_construction_coloring(ts)]
         except MissingLabels:
             pass
     want = {"alpha", "alpha-star3", "mc3"} if param == "all" else {param}
@@ -178,7 +177,6 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     if "mc3" in want:
         click.echo("searching monochromatic-component number...", err=True)
         if steiner:
-            layer = [] if labeled is None else [_construction_coloring(labeled)]
             mc_res, upper_source = mc3_by_decomposition(ts, astar_res, budget, layer)
             lower_source = "decomposition"
         else:
@@ -219,7 +217,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             None if (hole_a is None or hole_a == 0 or mc_exact_val is None)
             else mc_exact_val <= n - hole_a))
 
-    construction = None if labeled is None else ("bose" if ts.n % 6 == 3 else "skolem")
+    construction = None if not layer else ("bose" if ts.n % 6 == 3 else "skolem")
     report = {
         "schema": REPORT_SCHEMA,
         "input": {
@@ -283,13 +281,11 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
         if hole_file is not None and scheme != "hole":
             raise StsError(f"--hole-file applies only to --scheme hole, not {scheme}")
         if scheme in ("bose", "skolem"):
-            name, residue = ("Bose", 3) if scheme == "bose" else ("Skolem", 1)
-            if ts.n % 6 != residue:
-                raise MissingLabels(f"n={ts.n} is not a {name} order (need n = {residue} mod 6)")
-            labeled = cons.infer_labels(ts)
-            _, coloring = _construction_coloring(labeled)
-            # each color misses a layer of n//3 points except at its type-1 triples
-            bound = ts.n - ts.n // 3 + -(-labeled.labels.count(LABEL_TYPE1) // 3)
+            coloring = col.bose_coloring(ts) if scheme == "bose" else col.skolem_coloring(ts)
+            # each color misses a layer of n//3 points except at its type-1
+            # triples, one per cell: n//3 of them for Bose, n//6 for Skolem
+            type1 = ts.n // 3 if scheme == "bose" else ts.n // 6
+            bound = ts.n - ts.n // 3 + -(-type1 // 3)
         elif scheme == "hole":
             if hole_file:
                 try:

@@ -21,7 +21,9 @@ triples: a pair carries color c exactly when some c-colored triple holds both
 of its vertices.  Both hold it as the per-vertex bitmasks of
 :func:`core.shadow` and find components by flood fill, with no cache on the
 system or the coloring.  :func:`l2_coloring` goes the other way, from an L2
-partition to a coloring that realizes it.
+partition to a coloring that realizes it.  The Bose and Skolem layer
+colorings live in :mod:`constructions`, next to the encoding they read, and
+stay importable from here.
 """
 
 from __future__ import annotations
@@ -32,19 +34,16 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from .constructions import bose_coloring, skolem_coloring  # re-exported
 from .core import (
     EdgeColoring,
     EmptyClass,
     HoleCertificate,
     InvalidHole,
     MalformedCertificate,
-    MissingLabels,
     MonochromaticTriple,
     PairUncovered,
     RainbowTriple,
-    LABEL_TYPE1,
-    LABEL_TYPE2,
-    LABEL_TYPE3,
     TripleSystem,
     color_class,
     flood_components,
@@ -114,60 +113,6 @@ def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
         # parts i and j are paired by color (i ^ j) - 1
         colors.append(0 if len(met) == 1 else (met[0] ^ met[1]) - 1)
     return EdgeColoring(system=ts, r=3, colors=tuple(colors))
-
-
-# ---------------------------------------------------------------------------
-# Construction colorings
-# ---------------------------------------------------------------------------
-
-def _layer_coloring(s: TripleSystem, off: int) -> EdgeColoring:
-    """Color each triple of a labeled layered system with a layer it misses.
-
-    Point (a, i) is vertex off + 3a + i; the Skolem extra point, vertex 0,
-    lies in no layer.  A type-1 triple {(a,0), (a,1), (a,2)} gets color
-    a mod 3; every other triple must meet exactly two layers and gets the
-    third.  Color c meets layer c only at its type-1 triples, so it spans at
-    most n - n//3 + ceil(#type-1 / 3) vertices.
-    """
-    colors = []
-    for t, lab in zip(s.triples, s.labels):
-        if lab == LABEL_TYPE1:
-            colors.append(((t.a - off) // 3) % 3)
-            continue
-        layers = {(v - off) % 3 for v in t if v >= off}
-        if len(layers) != 2:
-            raise MissingLabels(
-                f"triple {tuple(t)} labeled {lab} does not meet exactly two layers")
-        colors.append(3 - sum(layers))  # the one of 0, 1, 2 not in layers
-    return EdgeColoring(system=s, r=3, colors=tuple(colors))
-
-
-def bose_coloring(s: TripleSystem) -> EdgeColoring:
-    """Color a Bose-labeled system so each color avoids one point layer.
-
-    A type-2 triple with its doubled layer i gets color (i - 1) mod 3, so
-    color c touches only layers c+1 and c+2 through type-2 triples.  Type-1
-    triples go round robin by their quasigroup element, which adds at most
-    ceil((2k+1)/3) extra vertices per color: the span bound is
-    4k + 2 + ceil((2k+1)/3).
-    """
-    if s.labels is None or not set(s.labels) <= {LABEL_TYPE1, LABEL_TYPE2}:
-        raise MissingLabels("Bose coloring needs type1/type2 labels")
-    return _layer_coloring(s, 0)
-
-
-def skolem_coloring(s: TripleSystem) -> EdgeColoring:
-    """Color a Skolem-labeled system with the layer its triple misses.
-
-    Type-2 and type-3 triples use second coordinates {i, i+1} (ignoring the
-    extra point), so they get color (i + 2) mod 3; type-1 triples go round
-    robin.  Span bound per color: ceil(k/3) + 4k + 1.
-    """
-    if s.labels is None or not set(s.labels) <= {LABEL_TYPE1, LABEL_TYPE2, LABEL_TYPE3}:
-        raise MissingLabels("Skolem coloring needs type1/type2/type3 labels")
-    if LABEL_TYPE3 not in set(s.labels):
-        raise MissingLabels("Skolem coloring needs type3 labels")
-    return _layer_coloring(s, 1)
 
 
 # ---------------------------------------------------------------------------

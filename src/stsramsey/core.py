@@ -7,9 +7,11 @@ built by the call that reads them (:func:`pair_counts`) and dropped with it.  A
 Steiner triple system is a TripleSystem in which every pair lies in exactly
 one triple (:func:`validate_steiner`, :func:`is_steiner`); the partial
 systems of the triangle-removal process are linear: every pair lies in at
-most one triple (``TripleSystem.linear``).  The explicit constructions
-attach per-triple ``labels``, which equality ignores, so a labeled
-construction equals the same triples read back from a file.
+most one triple (``TripleSystem.linear``).  The Bose and Skolem
+constructions attach per-triple ``labels``, which equality ignores; they
+are written only for the frozen benchmark under ``bench/``, and nothing in
+the package reads them.  No Bose/Skolem arithmetic lives here: the layer
+encoding, its colorings and its group are in :mod:`constructions`.
 
 Connectivity is always meant through the shadow graph: two vertices are
 adjacent when they share a triple, and components of one color class of an
@@ -29,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -77,7 +78,7 @@ class MalformedCertificate(StsError):
 
 
 class MissingLabels(StsError):
-    """System carries no construction labels usable by the requested scheme."""
+    """The system matches no Bose/Skolem layer pattern the scheme needs."""
 
 
 class InvalidHole(StsError):
@@ -139,7 +140,8 @@ class TripleSystem:
     cannot disagree with them.  It is the only cache, one int: no per-pair
     table outlives the call that builds it.  ``labels``, when present, tags
     each triple with its construction type (one label per triple, in triple
-    order); equality and hashing ignore it.
+    order); equality and hashing ignore it, and it is kept only for the
+    frozen benchmark under ``bench/``, like ``base``.
     """
 
     n: int
@@ -243,12 +245,6 @@ def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
     return TripleSystem(n=n, triples=tuple(norm))
 
 
-# Per-triple construction tags attached by the explicit constructions.
-LABEL_TYPE1 = "type1"
-LABEL_TYPE2 = "type2"
-LABEL_TYPE3 = "type3"
-
-
 def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> TripleSystem:
     """Check the Steiner property: every vertex pair in exactly one triple.
 
@@ -286,71 +282,6 @@ def is_steiner(s: TripleSystem) -> bool:
     """
     n = s.n
     return n % 6 in (1, 3) and s.pair_count == n * (n - 1) // 2 == 3 * s.m
-
-
-def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of s in Z3 x AGL(1, Z_q), acting on the layer encoding.
-
-    The Bose and Skolem constructions put point (a, i), a in Z_q and i in
-    Z_3, at vertex off + 3a + i: off = 0 when n = 3 (mod 6), and off = 1
-    when n = 1 (mod 6), where vertex 0 is fixed.  The element (u, b, r)
-    maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
-    (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
-    by the units u mod q.  Each is checked once through its permutation
-    against the triples, one lookup per mapped triple in the set of triple
-    codes (a*n + b)*n + c, a < b < c, stopping at the first triple it maps
-    off the system.  The result lists every product of the generators that
-    pass, the identity first; they form a group, and each maps every triple
-    onto a triple.  Labels are not read.
-    Any other order, and any system whose generators all fail, gets the
-    identity alone.
-
-    Each element is a tuple g with g[v] the image of vertex v.
-    """
-    n = s.n
-    off = {3: 0, 1: 1}.get(n % 6)
-    if off is None or n < 3:
-        return (tuple(range(n)),)
-    q = (n - off) // 3
-    fixed = tuple(range(off))
-
-    def perm(u: int, b: int, r: int) -> tuple[int, ...]:
-        cells = [off + 3 * ((u * a + b) % q) for a in range(q)]
-        layers = (r % 3, (r + 1) % 3, (r + 2) % 3)
-        return fixed + tuple([c + i for c in cells for i in layers])
-
-    triples = s.triples
-    codes = {(a * n + b) * n + c for a, b, c in triples}
-
-    def maps_triples(g: tuple[int, ...]) -> bool:
-        for x, y, z in triples:
-            x, y, z = g[x], g[y], g[z]
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-                if x > y:
-                    x, y = y, x
-            if (x * n + y) * n + z not in codes:
-                return False
-        return True
-
-    generators = [(1, 0, 1), (1, 1, 0)] + [(u, 0, 0) for u in range(2, q) if gcd(u, q) == 1]
-    verified = [(gen, g) for gen in generators if maps_triples(g := perm(*gen))]
-    # close under products, deduplicated on the parameters: applying
-    # (u, b, r) after (u', b', r') gives (uu', ub' + b, r' + r), and its
-    # permutation is the generator's composed with the element's
-    params = [(1 % q, 0, 0)]    # the identity, also when q = 1
-    elements = [tuple(range(n))]
-    seen = set(params)
-    for (u1, b1, r1), h in zip(params, elements):  # both grow while walked
-        for (u, b, r), g in verified:
-            key = (u * u1 % q, (u * b1 + b) % q, (r1 + r) % 3)
-            if key not in seen:
-                seen.add(key)
-                params.append(key)
-                elements.append(tuple(map(g.__getitem__, h)))
-    return tuple(elements)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from operator import or_
 from typing import Sequence
 
 from .colorings import Bicoloring, hole_coloring, l2_coloring, verify_bicoloring
+from .constructions import layer_automorphisms
 from .core import (
     BadK,
     BudgetExhausted,
@@ -36,7 +37,6 @@ from .core import (
     TripleSystem,
     is_steiner,
     largest_mono_component,
-    layer_automorphisms,
     mask_vertices,
     verify_hole,
 )
@@ -539,7 +539,7 @@ def alpha_star(ts: TripleSystem, k: int,
     * Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011,
       "Orbital branching"; Gent & Smith 2000, "Symmetry breaking during
       search in constraint programming") on the group of
-      :func:`~stsramsey.core.layer_automorphisms`, computed once per call.
+      :func:`~stsramsey.constructions.layer_automorphisms`, computed once per call.
       Each frame holds the subgroup H fixing every vertex decided on its
       path, dropped once trivial.  When the subtree "v in part p" fails,
       every vertex of v's H-orbit loses part p for the rest of the frame,

@@ -8,9 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import stsramsey
-from stsramsey import bose
+from stsramsey import bose, build_system, fano, skolem
 from stsramsey.cli import cli
-from stsramsey.io import read_system
+from stsramsey.io import read_system, write_system
 
 
 def run(*args):
@@ -258,6 +258,25 @@ class TestColor:
         run("gen", "--construction", "fano", "-o", str(path))
         res = run("color", "-i", str(path), "--scheme", "bose")
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("system, scheme, message", [
+        (lambda: build_system(3, [(0, 1, 2)]), "bose", "no labeled construction exists on n=3"),
+        (lambda: build_system(27, bose(27).triples[1:]), "bose",
+         "Bose pattern needs one type-1 triple per quasigroup element"),
+        # every triple matches the pattern, so the Steiner check after it speaks
+        (lambda: build_system(27, bose(27).triples[:100]), "bose",
+         "pair (3, 17) is covered by no triple"),
+        (fano, "skolem", "triple (0, 1, 3) matches no Skolem pattern"),
+        (lambda: skolem(19), "bose", "n=19 is not a Bose order (need n = 3 mod 6)"),
+        (lambda: bose(27), "skolem", "n=27 is not a Skolem order (need n = 1 mod 6)"),
+    ], ids=["n3", "b27-no-first-triple", "b27-first-100", "fano-skolem", "s19-bose",
+            "b27-skolem"])
+    def test_layer_scheme_mismatch_exit_4(self, tmp_path, system, scheme, message):
+        path = tmp_path / "x.sts"
+        write_system(system(), str(path))
+        res = run("color", "-i", str(path), "--scheme", scheme)
+        assert res.exit_code == 4
+        assert res.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--max-nodes", "--max-seconds"])
     def test_non_positive_budget_exit_5(self, tmp_path, flag):

@@ -38,13 +38,14 @@ from stsramsey import (
     s9,
     skolem,
     skolem_coloring,
+    validate_steiner,
     verify_bicoloring,
     verify_decomposition,
     verify_hole,
     verify_z2_range,
 )
 from stsramsey.colorings import DecompositionResult, l2_coloring
-from stsramsey.core import LABEL_TYPE1, LABEL_TYPE3
+from stsramsey.constructions import LABEL_TYPE1, LABEL_TYPE3
 from stsramsey.io import format_system
 from stsramsey.search import l2_partitions
 
@@ -230,13 +231,24 @@ class TestLayerColorings:
         assert all(len(sp) <= bound for sp in mono_components(coloring).spanned)
         assert infer_labels(replace(s, labels=None)).labels == s.labels
 
-    def test_skolem_type1_relabelled_type3_rejected(self):
-        # the triple meets all three layers, so no color misses a layer there
-        s = skolem(13)
-        i = s.labels.index(LABEL_TYPE1)
-        labels = s.labels[:i] + (LABEL_TYPE3,) + s.labels[i + 1:]
-        with pytest.raises(MissingLabels):
-            skolem_coloring(replace(s, labels=labels))
+    @pytest.mark.parametrize("name", list(LAYERED_DIGESTS))
+    def test_labels_ignored(self, name):
+        # the colors are read from the triples: no labels, or labels that
+        # contradict them, change nothing
+        s = layered_system(name)
+        colors = layer_coloring(s).colors
+        assert layer_coloring(replace(s, labels=None)).colors == colors
+        assert layer_coloring(replace(s, labels=(LABEL_TYPE3,) * s.m)).colors == colors
+
+    def test_broken_triples_rejected(self):
+        # swapping vertices 1 and 4 turns the type-1 triple (1, 2, 3) into
+        # (2, 3, 4), which meets two cells; the system stays Steiner
+        swap = {1: 4, 4: 1}
+        triples = [[swap.get(v, v) for v in t] for t in skolem(13).triples]
+        s = validate_steiner(build_system(13, triples))
+        with pytest.raises(MissingLabels) as exc:
+            skolem_coloring(s)
+        assert str(exc.value) == "triple (2, 3, 4) matches no Skolem pattern"
 
 
 class TestBicolorings:

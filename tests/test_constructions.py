@@ -17,8 +17,8 @@ from stsramsey import (
     skolem,
     validate_steiner,
 )
-from stsramsey.constructions import _bose_product, _skolem_product
-from stsramsey.core import LABEL_TYPE1, LABEL_TYPE2, LABEL_TYPE3
+from stsramsey.constructions import (LABEL_TYPE1, LABEL_TYPE2, LABEL_TYPE3, _bose_product,
+                                     _skolem_product)
 
 from oracles import brute_pair_degrees
 

@@ -33,9 +33,9 @@ from stsramsey import (
     validate_steiner,
     verify_hole,
 )
+from stsramsey.constructions import layer_automorphisms
 from stsramsey.core import (
     flood_components,
-    layer_automorphisms,
     mask_vertices,
     pair_counts,
     shadow,

@@ -10,7 +10,7 @@ import pytest
 
 import stsramsey
 from stsramsey import search
-from stsramsey.core import layer_automorphisms
+from stsramsey.constructions import layer_automorphisms
 from stsramsey import (
     BadK,
     BudgetExhausted,
