@@ -268,9 +268,14 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
                     raise PairUncovered(u, v)
                 if cnt > 1:
                     raise PairMulticovered(u, v, cnt)
-    if labels is not None and len(labels) != s.m:
+    if labels is None:
+        return s
+    if len(labels) != s.m:
         raise ValueError("label count differs from triple count")
-    return s if labels is None else replace(s, labels=labels)
+    # the copy has the same triples, so it takes the pair count just cached
+    labelled = replace(s, labels=labels)
+    labelled.__dict__["pair_count"] = s.pair_count
+    return labelled
 
 
 def is_steiner(s: TripleSystem) -> bool:
@@ -278,10 +283,11 @@ def is_steiner(s: TripleSystem) -> bool:
 
     Each triple of a system from :func:`build_system` covers three distinct
     pairs, so all n(n-1)/2 pairs covered, with 3m equal to that count, means
-    each pair is covered exactly once.
+    each pair is covered exactly once.  The count 3m is compared first, so a
+    system with the wrong number of triples never counts its pairs.
     """
     n = s.n
-    return n % 6 in (1, 3) and s.pair_count == n * (n - 1) // 2 == 3 * s.m
+    return n % 6 in (1, 3) and 3 * s.m == n * (n - 1) // 2 == s.pair_count
 
 
 @dataclass(frozen=True)

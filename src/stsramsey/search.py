@@ -110,6 +110,38 @@ def _triples_at(ts: TripleSystem) -> list[list[int]]:
     return at
 
 
+def _mates(ts: TripleSystem) -> list[dict[int, int]]:
+    """``mate[w][u]``: the third vertices of every triple through w and u, as
+    a mask, for the two engines that take vertices into sets: the forward
+    check of :func:`_find_hole` and the candidate filter of
+    :func:`independence_number`.  One dict per vertex, holding only its
+    neighbours, so the rows take space in proportion to the triples."""
+    mate: list[dict[int, int]] = [{} for _ in range(ts.n)]
+    for x, y, z in ts.triples:
+        bx, by, bz = 1 << x, 1 << y, 1 << z
+        row = mate[x]
+        row[y] = bz
+        row[z] = by
+        row = mate[y]
+        row[x] = bz
+        row[z] = bx
+        row = mate[z]
+        row[x] = by
+        row[y] = bx
+    if sum(map(len, mate)) < 6 * ts.m:
+        # a pair lies in several triples, and its entries hold only the
+        # last one's third vertex: OR in every one's
+        for x, y, z in ts.triples:
+            bx, by, bz = 1 << x, 1 << y, 1 << z
+            mate[x][y] |= bz
+            mate[x][z] |= by
+            mate[y][x] |= bz
+            mate[y][z] |= bx
+            mate[z][x] |= by
+            mate[z][y] |= bx
+    return mate
+
+
 def _pairs_at(ts: TripleSystem) -> list[list[tuple[int, int]]]:
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(ts.n)]
     for x, y, z in ts.triples:
@@ -158,18 +190,9 @@ def independence_number(ts: TripleSystem,
     """
     meter = _Meter(budget)
     n = ts.n
-    tri_at = _triples_at(ts)
-    # mate[w][u]: the third vertices of every triple through w and u;
+    mate = _mates(ts)
     # near[w]: the vertices that share a triple with w
-    mate: list[dict[int, int]] = [{} for _ in range(n)]
-    near = [0] * n
-    for w in range(n):
-        row = mate[w]
-        for i in tri_at[w]:
-            x, y = (u for u in ts.triples[i] if u != w)
-            row[x] = row.get(x, 0) | 1 << y
-            row[y] = row.get(y, 0) | 1 << x
-            near[w] |= 1 << x | 1 << y
+    near = [reduce(or_, row.values(), 0) for row in mate]
 
     def blocked(v: int, chosen: int) -> int:
         """The vertices that complete a triple with v and one of ``chosen``."""
@@ -288,30 +311,37 @@ def _record_nogood(images: dict[int, list[int]], group: tuple[tuple[int, ...], .
             keys.append(key)
 
 
+def _lookup_sets(path: list[tuple[int, int]]) -> list[int]:
+    """The vertex masks that :func:`_dominated` looks up for ``path``: its
+    last vertex with every set of at most ``_RECORD_DEPTH - 1`` others.
+    They depend on the path's vertices alone, so every option of a frame
+    shares them."""
+    subs = [1 << path[-1][0]]
+    for u, _ in path[:-1]:
+        b = 1 << u
+        subs += [m | b for m in subs if m.bit_count() < _RECORD_DEPTH]
+    return subs
+
+
 def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
-               k: int, n: int) -> bool:
+               subs: list[int], k: int, n: int) -> bool:
     """Whether ``path`` contains a stored image, up to a relabelling of the
     parts and with left-out vertices on left-out ones.  Only images through
     the path's last vertex are looked up: one that avoids it lies in the
     parent path, which was checked before any nogood recorded since, and
     those are longer than it.  The store holds paths of at most
-    ``_RECORD_DEPTH`` decisions, so only vertex sets of that size are
-    built."""
+    ``_RECORD_DEPTH`` decisions, so only vertex sets of that size, the
+    ``subs`` of :func:`_lookup_sets`, are looked up."""
     cur = [0] * (k + 1)
     for u, j in path:
         cur[j] |= 1 << u
-    # the last vertex with every set of at most _RECORD_DEPTH - 1 others
-    subs = [1 << path[-1][0]]
-    for u, _ in path[:-1]:
-        b = 1 << u
-        subs += [m | b for m in subs if m.bit_count() < _RECORD_DEPTH]
     for m in filter(images.__contains__, subs):
         if _decision_key([c & m for c in cur], n) in images[m]:
             return True
     return False
 
 
-def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
+def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]],
                group: tuple[tuple[int, ...], ...], meter: _Meter,
                nodes: int, limit: float,
                ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
@@ -319,27 +349,24 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     the running node count, which enters as ``nodes``, and whether the
     search settled the level.
 
-    ``group`` is a group of automorphisms of the system.  The search stops
-    unsettled, with None, when the count reaches ``limit`` or the meter
-    refuses a node; only a refusal leaves the meter's ``stop`` negative.
-    See alpha_star.
+    ``mate`` holds the rows of :func:`_mates`, and ``group`` is a group of
+    automorphisms of the system.  The search stops unsettled, with None,
+    when the count reaches ``limit`` or the meter refuses a node; only a
+    refusal leaves the meter's ``stop`` negative.  See alpha_star.
     """
     bits = [1 << v for v in range(n)]
     rk = range(k)
-    # lose[j][p + 1]: the part a vertex loses when it shares a triple with a
-    # vertex just placed in part j and a vertex in part p (-1: in no part),
-    # or -1; it loses one when those two meet k - 1 distinct parts
-    lose = []
-    for j in rk:
-        row = []
-        for p in range(-1, k):
-            rest = [q for q in rk if q != j and q != p]
-            row.append(rest[0] if len(rest) == 1 else -1)
-        lose.append(row)
+    # lose[j]: (p, r) for each part p such that a vertex loses part r when
+    # it shares a triple with a vertex just placed in part j and a vertex of
+    # part p, the two meeting k - 1 distinct parts, none of them r: for
+    # k = 3 every p != j, with r the third part.  For k > 3 two vertices
+    # never meet k - 1 parts, and k = 2 reads v's row alone
+    lose = [[(p, 3 - j - p) for p in rk if p != j] if k == 3 else [] for j in rk]
     out = 1 << k
     down = range(k - 1, 0, -1)
     has = [(1 << n) - 1] * k    # has[j]: undecided vertices that may still join part j
     size = [0] * k
+    mem = [[] for _ in rk]      # mem[j]: the vertices placed in part j, in order
     part = [-1] * n             # -1: undecided or left out
     placed = used = 0
     goal = k * a
@@ -355,25 +382,31 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
     #         decided above it (0 once H is trivial), the subgroup of H that
     #         also fixes the vertex (the next frame's H), the part bit
     #         whose subtree is being searched while the orbit is nonzero,
-    #         and whether the path through the option being searched is
-    #         recorded as a nogood once its subtree is exhausted]
+    #         whether the path through the option being searched is
+    #         recorded as a nogood once its subtree is exhausted, and the
+    #         frame's _lookup_sets, built on its first dominance check]
     stack: list[list] = []
     # the next count to stop at: the meter's next question or the limit
     stop = min(meter.stop, limit)
     while True:
         if placed == goal:
-            return tuple(frozenset(v for v in range(n) if part[v] == j) for j in rk), nodes, True
+            return tuple(map(frozenset, mem)), nodes, True
         # prune when a part, or all parts together, can no longer be filled
         deficit = 0
         union = 0
+        tight = 0               # the candidates of the parts with none to spare
         for h, c in zip(has, size):
             need = a - c
-            if h.bit_count() < need:
+            spare = h.bit_count() - need
+            if spare < 0:
                 break
+            if not spare:
+                tight |= h
             deficit += need
             union |= h
         else:
-            if union.bit_count() >= deficit:
+            slack = union.bit_count() - deficit
+            if slack >= 0:
                 # branch on a vertex with the fewest parts left, the lowest
                 # first; cnt[m]: undecided vertices that may join more than m
                 cnt = [0] * k
@@ -394,7 +427,13 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                         dom |= 1 << j
                 # parts are interchangeable while empty: offer the used parts
                 # and the lowest empty one
-                offered = (1 << (used + 1 if used < k else k)) - 1
+                opts = dom & ((1 << (used + 1 if used < k else k)) - 1)
+                # leaving v out fails the prune above on the next pass when
+                # the union has no slack or v is a candidate of a part with
+                # none to spare; it is offered anyway where its path is
+                # recorded as a nogood, so the store stays the same
+                if (slack and not tight & low) or len(stack) < _RECORD_DEPTH:
+                    opts |= out
                 v = low.bit_length() - 1
                 orbit = 0
                 stab = stack[-1][7] if stack else top
@@ -405,14 +444,18 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                     if len(stab) == 1:
                         stab = None
                 stack.append([v, tuple(has), tuple(size), placed, used,
-                              (dom & offered) | out, orbit, stab, 0, False])
+                              opts, orbit, stab, 0, False, None])
         while stack:
             frame = stack[-1]
-            v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted = frame
+            v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted, _ = frame
             if refuted:
                 _record_nogood(images, group, [(f[0], part[f[0]]) for f in stack], k, n)
                 frame[9] = False
-            part[v] = -1
+            vb = bits[v]
+            j = part[v]
+            if j >= 0:
+                mem[j].pop()        # v: later placements were undone first
+                part[v] = -1
             if tried:
                 # orbital ban: v in part j failed, so by symmetry every vertex
                 # of v's orbit fails there; an empty j stands for every
@@ -444,14 +487,15 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
                 if images:
                     path = [(f[0], part[f[0]]) for f in stack]
                     path[-1] = (v, bit.bit_length() - 1 if bit != out else -1)
-                    if _dominated(images, path, k, n):
+                    if frame[10] is None:
+                        frame[10] = _lookup_sets(path)
+                    if _dominated(images, path, frame[10], k, n):
                         # skipped like a banned option; its failure bans v's
                         # orbit like a searched one's
                         if orbit and bit != out:
                             frame[8] = bit
                         continue
                 frame[9] = len(stack) <= _RECORD_DEPTH
-            vb = bits[v]
             if bit == out:
                 for j in rk:
                     if has[j] & vb:
@@ -466,26 +510,28 @@ def _find_hole(n: int, k: int, a: int, pairs: list[list[tuple[int, int]]],
             nodes += 1
             j = bit.bit_length() - 1
             part[v] = j
+            mem[j].append(v)
             size[j] += 1
             placed += 1
             if j == used:
                 used += 1
-            # forward check: the undecided vertices of v's triples lose parts
-            lost = [vb] * k
-            row = lose[j]
-            for x, y in pairs[v]:
-                px = part[x]
-                py = part[y]
-                if py < 0:
-                    r = row[px + 1]
-                    if r >= 0:
-                        lost[r] |= bits[y]
-                if px < 0:
-                    r = row[py + 1]
-                    if r >= 0:
-                        lost[r] |= bits[x]
+            # forward check: v leaves every domain, and the undecided
+            # vertices of its triples lose parts
             for i in rk:
-                has[i] &= ~lost[i]
+                if has[i] & vb:
+                    has[i] ^= vb
+            if k == 2:
+                # every vertex sharing a triple with v loses the other part:
+                # the triple's third vertex is in no part or in j, since one
+                # in the other part would have taken j from v
+                has[1 - j] &= ~reduce(or_, mate[v].values(), 0)
+            else:
+                get = mate[v].get
+                for p, r in lose[j]:
+                    lost = 0
+                    for x in mem[p]:
+                        lost |= get(x, 0)
+                    has[r] &= ~lost
             if size[j] == a:
                 has[j] = 0
             break
@@ -529,11 +575,23 @@ def alpha_star(ts: TripleSystem, k: int,
       held as one bitmask of vertices per part.  A vertex loses part j once
       the other vertices of one of its triples meet k - 1 distinct parts,
       none of them j, and every vertex loses a part once it is full.
+    * The forward check reads the parts, not v's triples.  Placing v in
+      part j walks, for each other part p, the vertices placed in p, and
+      the third vertices of their triples with v lose the part that is
+      neither j nor p; with k = 2 every vertex that shares a triple with v
+      loses the other part, and with k > 3 no vertex loses one.  The third
+      vertices come from v's row of mate masks (:func:`_mates`), one sparse
+      dict per vertex built once per call.
     * A branch dies when some part, or all parts together, can no longer be
       filled from the vertices that may still join them.
     * The next vertex is one with the fewest parts left, the lowest first.
       It is placed in each of its parts, the emptiest first (balanced parts
-      constrain each other early), and then left out.
+      constrain each other early), and then left out.  Leaving it out is
+      not offered when the prune above would refuse it at once: when the
+      parts' candidates together have no slack over the vertices still
+      needed, or the vertex is a candidate of a part with none to spare.
+      Such a leave-out is still offered in the top 5 frames, whose paths
+      are recorded as nogoods (see below), so the store is unchanged.
     * Parts are interchangeable while empty, so only the used parts and the
       lowest empty one are offered.
     * Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011,
@@ -574,7 +632,8 @@ def alpha_star(ts: TripleSystem, k: int,
       limited by the interpreter's recursion limit.
 
     A node is one vertex placed in one part; leaving a vertex out is not a
-    node, and neither is a banned option, which is never offered: a frame's
+    node, so the leave-outs not offered change no node count, hole or
+    value.  Neither is a banned option, which is never offered: a frame's
     own bans take from its vertex only parts it has tried or was never
     offered.  A dominated option is skipped before the meter is asked, so it
     is not a node either, and when it places v it bans v's orbit as a failed
@@ -595,7 +654,7 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
         raise BadK(f"need at least 2 parts, got {k}")
     n = ts.n
     ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
-    pairs = _pairs_at(ts)
+    mate = _mates(ts)
     group = layer_automorphisms(ts)
 
     best = tuple(frozenset() for _ in range(k))
@@ -604,7 +663,7 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     # the probe: the cap level first, within a slice of k * n nodes
     level, limit = ub, k * n
     while len(best[0]) < ub:
-        parts, nodes, settled = _find_hole(n, k, level, pairs, group, meter, nodes, limit)
+        parts, nodes, settled = _find_hole(n, k, level, mate, group, meter, nodes, limit)
         if settled:
             if parts is None:
                 ub = level - 1

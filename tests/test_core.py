@@ -240,6 +240,15 @@ class TestPairCount:
         assert labeled.pair_count == s.pair_count == oracle_pair_facts(labeled)[0] == 27 * 26 // 2
         assert is_steiner(labeled)
 
+    @pytest.mark.parametrize("make", [lambda: bose(99), lambda: skolem(97)],
+                             ids=["bose99", "skolem97"])
+    def test_labeled_construction_keeps_the_cached_count(self, make):
+        # validate_steiner counts the pairs before it copies the system with
+        # its labels; the copy carries that count and never counts again
+        s = make()
+        assert s.labels is not None and "pair_count" in s.__dict__
+        assert s.pair_count == oracle_pair_facts(s)[0] == s.n * (s.n - 1) // 2
+
     def test_derived_when_constructed_directly(self):
         ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
         assert (ts.pair_count, is_steiner(ts), ts.linear) == oracle_pair_facts(ts) == (3, True, True)

@@ -30,6 +30,7 @@ from stsramsey import (
     random_sts,
     s9,
     skolem,
+    triangle_removal,
     validate_steiner,
     verify_hole,
 )
@@ -55,6 +56,49 @@ def _relabeled(system, seed):
 
 def single_triple():
     return build_system(3, [(0, 1, 2)])
+
+
+def _orbit_unions(system):
+    """Four partial systems, each a seeded union of triple orbits under the
+    layer group of ``system``; each keeps the group."""
+    group = layer_automorphisms(system)
+    orbits = {frozenset(tuple(sorted(g[v] for v in t)) for g in group)
+              for t in system.triples}
+    rng = random.Random(7)
+    return [build_system(system.n, [t for orbit in sorted(orbits, key=min)
+                                    if rng.random() < 0.6 for t in orbit])
+            for _ in range(4)]
+
+
+def _hole_digest(hole):
+    return hashlib.sha256(repr([sorted(p) for p in hole.parts]).encode()).hexdigest()[:16]
+
+
+def _hole_tree(system, k):
+    """(value, nodes, parts digest) of an exact alpha_star run."""
+    res = alpha_star(system, k)
+    assert res.exact
+    return res.value, res.budget_spent.nodes, _hole_digest(res.lower_certificate)
+
+
+# _hole_tree at k = 2 and k = 4 on each of _orbit_unions(system), recorded
+# while the forward check walked every triple through the placed vertex; at
+# k = 2 it takes the other part from every vertex that shares a triple with
+# the placed one, whatever part the triple's third vertex is in
+ORBIT_UNION_TREES = {
+    "bose9": [((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
+              ((1, 8, "9c731319e6f8d3c3"), (2, 8, "c01880c51daed7d6")),
+              ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
+              ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6"))],
+    "s9": [((2, 11, "94c10612b654912c"), (2, 8, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6"))],
+    "skolem13": [((1, 22, "bb45fdac96207bcc"), (3, 12, "cbee5c95c1a59c6e")),
+                 ((2, 31, "9e7a2d4808f40dbf"), (3, 12, "cbee5c95c1a59c6e")),
+                 ((2, 39, "f7914d221ed0455a"), (3, 12, "cbee5c95c1a59c6e")),
+                 ((2, 30, "d1428d2883156792"), (3, 12, "cbee5c95c1a59c6e"))],
+}
 
 
 def _greedy_independent(n, triples):
@@ -92,8 +136,8 @@ class TestIndependenceNumber:
     def test_certificate_with_a_triple_raises(self, s9_sys, monkeypatch):
         # with no triples at any vertex the search takes every vertex; the
         # engine's own check must catch the full triples in its set
-        monkeypatch.setattr("stsramsey.search._triples_at",
-                            lambda ts: [[] for _ in range(ts.n)])
+        monkeypatch.setattr("stsramsey.search._mates",
+                            lambda ts: [{} for _ in range(ts.n)])
         with pytest.raises(RuntimeError, match="independent-set certificate"):
             independence_number(s9_sys)
 
@@ -101,7 +145,7 @@ class TestIndependenceNumber:
         # python -O strips asserts; the check must still raise
         src = str(Path(stsramsey.__file__).resolve().parents[1])
         code = ("import stsramsey, stsramsey.search as search\n"
-                "search._triples_at = lambda ts: [[] for _ in range(ts.n)]\n"
+                "search._mates = lambda ts: [{} for _ in range(ts.n)]\n"
                 "try:\n"
                 "    search.independence_number(stsramsey.s9())\n"
                 "except RuntimeError as exc:\n"
@@ -197,18 +241,33 @@ class TestAlphaStar:
         # unions of triple orbits keep the group and, being partial, refute
         # levels below the trivial cap, where the bans fire
         system = make()
-        group = layer_automorphisms(system)
-        orbits = {frozenset(tuple(sorted(g[v] for v in t)) for g in group)
-                  for t in system.triples}
-        rng = random.Random(7)
-        for _ in range(4):
-            triples = [t for orbit in sorted(orbits, key=min) if rng.random() < 0.6
-                       for t in orbit]
-            part = build_system(system.n, triples)
-            assert len(layer_automorphisms(part)) >= len(group)
+        for part in _orbit_unions(system):
+            assert len(layer_automorphisms(part)) >= len(layer_automorphisms(system))
             for k, oracle in ((3, brute_alpha_star3), (2, brute_alpha_star2)):
                 res = alpha_star(part, k)
                 assert res.exact and res.value == oracle(part.n, part.triples)
+
+    @pytest.mark.parametrize("name, make", [("bose9", lambda: bose(9)), ("s9", s9),
+                                            ("skolem13", lambda: skolem(13))],
+                             ids=["bose9", "s9", "skolem13"])
+    def test_k2_and_k4_trees_on_symmetric_partial_systems(self, name, make):
+        # node counts and parts pin the trees, not only the values
+        got = [tuple(_hole_tree(part, k) for k in (2, 4)) for part in _orbit_unions(make())]
+        assert got == ORBIT_UNION_TREES[name]
+
+    @pytest.mark.parametrize("seed, trees", [
+        (0, ((4, 189, "8143e48a7f7fdb13"), (6, 28, "2c2945d895cfd1a9"),
+             (4, 16, "068833a107472cc1"))),
+        (1, ((4, 242, "c9a55575e63ae34a"), (6, 18, "966a5d57404a0347"),
+             (4, 16, "068833a107472cc1"))),
+        (2, ((4, 266, "d70f972bfc2eb81c"), (6, 19, "03f8e93e6f13ff33"),
+             (4, 16, "068833a107472cc1"))),
+    ])
+    def test_k2_k3_k4_trees_on_a_triangle_removal_system(self, seed, trees):
+        # 28 triples on 19 points, a partial system with a trivial group;
+        # recorded with ORBIT_UNION_TREES
+        system = triangle_removal(19, 28, seed).system
+        assert tuple(_hole_tree(system, k) for k in (2, 3, 4)) == trees
 
     @pytest.mark.parametrize("make", [lambda: bose(15), lambda: bose(21)],
                              ids=["bose15", "bose21"])
@@ -297,16 +356,16 @@ class TestAlphaStar:
         with pytest.raises(InvalidHole):
             alpha_star(s9_sys, 3)
 
-    @pytest.mark.parametrize("system, cap, value, nodes", [
-        (skolem(25), 150_000, 7, 2_175),
-        (bose(21), 500_000, 5, 22_923),
-        (bose(27), 400_000, 7, 114_261),
-        (bose(27), 150_000, 7, 114_261),
-        (random_sts(25, 1_000_028), 150_000, 7, 20_891),
-        (_relabeled(bose(21), 12), 500_000, 5, 252_115),
+    @pytest.mark.parametrize("system, cap, value, nodes, digest", [
+        (skolem(25), 150_000, 7, 2_175, "aea8022747a784da"),
+        (bose(21), 500_000, 5, 22_923, "b1160b0d28e57df8"),
+        (bose(27), 400_000, 7, 114_261, "1a65323c7651ca9c"),
+        (bose(27), 150_000, 7, 114_261, "1a65323c7651ca9c"),
+        (random_sts(25, 1_000_028), 150_000, 7, 20_891, "a61bdecf967af67c"),
+        (_relabeled(bose(21), 12), 500_000, 5, 252_115, "125e6d23a6cf8e38"),
     ], ids=["skolem25", "bose21", "bose27", "bose27-holes-cap", "random_sts25",
             "bose21-relabeled"])
-    def test_forward_checking_settles_within_cap(self, system, cap, value, nodes):
+    def test_forward_checking_settles_within_cap(self, system, cap, value, nodes, digest):
         # index-order backtracking left skolem(25) and bose(21) inexact at
         # these caps; skolem(25) and random_sts(25) end at the cap
         # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8,
@@ -317,11 +376,12 @@ class TestAlphaStar:
         # within its slice of 3n nodes, so each count is the climb's plus
         # 75, 63, 81, 81, 75 and 63.  A relabelled bose(21) has a trivial
         # group, so its count is that of the tree without bans or dominance
-        # detection
+        # detection; the digest pins the certificate's parts
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
         assert verify_hole(system, res.lower_certificate)
+        assert _hole_digest(res.lower_certificate) == digest
 
     @pytest.mark.parametrize("seed", range(10))
     def test_probe_settles_at_the_cap(self, seed):
