@@ -388,9 +388,9 @@ def experiment():
 def discrepancy(n: int, samples: int, seed: int, csv_path: str,
                 max_nodes: int, max_seconds: float):
     """Measure alpha*_3 over partial and full random systems; write CSV."""
+    budget = _budget_or_exit(max_nodes, max_seconds)
     try:
-        rows, summary = rnd.experiment_discrepancy(
-            n, samples, seed, SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds))
+        rows, summary = rnd.experiment_discrepancy(n, samples, seed, budget)
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
     _write_or_exit(rnd.write_experiment_csv, rows, csv_path)

@@ -109,7 +109,7 @@ def skolem(n: int) -> TripleSystem:
 
 def fano() -> TripleSystem:
     """The 7-point system with lines {i, i+1, i+3} mod 7."""
-    triples = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
+    triples = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
     return validate_steiner(build_system(7, triples))
 
 
@@ -118,7 +118,7 @@ def s9() -> TripleSystem:
     lines = []
     for slope in range(3):
         for b in range(3):
-            lines.append(tuple(sorted(3 * x + (slope * x + b) % 3 for x in range(3))))
+            lines.append(tuple(3 * x + (slope * x + b) % 3 for x in range(3)))
     for a in range(3):
         lines.append((3 * a, 3 * a + 1, 3 * a + 2))
     return validate_steiner(build_system(9, lines))

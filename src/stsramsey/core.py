@@ -1,17 +1,19 @@
 """Data model for 3-uniform triple systems and their coloring machinery.
 
 Vertices are dense 0-based integers.  One type, :class:`TripleSystem`,
-models every system: an ordered list of sorted triples; the one thing it
-caches is its number of covered pairs (``pair_count``).  Per-pair tables are
-built by the call that reads them (:func:`pair_counts`) and dropped with it.  A
-Steiner triple system is a TripleSystem in which every pair lies in exactly
-one triple (:func:`validate_steiner`, :func:`is_steiner`); the partial
-systems of the triangle-removal process are linear: every pair lies in at
-most one triple (``TripleSystem.linear``).  The Bose and Skolem
-constructions attach per-triple ``labels``, which equality ignores; they
-are written only for the frozen benchmark under ``bench/``, and nothing in
-the package reads them.  No Bose/Skolem arithmetic lives here: the layer
-encoding, its colorings and its group are in :mod:`constructions`.
+models every system: an ordered list of sorted triples.  Its constructor
+checks and sorts them, so however a system is built, it holds them the same
+way.  The one thing it caches is its number of covered pairs
+(``pair_count``).  Per-pair tables are built by the call that reads them
+(:func:`pair_counts`) and dropped with it.  A Steiner triple system is a
+TripleSystem in which every pair lies in exactly one triple
+(:func:`validate_steiner`, :func:`is_steiner`); the partial systems of the
+triangle-removal process are linear: every pair lies in at most one triple
+(``TripleSystem.linear``).  The Bose and Skolem constructions attach
+per-triple ``labels``, which equality ignores; they are written only for
+the frozen benchmark under ``bench/``, and nothing in the package reads
+them.  No Bose/Skolem arithmetic lives here: the layer encoding, its
+colorings and its group are in :mod:`constructions`.
 
 Connectivity is always meant through the shadow graph: two vertices are
 adjacent when they share a triple, and components of one color class of an
@@ -29,7 +31,7 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -124,7 +126,7 @@ class BudgetExhausted(StsError):
 # ---------------------------------------------------------------------------
 
 class Triple(NamedTuple):
-    """A 3-element edge, stored with a < b < c."""
+    """A 3-element edge, a < b < c in every triple of a :class:`TripleSystem`."""
 
     a: int
     b: int
@@ -134,6 +136,13 @@ class Triple(NamedTuple):
 @dataclass(frozen=True)
 class TripleSystem:
     """A 3-uniform hypergraph on n vertices with an ordered triple list.
+
+    The constructor checks the triples and stores each one sorted, as a
+    ``Triple``, in the order listed; :func:`build_system` is the same call.
+    ``n`` and each vertex must be an ``int``, not a ``bool`` (what the file
+    format can hold), and each triple three distinct vertices in [0, n).
+    Listing a triple twice is an error, but covering a *pair* twice is not
+    (validate_steiner rejects that); the first bad triple is reported.
 
     ``pair_count`` is the number of distinct vertex pairs that lie in some
     triple.  It is derived from ``triples`` on first use and cached, so it
@@ -147,6 +156,41 @@ class TripleSystem:
     n: int
     triples: tuple[Triple, ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        if type(n) is not int:
+            raise VertexOutOfRange(f"vertex count {n!r} is not an int")
+        if n < 0:
+            raise VertexOutOfRange(f"negative vertex count {n}")
+        norm: list[Triple] = []
+        seen: set[Triple] = set()
+        for raw in self.triples:
+            vs = tuple(raw)
+            if len(vs) == 3:
+                a, b, c = vs
+                if type(a) is int and type(b) is int and type(c) is int:
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                    t = tuple.__new__(Triple, (a, b, c))  # skips Triple's Python __new__
+                    if 0 <= a < b < c < n and t not in seen:
+                        seen.add(t)
+                        norm.append(t)
+                        continue
+            if len(vs) != 3 or len(set(vs)) != 3:
+                raise VertexOutOfRange(f"not three distinct vertices: {vs!r}")
+            for v in vs:
+                if not (0 <= v < n):
+                    raise VertexOutOfRange(f"vertex {v} not in [0, {n})")
+            for v in vs:
+                if type(v) is not int:
+                    raise VertexOutOfRange(f"vertex {v!r} is not an int")
+            raise DuplicateTriple(f"triple {tuple(t)} listed twice")
+        object.__setattr__(self, "triples", tuple(norm))
 
     @cached_property
     def pair_count(self) -> int:
@@ -178,19 +222,9 @@ class TripleSystem:
 
 
 def _pair_codes(s: TripleSystem) -> Iterator[int]:
-    """The code u*n + v, u < v, of each pair of each triple.
-
-    A system built directly may list a triple's vertices in any order, so
-    each triple is sorted first.
-    """
+    """The code u*n + v, u < v, of each pair of each triple (sorted on construction)."""
     n = s.n
     for a, b, c in s.triples:
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
         yield a * n + b
         yield a * n + c
         yield b * n + c
@@ -202,47 +236,8 @@ def pair_counts(s: TripleSystem) -> Counter[int]:
 
 
 def build_system(n: int, triples: Iterable[Iterable[int]]) -> TripleSystem:
-    """Normalize raw vertex triples into a TripleSystem.
-
-    ``n`` and each vertex must be an ``int`` that is not a ``bool`` (what the
-    file format can hold), and each listed triple must have three distinct
-    vertices in [0, n).  Triples are sorted internally; listing the same
-    triple twice is an error, but over-covering a *pair* with two different
-    triples is not (validate_steiner rejects that later).  The first bad
-    triple is reported.
-    """
-    if type(n) is not int:
-        raise VertexOutOfRange(f"vertex count {n!r} is not an int")
-    if n < 0:
-        raise VertexOutOfRange(f"negative vertex count {n}")
-    norm: list[Triple] = []
-    seen: set[Triple] = set()
-    for raw in triples:
-        vs = tuple(raw)
-        if len(vs) == 3:
-            a, b, c = vs
-            if type(a) is int and type(b) is int and type(c) is int:
-                if a > b:
-                    a, b = b, a
-                if b > c:
-                    b, c = c, b
-                    if a > b:
-                        a, b = b, a
-                t = tuple.__new__(Triple, (a, b, c))  # skips Triple's Python __new__
-                if 0 <= a < b < c < n and t not in seen:
-                    seen.add(t)
-                    norm.append(t)
-                    continue
-        if len(vs) != 3 or len(set(vs)) != 3:
-            raise VertexOutOfRange(f"not three distinct vertices: {vs!r}")
-        for v in vs:
-            if not (0 <= v < n):
-                raise VertexOutOfRange(f"vertex {v} not in [0, {n})")
-        for v in vs:
-            if type(v) is not int:
-                raise VertexOutOfRange(f"vertex {v!r} is not an int")
-        raise DuplicateTriple(f"triple {tuple(t)} listed twice")
-    return TripleSystem(n=n, triples=tuple(norm))
+    """The system on n vertices with these triples: ``TripleSystem(n, triples)``."""
+    return TripleSystem(n, triples)
 
 
 def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> TripleSystem:
@@ -272,19 +267,21 @@ def validate_steiner(s: TripleSystem, labels: tuple[str, ...] | None = None) -> 
         return s
     if len(labels) != s.m:
         raise ValueError("label count differs from triple count")
-    # the copy has the same triples, so it takes the pair count just cached
-    labelled = replace(s, labels=labels)
-    labelled.__dict__["pair_count"] = s.pair_count
+    # the copy takes s's checked triples and the pair count just cached,
+    # so the constructor does not run again
+    labelled = object.__new__(TripleSystem)
+    labelled.__dict__.update(s.__dict__, labels=labels)
     return labelled
 
 
 def is_steiner(s: TripleSystem) -> bool:
     """Whether every vertex pair lies in exactly one triple, n = 1 or 3 (mod 6).
 
-    Each triple of a system from :func:`build_system` covers three distinct
-    pairs, so all n(n-1)/2 pairs covered, with 3m equal to that count, means
-    each pair is covered exactly once.  The count 3m is compared first, so a
-    system with the wrong number of triples never counts its pairs.
+    Each triple of a system covers three distinct pairs (its constructor
+    checks that), so all n(n-1)/2 pairs covered, with 3m equal to that
+    count, means each pair is covered exactly once.  The count 3m is
+    compared first, so a system with the wrong number of triples never
+    counts its pairs.
     """
     n = s.n
     return n % 6 in (1, 3) and 3 * s.m == n * (n - 1) // 2 == s.pair_count

@@ -18,6 +18,7 @@ from stsramsey import (
     SearchBudget,
     VertexOutOfRange,
     alpha_star,
+    bicoloring_search,
     binomial_3graph,
     bose,
     build_system,
@@ -25,9 +26,11 @@ from stsramsey import (
     infer_labels,
     is_steiner,
     largest_mono_component,
+    linearize,
     mono_components,
     s9,
     skolem,
+    skolem_coloring,
     random_sts,
     triangle_removal,
     validate_steiner,
@@ -67,15 +70,18 @@ class TestBuildSystem:
             validate_steiner(ts)
         assert err.value.pair == (0, 1)
 
+    # build_system is the constructor call, so each error test runs both
     def test_duplicate_triple(self):
-        with pytest.raises(DuplicateTriple):
-            build_system(5, [(0, 1, 2), (2, 1, 0)])
+        for make in (build_system, TripleSystem):
+            with pytest.raises(DuplicateTriple):
+                make(5, [(0, 1, 2), (2, 1, 0)])
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(VertexOutOfRange):
-            build_system(3, [(0, 1, 3)])
-        with pytest.raises(VertexOutOfRange):
-            build_system(5, [(0, 1, 1)])
+        for make in (build_system, TripleSystem):
+            with pytest.raises(VertexOutOfRange):
+                make(3, [(0, 1, 3)])
+            with pytest.raises(VertexOutOfRange):
+                make(5, [(0, 1, 1)])
 
     def test_triples_normalized_sorted(self):
         ts = build_system(5, [(4, 0, 2)])
@@ -93,10 +99,11 @@ class TestBuildSystem:
         assert parse_system(format_system(ts)) == ts
 
     def test_first_bad_triple_is_reported(self):
-        with pytest.raises(DuplicateTriple):
-            build_system(3, [(0, 1, 2), (0, 1, 2), (0, 1, 3)])
-        with pytest.raises(VertexOutOfRange, match=r"^vertex 3 not in \[0, 3\)$"):
-            build_system(3, [(0, 1, 3), (0, 1, 2), (0, 1, 2)])
+        for make in (build_system, TripleSystem):
+            with pytest.raises(DuplicateTriple):
+                make(3, [(0, 1, 2), (0, 1, 2), (0, 1, 3)])
+            with pytest.raises(VertexOutOfRange, match=r"^vertex 3 not in \[0, 3\)$"):
+                make(3, [(0, 1, 3), (0, 1, 2), (0, 1, 2)])
 
     @pytest.mark.parametrize("n,triples,error,message", [
         (3, [(0, 1, 1)], VertexOutOfRange, "not three distinct vertices: (0, 1, 1)"),
@@ -114,9 +121,10 @@ class TestBuildSystem:
         (True, [], VertexOutOfRange, "vertex count True is not an int"),
     ])
     def test_error_messages(self, n, triples, error, message):
-        with pytest.raises(error) as err:
-            build_system(n, triples)
-        assert str(err.value) == message
+        for make in (build_system, TripleSystem):
+            with pytest.raises(error) as err:
+                make(n, triples)
+            assert str(err.value) == message
 
 
 class TestValidateSteiner:
@@ -249,21 +257,32 @@ class TestPairCount:
         assert s.labels is not None and "pair_count" in s.__dict__
         assert s.pair_count == oracle_pair_facts(s)[0] == s.n * (s.n - 1) // 2
 
+    @pytest.mark.parametrize("make", [lambda: bose(99), lambda: skolem(97)],
+                             ids=["bose99", "skolem97"])
+    def test_labeled_copy_does_not_run_the_constructor_again(self, make):
+        # the constructor builds a new tuple of triples, so the same tuple
+        # shows that the labelled copy took s's checked triples as they were
+        s = make()
+        copy = validate_steiner(s, s.labels)
+        assert copy is not s and copy.labels == s.labels
+        assert copy.triples is s.triples and "pair_count" in copy.__dict__
+
     def test_derived_when_constructed_directly(self):
         ts = TripleSystem(n=3, triples=(Triple(0, 1, 2),))
         assert (ts.pair_count, is_steiner(ts), ts.linear) == oracle_pair_facts(ts) == (3, True, True)
 
     def test_unsorted_triples_count_each_pair_once(self):
-        # a system built directly may list a triple's vertices in any order;
-        # the pair (0, 1) lies in both triples
+        # the triples may be listed in any vertex order, and the constructor
+        # sorts them; the pair (0, 1) lies in both triples
         ts = TripleSystem(7, ((1, 0, 2), (0, 1, 3)))
         assert (ts.pair_count, ts.linear) == (5, False)
         assert pair_counts(ts)[0 * 7 + 1] == 2
 
     def test_shuffled_copies_count_the_same_pairs(self):
         # fano with its triple {2, 3, 5} moved onto {1, 2, 3}: pairs (1, 2)
-        # and (1, 3) covered twice, (2, 5) and (3, 5) not at all; listed
-        # unsorted, the two covers of a pair were once coded as two pairs
+        # and (1, 3) covered twice, (2, 5) and (3, 5) not at all; the
+        # constructor sorts each shuffled triple, so the two covers of a
+        # pair get one pair code
         triples = [t for t in fano().triples if t != (2, 3, 5)] + [(1, 2, 3)]
         bad = build_system(7, triples)
         assert not is_steiner(bad)
@@ -486,6 +505,61 @@ class TestOneSystemType:
         labeled, bare = alpha_star(s, 3, cap), alpha_star(back, 3, cap)
         assert (labeled.value, labeled.exact, labeled.budget_spent.nodes) == (
             bare.value, bare.exact, bare.budget_spent.nodes)
+
+
+def _reversed(s, as_triples):
+    """s built directly from its triples, each listed backwards, as ``Triple``
+    objects or as plain int tuples."""
+    make = Triple if as_triples else lambda *vs: vs
+    return TripleSystem(s.n, tuple(make(c, b, a) for a, b, c in s.triples))
+
+
+HAND_BUILT = pytest.mark.parametrize("as_triples", [True, False],
+                                     ids=["reversed-Triples", "plain-tuples"])
+
+
+class TestHandBuiltSystem:
+    # a system built directly, with its triples listed backwards, equals its
+    # build_system twin and gives the same answers: the functions below
+    # read each triple as sorted
+    @HAND_BUILT
+    def test_equals_its_build_system_twin(self, as_triples):
+        s = skolem(13)
+        hand = _reversed(s, as_triples)
+        assert hand == s and hand.triples == s.triples
+        assert all(type(t) is Triple for t in hand.triples)
+
+    @HAND_BUILT
+    def test_linearize_keeps_the_same_triples(self, as_triples):
+        g = binomial_3graph(20, 1 / 40, 5)
+        kept = linearize(_reversed(g, as_triples))
+        assert kept == linearize(g) and kept.m == 10
+
+    @HAND_BUILT
+    @pytest.mark.parametrize("make", [fano, s9, lambda: bose(9)], ids=["fano", "s9", "bose9"])
+    def test_bicoloring_search_finds_the_same_classes(self, make, as_triples):
+        s = make()
+        assert bicoloring_search(_reversed(s, as_triples)).classes == \
+            bicoloring_search(s).classes
+
+    @HAND_BUILT
+    def test_skolem_coloring_gives_the_same_colors(self, as_triples):
+        s = skolem(13)
+        assert skolem_coloring(_reversed(s, as_triples)).colors == skolem_coloring(s).colors
+
+    @HAND_BUILT
+    def test_alpha_star_keeps_its_layer_group(self, as_triples):
+        # without the group, the same search takes 264,767 nodes
+        res = alpha_star(_reversed(bose(21), as_triples), 3)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (5, True, 22_923)
+
+    @HAND_BUILT
+    @pytest.mark.parametrize("make", [fano, lambda: skolem(13), lambda: bose(21)],
+                             ids=["fano", "skolem13", "bose21"])
+    def test_file_format_round_trip(self, make, as_triples):
+        s = make()
+        text = format_system(_reversed(s, as_triples))
+        assert text == format_system(s) and parse_system(text) == s
 
 
 def _relabeled(s, seed):
