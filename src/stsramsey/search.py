@@ -341,7 +341,7 @@ def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
     return False
 
 
-def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]],
+def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[int],
                group: tuple[tuple[int, ...], ...], meter: _Meter,
                nodes: int, limit: float,
                ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
@@ -349,19 +349,14 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]],
     the running node count, which enters as ``nodes``, and whether the
     search settled the level.
 
-    ``mate`` holds the rows of :func:`_mates`, and ``group`` is a group of
-    automorphisms of the system.  The search stops unsettled, with None,
-    when the count reaches ``limit`` or the meter refuses a node; only a
-    refusal leaves the meter's ``stop`` negative.  See alpha_star.
+    ``mate`` holds the rows of :func:`_mates`, ``near[w]`` the vertices
+    that share a triple with w (read at k = 2 alone), and ``group`` is a
+    group of automorphisms of the system.  The search stops unsettled, with
+    None, when the count reaches ``limit`` or the meter refuses a node; only
+    a refusal leaves the meter's ``stop`` negative.  See alpha_star.
     """
     bits = [1 << v for v in range(n)]
     rk = range(k)
-    # lose[j]: (p, r) for each part p such that a vertex loses part r when
-    # it shares a triple with a vertex just placed in part j and a vertex of
-    # part p, the two meeting k - 1 distinct parts, none of them r: for
-    # k = 3 every p != j, with r the third part.  For k > 3 two vertices
-    # never meet k - 1 parts, and k = 2 reads v's row alone
-    lose = [[(p, 3 - j - p) for p in rk if p != j] if k == 3 else [] for j in rk]
     out = 1 << k
     down = range(k - 1, 0, -1)
     has = [(1 << n) - 1] * k    # has[j]: undecided vertices that may still join part j
@@ -391,60 +386,89 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]],
     while True:
         if placed == goal:
             return tuple(map(frozenset, mem)), nodes, True
-        # prune when a part, or all parts together, can no longer be filled
-        deficit = 0
-        union = 0
-        tight = 0               # the candidates of the parts with none to spare
-        for h, c in zip(has, size):
-            need = a - c
-            spare = h.bit_count() - need
-            if spare < 0:
-                break
-            if not spare:
-                tight |= h
-            deficit += need
-            union |= h
+        # prune when a part, or all parts together, can no longer be filled;
+        # else branch on low, a vertex with the fewest parts left, the
+        # lowest first, whose parts are the bits of dom; leaving it out is
+        # free when the prune would not refuse it at once
+        low = 0
+        if k == 3:
+            # the loops of the other branch, written out for three parts:
+            # each part's spare candidates, then the union's
+            h0, h1, h2 = has
+            s0, s1, s2 = size
+            e0 = h0.bit_count() - a + s0
+            e1 = h1.bit_count() - a + s1
+            e2 = h2.bit_count() - a + s2
+            if e0 >= 0 and e1 >= 0 and e2 >= 0:
+                union = h0 | h1 | h2
+                slack = union.bit_count() - goal + placed
+                if slack >= 0:
+                    # two and three: the vertices that may join at least two
+                    # parts and all three; the pool holds those with exactly
+                    # one part left, else exactly two, else three
+                    two = h0 & h1 | h0 & h2 | h1 & h2
+                    pool = union & ~two
+                    if not pool:
+                        three = h0 & h1 & h2
+                        pool = two & ~three or three
+                    low = pool & -pool
+                    dom = (1 if h0 & low else 0) | (2 if h1 & low else 0) | (4 if h2 & low else 0)
+                    free = (slack and (e0 or not dom & 1) and (e1 or not dom & 2)
+                            and (e2 or not dom & 4))
         else:
-            slack = union.bit_count() - deficit
-            if slack >= 0:
-                # branch on a vertex with the fewest parts left, the lowest
-                # first; cnt[m]: undecided vertices that may join more than m
-                cnt = [0] * k
-                for h in has:
-                    for m in down:
-                        cnt[m] |= cnt[m - 1] & h
-                    cnt[0] |= h
-                for m in range(1, k):
-                    pool = cnt[m - 1] & ~cnt[m]
-                    if pool:
-                        break
-                else:
-                    pool = cnt[k - 1]
-                low = pool & -pool
-                dom = 0
-                for j in rk:
-                    if has[j] & low:
-                        dom |= 1 << j
-                # parts are interchangeable while empty: offer the used parts
-                # and the lowest empty one
-                opts = dom & ((1 << (used + 1 if used < k else k)) - 1)
-                # leaving v out fails the prune above on the next pass when
-                # the union has no slack or v is a candidate of a part with
-                # none to spare; it is offered anyway where its path is
-                # recorded as a nogood, so the store stays the same
-                if (slack and not tight & low) or len(stack) < _RECORD_DEPTH:
-                    opts |= out
-                v = low.bit_length() - 1
-                orbit = 0
-                stab = stack[-1][7] if stack else top
-                if stab is not None:
-                    for g in stab:
-                        orbit |= bits[g[v]]
-                    stab = [g for g in stab if g[v] == v]
-                    if len(stab) == 1:
-                        stab = None
-                stack.append([v, tuple(has), tuple(size), placed, used,
-                              opts, orbit, stab, 0, False, None])
+            deficit = 0
+            union = 0
+            tight = 0           # the candidates of the parts with none to spare
+            for h, c in zip(has, size):
+                need = a - c
+                spare = h.bit_count() - need
+                if spare < 0:
+                    break
+                if not spare:
+                    tight |= h
+                deficit += need
+                union |= h
+            else:
+                slack = union.bit_count() - deficit
+                if slack >= 0:
+                    # cnt[m]: undecided vertices that may join more than m parts
+                    cnt = [0] * k
+                    for h in has:
+                        for m in down:
+                            cnt[m] |= cnt[m - 1] & h
+                        cnt[0] |= h
+                    for m in range(1, k):
+                        pool = cnt[m - 1] & ~cnt[m]
+                        if pool:
+                            break
+                    else:
+                        pool = cnt[k - 1]
+                    low = pool & -pool
+                    dom = 0
+                    for j in rk:
+                        if has[j] & low:
+                            dom |= 1 << j
+                    free = slack and not tight & low
+        if low:
+            # parts are interchangeable while empty: offer the used parts
+            # and the lowest empty one
+            opts = dom & ((1 << (used + 1 if used < k else k)) - 1)
+            # leaving v out fails the prune above on the next pass when
+            # it is not free; it is offered anyway where its path is
+            # recorded as a nogood, so the store stays the same
+            if free or len(stack) < _RECORD_DEPTH:
+                opts |= out
+            v = low.bit_length() - 1
+            orbit = 0
+            stab = stack[-1][7] if stack else top
+            if stab is not None:
+                for g in stab:
+                    orbit |= bits[g[v]]
+                stab = [g for g in stab if g[v] == v]
+                if len(stab) == 1:
+                    stab = None
+            stack.append([v, tuple(has), tuple(size), placed, used,
+                          opts, orbit, stab, 0, False, None])
         while stack:
             frame = stack[-1]
             v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted, _ = frame
@@ -517,21 +541,32 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]],
                 used += 1
             # forward check: v leaves every domain, and the undecided
             # vertices of its triples lose parts
+            if k == 3:
+                # for each other part p, the third vertices of the triples
+                # through v and a vertex of p lose the part r that is
+                # neither j nor p; v goes with them
+                p = 1 if j == 0 else 0
+                r = 3 - j - p
+                get = mate[v].get
+                lost = vb
+                for x in mem[p]:
+                    lost |= get(x, 0)
+                has[r] &= ~lost
+                lost = vb
+                for x in mem[r]:
+                    lost |= get(x, 0)
+                has[p] &= ~lost
+                has[j] = has[j] & ~vb if size[j] < a else 0
+                break
             for i in rk:
                 if has[i] & vb:
                     has[i] ^= vb
             if k == 2:
                 # every vertex sharing a triple with v loses the other part:
                 # the triple's third vertex is in no part or in j, since one
-                # in the other part would have taken j from v
-                has[1 - j] &= ~reduce(or_, mate[v].values(), 0)
-            else:
-                get = mate[v].get
-                for p, r in lose[j]:
-                    lost = 0
-                    for x in mem[p]:
-                        lost |= get(x, 0)
-                    has[r] &= ~lost
+                # in the other part would have taken j from v; with k > 3
+                # two vertices never meet k - 1 parts, and none loses one
+                has[1 - j] &= ~near[v]
             if size[j] == a:
                 has[j] = 0
             break
@@ -581,7 +616,8 @@ def alpha_star(ts: TripleSystem, k: int,
       neither j nor p; with k = 2 every vertex that shares a triple with v
       loses the other part, and with k > 3 no vertex loses one.  The third
       vertices come from v's row of mate masks (:func:`_mates`), one sparse
-      dict per vertex built once per call.
+      dict per vertex, and at k = 2 the vertices that share a triple with
+      v from one mask per vertex; both are built once per call.
     * A branch dies when some part, or all parts together, can no longer be
       filled from the vertices that may still join them.
     * The next vertex is one with the fewest parts left, the lowest first.
@@ -630,6 +666,13 @@ def alpha_star(ts: TripleSystem, k: int,
       relabelled one, runs none of this and keeps its tree.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
+    * With k = 3 the step at each node is written out for the three parts
+      as straight-line bit operations: the prune's spares, the pool of
+      vertices with the fewest parts left, the branching vertex's parts,
+      and the forward check with v's removal from the domains at a
+      placement.  The loops over the parts that it replaces remain for
+      k = 2 and k > 3.  It computes the same masks, so the tree, every
+      node count and every hole are those of the loops.
 
     A node is one vertex placed in one part; leaving a vertex out is not a
     node, so the leave-outs not offered change no node count, hole or
@@ -655,6 +698,8 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     n = ts.n
     ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
     mate = _mates(ts)
+    # near[w]: the vertices that share a triple with w, read at k = 2 alone
+    near = [reduce(or_, row.values(), 0) for row in mate] if k == 2 else []
     group = layer_automorphisms(ts)
 
     best = tuple(frozenset() for _ in range(k))
@@ -663,7 +708,7 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     # the probe: the cap level first, within a slice of k * n nodes
     level, limit = ub, k * n
     while len(best[0]) < ub:
-        parts, nodes, settled = _find_hole(n, k, level, mate, group, meter, nodes, limit)
+        parts, nodes, settled = _find_hole(n, k, level, mate, near, group, meter, nodes, limit)
         if settled:
             if parts is None:
                 ub = level - 1

@@ -275,6 +275,13 @@ class TestPinnedOutputs:
         lines = rows_to_csv(rows).splitlines()
         assert [ln.split(",")[7:] for ln in lines[1:]] == [["12", "0"], ["9", "0"]] * 4
 
+    def test_discrepancy_n19_nodes(self):
+        # the first call of the discrepancy benchmark: 20 alpha*_3 trees on
+        # partial and full systems of order 19, pinned by their node counts
+        rows, _ = experiment_discrepancy(19, 10, seed=1_001_003)
+        assert [r.nodes for r in rows] == [18, 49, 18, 29, 18, 30, 18, 29, 18, 16,
+                                           23, 145, 18, 33, 19, 50, 19, 215, 18, 16]
+
     def test_triangle_removal_memory_stays_small(self):
         # no table of all C(99, 3) = 156,849 triangles as tuples: two int64 arrays
         # are 2.5 MB, the tuple list and its dict about 20 MB

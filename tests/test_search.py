@@ -363,8 +363,12 @@ class TestAlphaStar:
         (bose(27), 150_000, 7, 114_261, "1a65323c7651ca9c"),
         (random_sts(25, 1_000_028), 150_000, 7, 20_891, "a61bdecf967af67c"),
         (_relabeled(bose(21), 12), 500_000, 5, 252_115, "125e6d23a6cf8e38"),
+        (bose(15), 150_000, 4, 19, "42af19f75f419f36"),
+        (skolem(19), 150_000, 5, 24, "0c7f48a030aebb93"),
+        (random_sts(19, 1_000_022), 150_000, 5, 29, "11ecfc675796c7ec"),
+        (random_sts(21, 1_000_024), 150_000, 6, 3_181, "49be27a727e0212c"),
     ], ids=["skolem25", "bose21", "bose27", "bose27-holes-cap", "random_sts25",
-            "bose21-relabeled"])
+            "bose21-relabeled", "bose15", "skolem19", "random_sts19", "random_sts21"])
     def test_forward_checking_settles_within_cap(self, system, cap, value, nodes, digest):
         # index-order backtracking left skolem(25) and bose(21) inexact at
         # these caps; skolem(25) and random_sts(25) end at the cap
@@ -372,11 +376,15 @@ class TestAlphaStar:
         # also under the holes benchmark's 150k cap.  The node counts pin
         # the probe, the pruning, the branching order, the orbital bans and
         # dominance detection, which together cut bose(21) from 264,704
-        # nodes and bose(27) from 1,253,718.  The probe settles no cap here
-        # within its slice of 3n nodes, so each count is the climb's plus
-        # 75, 63, 81, 81, 75 and 63.  A relabelled bose(21) has a trivial
-        # group, so its count is that of the tree without bans or dominance
-        # detection; the digest pins the certificate's parts
+        # nodes and bose(27) from 1,253,718.  The probe settles none of the
+        # first six caps within its slice of 3n nodes, so each of those
+        # counts is the climb's plus 75, 63, 81, 81, 75 and 63.  A relabelled
+        # bose(21) has a trivial group, so its count is that of the tree
+        # without bans or dominance detection; the digest pins the
+        # certificate's parts.  The last four rows, with the five above them
+        # at the 150k cap, are the eight inputs of the holes benchmark at
+        # seed 1: the probe finds the cap hole of the first three, and
+        # random_sts(21) climbs to its cap 6 after the probe's 63 nodes
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
