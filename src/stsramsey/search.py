@@ -297,11 +297,11 @@ def _decision_key(masks: list[int], n: int) -> int:
 
 
 def _record_nogood(images: dict[int, list[int]], group: tuple[tuple[int, ...], ...],
-                   path: list[tuple[int, int]], k: int, n: int) -> None:
+                   path: list[tuple[int, int]], n: int) -> None:
     """Store in ``images`` every image under ``group`` of ``path``, decisions
-    (vertex, part or -1 for left out) that no hole extends."""
+    (vertex, part 0-2 or -1 for left out) that no hole extends."""
     for g in group:
-        masks = [0] * (k + 1)           # part -1, left out, is masks[k]
+        masks = [0] * 4                 # part -1, left out, is masks[3]
         for u, j in path:
             masks[j] |= 1 << g[u]
         mask = sum(masks)
@@ -324,7 +324,7 @@ def _lookup_sets(path: list[tuple[int, int]]) -> list[int]:
 
 
 def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
-               subs: list[int], k: int, n: int) -> bool:
+               subs: list[int], n: int) -> bool:
     """Whether ``path`` contains a stored image, up to a relabelling of the
     parts and with left-out vertices on left-out ones.  Only images through
     the path's last vertex are looked up: one that avoids it lies in the
@@ -332,7 +332,7 @@ def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
     those are longer than it.  The store holds paths of at most
     ``_RECORD_DEPTH`` decisions, so only vertex sets of that size, the
     ``subs`` of :func:`_lookup_sets`, are looked up."""
-    cur = [0] * (k + 1)
+    cur = [0] * 4
     for u, j in path:
         cur[j] |= 1 << u
     for m in filter(images.__contains__, subs):
@@ -345,23 +345,23 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                group: tuple[tuple[int, ...], ...], meter: _Meter,
                nodes: int, limit: float,
                ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
-    """k disjoint parts of size a that no triple meets all of, or None, with
-    the running node count, which enters as ``nodes``, and whether the
-    search settled the level.
+    """k = 2 or 3 disjoint parts of size a that no triple meets all of, or
+    None, with the running node count, which enters as ``nodes``, and
+    whether the search settled the level.
 
     ``mate`` holds the rows of :func:`_mates`, ``near[w]`` the vertices
     that share a triple with w (read at k = 2 alone), and ``group`` is a
     group of automorphisms of the system.  The search stops unsettled, with
     None, when the count reaches ``limit`` or the meter refuses a node; only
-    a refusal leaves the meter's ``stop`` negative.  See alpha_star.
+    a refusal leaves the meter's ``stop`` negative.  There are always three
+    parts; at k = 2 the third is created full.  See alpha_star.
     """
     bits = [1 << v for v in range(n)]
-    rk = range(k)
-    out = 1 << k
-    down = range(k - 1, 0, -1)
-    has = [(1 << n) - 1] * k    # has[j]: undecided vertices that may still join part j
-    size = [0] * k
-    mem = [[] for _ in rk]      # mem[j]: the vertices placed in part j, in order
+    out = 1 << 3
+    # has[j]: undecided vertices that may still join part j
+    has = [(1 << n) - 1] * k + [0] * (3 - k)
+    size = [0] * k + [a] * (3 - k)
+    mem = [[], [], []]          # mem[j]: the vertices placed in part j, in order
     part = [-1] * n             # -1: undecided or left out
     placed = used = 0
     goal = k * a
@@ -372,7 +372,7 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     # set is mask; it lives for this level only
     images: dict[int, list[int]] | None = {} if top is not None else None
     # frame: [vertex, has and size before it, placed and used before it,
-    #         options left: a bit per part, then bit k for leaving it out,
+    #         options left: a bit per part, then bit 3 for leaving it out,
     #         the vertex's orbit under the group H that fixes every vertex
     #         decided above it (0 once H is trivial), the subgroup of H that
     #         also fixes the vertex (the next frame's H), the part bit
@@ -385,74 +385,38 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     stop = min(meter.stop, limit)
     while True:
         if placed == goal:
-            return tuple(map(frozenset, mem)), nodes, True
-        # prune when a part, or all parts together, can no longer be filled;
-        # else branch on low, a vertex with the fewest parts left, the
-        # lowest first, whose parts are the bits of dom; leaving it out is
-        # free when the prune would not refuse it at once
+            return tuple(map(frozenset, mem[:k])), nodes, True
+        # prune when a part, or all parts together, can no longer be filled:
+        # each part's spare candidates, then the union's; else branch on
+        # low, a vertex with the fewest parts left, the lowest first, whose
+        # parts are the bits of dom; leaving it out is free when the prune
+        # would not refuse it at once
         low = 0
-        if k == 3:
-            # the loops of the other branch, written out for three parts:
-            # each part's spare candidates, then the union's
-            h0, h1, h2 = has
-            s0, s1, s2 = size
-            e0 = h0.bit_count() - a + s0
-            e1 = h1.bit_count() - a + s1
-            e2 = h2.bit_count() - a + s2
-            if e0 >= 0 and e1 >= 0 and e2 >= 0:
-                union = h0 | h1 | h2
-                slack = union.bit_count() - goal + placed
-                if slack >= 0:
-                    # two and three: the vertices that may join at least two
-                    # parts and all three; the pool holds those with exactly
-                    # one part left, else exactly two, else three
-                    two = h0 & h1 | h0 & h2 | h1 & h2
-                    pool = union & ~two
-                    if not pool:
-                        three = h0 & h1 & h2
-                        pool = two & ~three or three
-                    low = pool & -pool
-                    dom = (1 if h0 & low else 0) | (2 if h1 & low else 0) | (4 if h2 & low else 0)
-                    free = (slack and (e0 or not dom & 1) and (e1 or not dom & 2)
-                            and (e2 or not dom & 4))
-        else:
-            deficit = 0
-            union = 0
-            tight = 0           # the candidates of the parts with none to spare
-            for h, c in zip(has, size):
-                need = a - c
-                spare = h.bit_count() - need
-                if spare < 0:
-                    break
-                if not spare:
-                    tight |= h
-                deficit += need
-                union |= h
-            else:
-                slack = union.bit_count() - deficit
-                if slack >= 0:
-                    # cnt[m]: undecided vertices that may join more than m parts
-                    cnt = [0] * k
-                    for h in has:
-                        for m in down:
-                            cnt[m] |= cnt[m - 1] & h
-                        cnt[0] |= h
-                    for m in range(1, k):
-                        pool = cnt[m - 1] & ~cnt[m]
-                        if pool:
-                            break
-                    else:
-                        pool = cnt[k - 1]
-                    low = pool & -pool
-                    dom = 0
-                    for j in rk:
-                        if has[j] & low:
-                            dom |= 1 << j
-                    free = slack and not tight & low
+        h0, h1, h2 = has
+        s0, s1, s2 = size
+        e0 = h0.bit_count() - a + s0
+        e1 = h1.bit_count() - a + s1
+        e2 = h2.bit_count() - a + s2
+        if e0 >= 0 and e1 >= 0 and e2 >= 0:
+            union = h0 | h1 | h2
+            slack = union.bit_count() - goal + placed
+            if slack >= 0:
+                # two and three: the vertices that may join at least two
+                # parts and all three; the pool holds those with exactly
+                # one part left, else exactly two, else three
+                two = h0 & h1 | h0 & h2 | h1 & h2
+                pool = union & ~two
+                if not pool:
+                    three = h0 & h1 & h2
+                    pool = two & ~three or three
+                low = pool & -pool
+                dom = (1 if h0 & low else 0) | (2 if h1 & low else 0) | (4 if h2 & low else 0)
+                free = (slack and (e0 or not dom & 1) and (e1 or not dom & 2)
+                        and (e2 or not dom & 4))
         if low:
             # parts are interchangeable while empty: offer the used parts
             # and the lowest empty one
-            opts = dom & ((1 << (used + 1 if used < k else k)) - 1)
+            opts = dom & ((2 << used) - 1)
             # leaving v out fails the prune above on the next pass when
             # it is not free; it is offered anyway where its path is
             # recorded as a nogood, so the store stays the same
@@ -473,7 +437,7 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
             frame = stack[-1]
             v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted, _ = frame
             if refuted:
-                _record_nogood(images, group, [(f[0], part[f[0]]) for f in stack], k, n)
+                _record_nogood(images, group, [(f[0], part[f[0]]) for f in stack], n)
                 frame[9] = False
             vb = bits[v]
             j = part[v]
@@ -513,7 +477,7 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                     path[-1] = (v, bit.bit_length() - 1 if bit != out else -1)
                     if frame[10] is None:
                         frame[10] = _lookup_sets(path)
-                    if _dominated(images, path, frame[10], k, n):
+                    if _dominated(images, path, frame[10], n):
                         # skipped like a banned option; its failure bans v's
                         # orbit like a searched one's
                         if orbit and bit != out:
@@ -521,9 +485,8 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                         continue
                 frame[9] = len(stack) <= _RECORD_DEPTH
             if bit == out:
-                for j in rk:
-                    if has[j] & vb:
-                        has[j] ^= vb
+                h0, h1, h2 = has
+                has[:] = h0 & ~vb, h1 & ~vb, h2 & ~vb
                 break
             if orbit:
                 frame[8] = bit
@@ -556,19 +519,12 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 for x in mem[r]:
                     lost |= get(x, 0)
                 has[p] &= ~lost
-                has[j] = has[j] & ~vb if size[j] < a else 0
-                break
-            for i in rk:
-                if has[i] & vb:
-                    has[i] ^= vb
-            if k == 2:
+            else:
                 # every vertex sharing a triple with v loses the other part:
                 # the triple's third vertex is in no part or in j, since one
-                # in the other part would have taken j from v; with k > 3
-                # two vertices never meet k - 1 parts, and none loses one
-                has[1 - j] &= ~near[v]
-            if size[j] == a:
-                has[j] = 0
+                # in the other part would have taken j from v
+                has[1 - j] &= ~(near[v] | vb)
+            has[j] = has[j] & ~vb if size[j] < a else 0
             break
         else:
             return None, nodes, True
@@ -581,9 +537,12 @@ def alpha_star(ts: TripleSystem, k: int,
     A k-partite hole of size a is k disjoint parts of a vertices each that no
     triple meets all of.  The cap, floor(n/3) - 1 for 3-partite holes in a
     Steiner system on more than 3 vertices and floor(n/k) otherwise, is a
-    proven bound.  Holes are monotone: dropping one vertex from each part of
-    an (a+1)-hole leaves an a-hole, so once a level is refuted no higher
-    level is feasible.
+    proven bound.  With k >= 4 the cap is the value: a triple meets at most
+    three parts, so any k disjoint parts of floor(n/k) vertices form a hole.
+    The parts {j, j + k, j + 2k, ...} are returned, exact, after 0 nodes,
+    with no search.  The rest of this describes k = 2 and k = 3.  Holes are
+    monotone: dropping one vertex from each part of an (a+1)-hole leaves an
+    a-hole, so once a level is refuted no higher level is feasible.
 
     * The probe asks for a hole at the cap first, within a slice of k * n
       nodes.  A hole it finds is returned, exact.  A cap level it exhausts
@@ -610,14 +569,20 @@ def alpha_star(ts: TripleSystem, k: int,
       held as one bitmask of vertices per part.  A vertex loses part j once
       the other vertices of one of its triples meet k - 1 distinct parts,
       none of them j, and every vertex loses a part once it is full.
+    * There are always three parts, and one step per node serves both k:
+      with k = 2 the third part is created full, with no candidates, so it
+      has none to spare, adds nothing to the union or to any pool and is
+      never offered.  The step is straight-line bit operations on the
+      three domain masks: the prune's spares, the pool of vertices with
+      the fewest parts left, and the branching vertex's parts.
     * The forward check reads the parts, not v's triples.  Placing v in
       part j walks, for each other part p, the vertices placed in p, and
       the third vertices of their triples with v lose the part that is
       neither j nor p; with k = 2 every vertex that shares a triple with v
-      loses the other part, and with k > 3 no vertex loses one.  The third
-      vertices come from v's row of mate masks (:func:`_mates`), one sparse
-      dict per vertex, and at k = 2 the vertices that share a triple with
-      v from one mask per vertex; both are built once per call.
+      loses the other part.  The third vertices come from v's row of mate
+      masks (:func:`_mates`), one sparse dict per vertex, and at k = 2 the
+      vertices that share a triple with v from one mask per vertex; both
+      are built once per call.
     * A branch dies when some part, or all parts together, can no longer be
       filled from the vertices that may still join them.
     * The next vertex is one with the fewest parts left, the lowest first.
@@ -666,13 +631,6 @@ def alpha_star(ts: TripleSystem, k: int,
       relabelled one, runs none of this and keeps its tree.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
-    * With k = 3 the step at each node is written out for the three parts
-      as straight-line bit operations: the prune's spares, the pool of
-      vertices with the fewest parts left, the branching vertex's parts,
-      and the forward check with v's removal from the domains at a
-      placement.  The loops over the parts that it replaces remain for
-      k = 2 and k > 3.  It computes the same masks, so the tree, every
-      node count and every hole are those of the loops.
 
     A node is one vertex placed in one part; leaving a vertex out is not a
     node, so the leave-outs not offered change no node count, hole or
@@ -696,28 +654,34 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
     n = ts.n
-    ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
-    mate = _mates(ts)
-    # near[w]: the vertices that share a triple with w, read at k = 2 alone
-    near = [reduce(or_, row.values(), 0) for row in mate] if k == 2 else []
-    group = layer_automorphisms(ts)
-
-    best = tuple(frozenset() for _ in range(k))
     exact = True
     nodes = 0
-    # the probe: the cap level first, within a slice of k * n nodes
-    level, limit = ub, k * n
-    while len(best[0]) < ub:
-        parts, nodes, settled = _find_hole(n, k, level, mate, near, group, meter, nodes, limit)
-        if settled:
-            if parts is None:
-                ub = level - 1
-            else:
-                best = parts
-        elif meter.stop < 0:
-            exact = False
-            break
-        level, limit = len(best[0]) + 1, math.inf
+    if k > 3:
+        # a triple meets at most three parts, so any k disjoint parts of
+        # floor(n/k) vertices, the cap, form a hole
+        a = n // k
+        best = tuple(frozenset(range(j, k * a, k)) for j in range(k))
+    else:
+        ub = n // 3 - 1 if (k == 3 and is_steiner(ts) and n > 3) else n // k
+        mate = _mates(ts)
+        # near[w]: the vertices that share a triple with w, read at k = 2 alone
+        near = [reduce(or_, row.values(), 0) for row in mate] if k == 2 else []
+        group = layer_automorphisms(ts)
+        best = tuple(frozenset() for _ in range(k))
+        # the probe: the cap level first, within a slice of k * n nodes
+        level, limit = ub, k * n
+        while len(best[0]) < ub:
+            parts, nodes, settled = _find_hole(n, k, level, mate, near, group, meter,
+                                               nodes, limit)
+            if settled:
+                if parts is None:
+                    ub = level - 1
+                else:
+                    best = parts
+            elif meter.stop < 0:
+                exact = False
+                break
+            level, limit = len(best[0]) + 1, math.inf
     h = HoleCertificate(k=k, a=len(best[0]), parts=best)
     if not verify_hole(ts, h):
         raise InvalidHole("search produced a hole with a crossing triple")

@@ -84,20 +84,21 @@ def _hole_tree(system, k):
 # _hole_tree at k = 2 and k = 4 on each of _orbit_unions(system), recorded
 # while the forward check walked every triple through the placed vertex; at
 # k = 2 it takes the other part from every vertex that shares a triple with
-# the placed one, whatever part the triple's third vertex is in
+# the placed one, whatever part the triple's third vertex is in.  At k = 4
+# no tree is searched: the holes are the round-robin parts at the cap
 ORBIT_UNION_TREES = {
-    "bose9": [((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
-              ((1, 8, "9c731319e6f8d3c3"), (2, 8, "c01880c51daed7d6")),
-              ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
-              ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6"))],
-    "s9": [((2, 11, "94c10612b654912c"), (2, 8, "c01880c51daed7d6")),
-           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
-           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6")),
-           ((0, 2, "a683096011db3975"), (2, 8, "c01880c51daed7d6"))],
-    "skolem13": [((1, 22, "bb45fdac96207bcc"), (3, 12, "cbee5c95c1a59c6e")),
-                 ((2, 31, "9e7a2d4808f40dbf"), (3, 12, "cbee5c95c1a59c6e")),
-                 ((2, 39, "f7914d221ed0455a"), (3, 12, "cbee5c95c1a59c6e")),
-                 ((2, 30, "d1428d2883156792"), (3, 12, "cbee5c95c1a59c6e"))],
+    "bose9": [((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
+              ((1, 8, "9c731319e6f8d3c3"), (2, 0, "c01880c51daed7d6")),
+              ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
+              ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6"))],
+    "s9": [((2, 11, "94c10612b654912c"), (2, 0, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
+           ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6"))],
+    "skolem13": [((1, 22, "bb45fdac96207bcc"), (3, 0, "cbee5c95c1a59c6e")),
+                 ((2, 31, "9e7a2d4808f40dbf"), (3, 0, "cbee5c95c1a59c6e")),
+                 ((2, 39, "f7914d221ed0455a"), (3, 0, "cbee5c95c1a59c6e")),
+                 ((2, 30, "d1428d2883156792"), (3, 0, "cbee5c95c1a59c6e"))],
 }
 
 
@@ -257,17 +258,40 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("seed, trees", [
         (0, ((4, 189, "8143e48a7f7fdb13"), (6, 28, "2c2945d895cfd1a9"),
-             (4, 16, "068833a107472cc1"))),
+             (4, 0, "068833a107472cc1"))),
         (1, ((4, 242, "c9a55575e63ae34a"), (6, 18, "966a5d57404a0347"),
-             (4, 16, "068833a107472cc1"))),
+             (4, 0, "068833a107472cc1"))),
         (2, ((4, 266, "d70f972bfc2eb81c"), (6, 19, "03f8e93e6f13ff33"),
-             (4, 16, "068833a107472cc1"))),
+             (4, 0, "068833a107472cc1"))),
     ])
     def test_k2_k3_k4_trees_on_a_triangle_removal_system(self, seed, trees):
         # 28 triples on 19 points, a partial system with a trivial group;
         # recorded with ORBIT_UNION_TREES
         system = triangle_removal(19, 28, seed).system
         assert tuple(_hole_tree(system, k) for k in (2, 3, 4)) == trees
+
+    @pytest.mark.parametrize("which, cap, result", [
+        ("triangle", 20, (3, False, 20, "9dfffdc374711b97")),
+        ("triangle", 38, (3, False, 38, "9dfffdc374711b97")),
+        ("triangle", 39, (3, False, 39, "9dfffdc374711b97")),
+        ("triangle", 188, (4, False, 188, "8143e48a7f7fdb13")),
+        ("triangle", 189, (4, True, 189, "8143e48a7f7fdb13")),
+        ("skolem13", 10, (1, False, 10, "9c731319e6f8d3c3")),
+        ("skolem13", 26, (2, False, 26, "f7914d221ed0455a")),
+        ("skolem13", 27, (2, False, 27, "f7914d221ed0455a")),
+        ("skolem13", 38, (2, False, 38, "f7914d221ed0455a")),
+        ("skolem13", 39, (2, True, 39, "f7914d221ed0455a")),
+    ])
+    def test_k2_under_a_node_cap(self, which, cap, result):
+        # (value, exact, nodes, parts digest) at caps on both sides of the
+        # probe's slice of 2n nodes and of the exhausted tree's count, on
+        # triangle_removal(19, 28, 0) (trivial group) and on the third
+        # union of skolem(13)'s triple orbits (bans and dominance)
+        system = (triangle_removal(19, 28, 0).system if which == "triangle"
+                  else _orbit_unions(skolem(13))[2])
+        res = alpha_star(system, 2, SearchBudget(max_nodes=cap))
+        assert (res.value, res.exact, res.budget_spent.nodes,
+                _hole_digest(res.lower_certificate)) == result
 
     @pytest.mark.parametrize("make", [lambda: bose(15), lambda: bose(21)],
                              ids=["bose15", "bose21"])
@@ -335,10 +359,23 @@ class TestAlphaStar:
         # every pair lies in a triple, so two disjoint parts always cross one
         assert alpha_star(fano_sys, 2).value == 0
 
-    def test_k4_is_trivial_floor(self, fano_sys):
-        # a triple cannot meet four disjoint parts
-        res = alpha_star(fano_sys, 4)
-        assert res.exact and res.value == 7 // 4
+    @pytest.mark.parametrize("k", range(4, 8))
+    @pytest.mark.parametrize("make", [fano, lambda: bose(15),
+                                      lambda: triangle_removal(19, 28, 0).system,
+                                      single_triple],
+                             ids=["fano", "bose15", "triangle_removal19", "single_triple"])
+    def test_k4_is_trivial_floor(self, make, k):
+        # a triple meets at most three parts, so any k >= 4 disjoint parts
+        # of floor(n/k) vertices form a hole: no tree is searched, and a
+        # one-node cap changes nothing
+        system = make()
+        a = system.n // k
+        parts = tuple(frozenset(range(j, k * a, k)) for j in range(k))
+        for budget in (None, SearchBudget(max_nodes=1)):
+            res = alpha_star(system, k, budget)
+            assert res.exact and res.value == a
+            assert res.budget_spent.nodes == 0
+            assert res.lower_certificate.parts == parts
 
     def test_bose27_hole_at_least_two_ninths(self):
         # the ladder climbs to a certified hole of size >= 2n/9 and, with
@@ -355,6 +392,9 @@ class TestAlphaStar:
         monkeypatch.setattr("stsramsey.search.verify_hole", lambda ts, h: False)
         with pytest.raises(InvalidHole):
             alpha_star(s9_sys, 3)
+        # the k >= 4 parts, built without search, are checked all the same
+        with pytest.raises(InvalidHole):
+            alpha_star(s9_sys, 4)
 
     @pytest.mark.parametrize("system, cap, value, nodes, digest", [
         (skolem(25), 150_000, 7, 2_175, "aea8022747a784da"),
