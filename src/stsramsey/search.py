@@ -358,20 +358,21 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     """
     bits = [1 << v for v in range(n)]
     out = 1 << 3
-    # has[j]: undecided vertices that may still join part j
+    # has[j]: undecided vertices that may still join part j; mem[j]: the
+    # vertices placed in part j, in order, whose count is the part's fill;
+    # at k = 2 the third part holds a placeholders and has no candidates
     has = [(1 << n) - 1] * k + [0] * (3 - k)
-    size = [0] * k + [a] * (3 - k)
-    mem = [[], [], []]          # mem[j]: the vertices placed in part j, in order
-    part = [-1] * n             # -1: undecided or left out
-    placed = used = 0
-    goal = k * a
+    mem = [[], [], [] if k == 3 else [-1] * a]
+    m0, m1, m2 = mem
+    used = 0
     # the root frame's H is the whole group, None when trivial
     top = group if len(group) > 1 else None
     # dominance detection, with a nontrivial group only: images[mask] holds
     # the keys of the recorded nogoods' images under the group whose vertex
     # set is mask; it lives for this level only
     images: dict[int, list[int]] | None = {} if top is not None else None
-    # frame: [vertex, has and size before it, placed and used before it,
+    # frame: [vertex, the part it is placed in (-1 while it is left out or
+    #         between options), has and used before it,
     #         options left: a bit per part, then bit 3 for leaving it out,
     #         the vertex's orbit under the group H that fixes every vertex
     #         decided above it (0 once H is trivial), the subgroup of H that
@@ -384,7 +385,8 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     # the next count to stop at: the meter's next question or the limit
     stop = min(meter.stop, limit)
     while True:
-        if placed == goal:
+        placed = len(m0) + len(m1) + len(m2)
+        if placed == 3 * a:
             return tuple(map(frozenset, mem[:k])), nodes, True
         # prune when a part, or all parts together, can no longer be filled:
         # each part's spare candidates, then the union's; else branch on
@@ -393,13 +395,12 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
         # would not refuse it at once
         low = 0
         h0, h1, h2 = has
-        s0, s1, s2 = size
-        e0 = h0.bit_count() - a + s0
-        e1 = h1.bit_count() - a + s1
-        e2 = h2.bit_count() - a + s2
+        e0 = h0.bit_count() - a + len(m0)
+        e1 = h1.bit_count() - a + len(m1)
+        e2 = h2.bit_count() - a + len(m2)
         if e0 >= 0 and e1 >= 0 and e2 >= 0:
             union = h0 | h1 | h2
-            slack = union.bit_count() - goal + placed
+            slack = union.bit_count() - 3 * a + placed
             if slack >= 0:
                 # two and three: the vertices that may join at least two
                 # parts and all three; the pool holds those with exactly
@@ -415,35 +416,30 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                         and (e2 or not dom & 4))
         if low:
             # parts are interchangeable while empty: offer the used parts
-            # and the lowest empty one
+            # and the lowest empty one, and leaving v out only when free
             opts = dom & ((2 << used) - 1)
-            # leaving v out fails the prune above on the next pass when
-            # it is not free; it is offered anyway where its path is
-            # recorded as a nogood, so the store stays the same
-            if free or len(stack) < _RECORD_DEPTH:
+            if free:
                 opts |= out
             v = low.bit_length() - 1
             orbit = 0
-            stab = stack[-1][7] if stack else top
+            stab = stack[-1][6] if stack else top
             if stab is not None:
                 for g in stab:
                     orbit |= bits[g[v]]
                 stab = [g for g in stab if g[v] == v]
                 if len(stab) == 1:
                     stab = None
-            stack.append([v, tuple(has), tuple(size), placed, used,
-                          opts, orbit, stab, 0, False, None])
+            stack.append([v, -1, tuple(has), used, opts, orbit, stab, 0, False, None])
         while stack:
             frame = stack[-1]
-            v, saved_has, saved_size, placed, used, opts, orbit, _, tried, refuted, _ = frame
+            v, j, saved_has, used, opts, orbit, _, tried, refuted, _ = frame
             if refuted:
-                _record_nogood(images, group, [(f[0], part[f[0]]) for f in stack], n)
-                frame[9] = False
+                _record_nogood(images, group, [(f[0], f[1]) for f in stack], n)
+                frame[8] = False
             vb = bits[v]
-            j = part[v]
             if j >= 0:
                 mem[j].pop()        # v: later placements were undone first
-                part[v] = -1
+                frame[1] = -1
             if tried:
                 # orbital ban: v in part j failed, so by symmetry every vertex
                 # of v's orbit fails there; an empty j stands for every
@@ -451,55 +447,52 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 j = tried.bit_length() - 1
                 saved_has = tuple(h & ~orbit if i == j or j == used <= i else h
                                   for i, h in enumerate(saved_has))
-                frame[1] = saved_has
-                frame[8] = 0
+                frame[2] = saved_has
+                frame[7] = 0
             if not opts:
                 stack.pop()
                 continue
             has[:] = saved_has
-            size[:] = saved_size
             # the emptiest part first, the lowest on ties; leaving out last
             bit = opts & -opts
             if bit != out:
-                least = size[bit.bit_length() - 1]
+                least = len(mem[bit.bit_length() - 1])
                 rest = (opts ^ bit) & (out - 1)
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    c = size[low.bit_length() - 1]
+                    c = len(mem[low.bit_length() - 1])
                     if c < least:
                         least = c
                         bit = low
-            frame[5] = opts ^ bit
+            frame[4] = opts ^ bit
             if images is not None and len(stack) <= _CHECK_DEPTH:
                 if images:
-                    path = [(f[0], part[f[0]]) for f in stack]
+                    path = [(f[0], f[1]) for f in stack]
                     path[-1] = (v, bit.bit_length() - 1 if bit != out else -1)
-                    if frame[10] is None:
-                        frame[10] = _lookup_sets(path)
-                    if _dominated(images, path, frame[10], n):
+                    if frame[9] is None:
+                        frame[9] = _lookup_sets(path)
+                    if _dominated(images, path, frame[9], n):
                         # skipped like a banned option; its failure bans v's
                         # orbit like a searched one's
                         if orbit and bit != out:
-                            frame[8] = bit
+                            frame[7] = bit
                         continue
-                frame[9] = len(stack) <= _RECORD_DEPTH
+                frame[8] = len(stack) <= _RECORD_DEPTH
             if bit == out:
                 h0, h1, h2 = has
                 has[:] = h0 & ~vb, h1 & ~vb, h2 & ~vb
                 break
             if orbit:
-                frame[8] = bit
+                frame[7] = bit
             if nodes == stop:
                 if nodes == limit or (stop := meter.ask(nodes)) < 0:
                     return None, nodes, False
                 stop = min(stop, limit)
             nodes += 1
             j = bit.bit_length() - 1
-            part[v] = j
+            frame[1] = j
             mem[j].append(v)
-            size[j] += 1
-            placed += 1
             if j == used:
                 used += 1
             # forward check: v leaves every domain, and the undecided
@@ -524,7 +517,7 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 # the triple's third vertex is in no part or in j, since one
                 # in the other part would have taken j from v
                 has[1 - j] &= ~(near[v] | vb)
-            has[j] = has[j] & ~vb if size[j] < a else 0
+            has[j] = has[j] & ~vb if len(mem[j]) < a else 0
             break
         else:
             return None, nodes, True
@@ -574,7 +567,8 @@ def alpha_star(ts: TripleSystem, k: int,
       has none to spare, adds nothing to the union or to any pool and is
       never offered.  The step is straight-line bit operations on the
       three domain masks: the prune's spares, the pool of vertices with
-      the fewest parts left, and the branching vertex's parts.
+      the fewest parts left, and the branching vertex's parts.  A part's
+      fill is the length of its member list.
     * The forward check reads the parts, not v's triples.  Placing v in
       part j walks, for each other part p, the vertices placed in p, and
       the third vertices of their triples with v lose the part that is
@@ -591,8 +585,8 @@ def alpha_star(ts: TripleSystem, k: int,
       not offered when the prune above would refuse it at once: when the
       parts' candidates together have no slack over the vertices still
       needed, or the vertex is a candidate of a part with none to spare.
-      Such a leave-out is still offered in the top 5 frames, whose paths
-      are recorded as nogoods (see below), so the store is unchanged.
+      Its path, which the prune refutes with no node, is then not recorded
+      as a nogood (see below) either.
     * Parts are interchangeable while empty, so only the used parts and the
       lowest empty one are offered.
     * Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011,

@@ -71,6 +71,11 @@ class TestGen:
         res = run("gen", "--construction", "bose", "--n", "13")
         assert res.exit_code == 2
 
+    def test_missing_n_exit_2(self):
+        res = run("gen", "--construction", "bose")
+        assert res.exit_code == 2
+        assert res.stderr == "error: --n is required for bose\n"
+
     def test_round_trip_matches_in_memory(self, tmp_path):
         out = tmp_path / "b15.sts"
         run("gen", "--construction", "bose", "--n", "15", "-o", str(out))
@@ -355,6 +360,23 @@ class TestColor:
         assert res.exit_code == 0
         assert json.loads(res.stdout)["guaranteed_bound"] == 1099
 
+    def test_bicolor_scheme_without_a_bicoloring_exit_4(self, tmp_path):
+        # the complete 3-graph on 4 points: bicoloring_search returns None
+        path = tmp_path / "k4.sts"
+        write_system(build_system(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]), str(path))
+        res = run("color", "-i", str(path), "--scheme", "bicolor")
+        assert res.exit_code == 4
+        assert res.stderr.splitlines()[-1] == "error: system admits no bicoloring"
+
+    def test_hole_file_with_an_empty_hole_exit_4(self, tmp_path):
+        path = tmp_path / "b9.sts"
+        run("gen", "--construction", "bose", "--n", "9", "-o", str(path))
+        hole_path = tmp_path / "h.json"
+        hole_path.write_text('{"k": 3, "a": 0, "parts": [[], [], []]}\n')
+        res = run("color", "-i", str(path), "--scheme", "hole", "--hole-file", str(hole_path))
+        assert res.exit_code == 4
+        assert res.stderr == "error: no non-trivial hole available\n"
+
     def test_bicolor_scheme_out_of_budget_exit_4(self, tmp_path):
         path = tmp_path / "r99.sts"
         run("random", "--process", "sts", "--n", "99", "--seed", "1", "-o", str(path))
@@ -377,6 +399,32 @@ class TestRandomCmd:
     def test_missing_p_exit_5(self):
         res = run("random", "--process", "binomial", "--n", "10", "--seed", "1")
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("process, option", [("triangle-removal", "--m"),
+                                                 ("linearized", "--p")])
+    def test_missing_option_exit_5(self, process, option):
+        res = run("random", "--process", process, "--n", "7", "--seed", "0")
+        assert res.exit_code == 5
+        assert res.stderr == f"error: {option} is required for {process}\n"
+
+    def test_binomial_stdout(self):
+        res = run("random", "--process", "binomial", "--n", "9", "--p", "0.1", "--seed", "3")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {
+            "n": 9, "p": 0.1, "process": "binomial", "schema": "sts-report/1", "seed": 3,
+            "system": ["# sts v1", "9 7", "0 5 8", "0 7 8", "1 4 8", "2 3 5", "2 3 8",
+                       "3 7 8", "5 6 8"],
+            "triples": 7,
+        }
+
+    def test_stuck_triangle_removal_exit_0(self):
+        # seed 0 gets stuck before 7 steps on 7 points
+        res = run("random", "--process", "triangle-removal", "--n", "7", "--m", "7",
+                  "--seed", "0")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {"m": 7, "n": 7, "process": "triangle-removal",
+                                          "schema": "sts-report/1", "seed": 0,
+                                          "stuck": True}
 
     def test_bad_m_exit_5(self):
         res = run("random", "--process", "triangle-removal", "--n", "7",
@@ -427,6 +475,11 @@ class TestExperimentCmd:
         assert doc["terms"][1]["M"] == "2160" and doc["terms"][1]["N"] == "2241"
         assert len(doc["terms"]) == 13
         assert len(doc["terms"][12]["M"]) > 1000  # thousands of digits, exact
+
+    def test_cdr_negative_kmax_exit_5(self):
+        res = run("experiment", "cdr", "--kmax", "-1")
+        assert res.exit_code == 5
+        assert res.stderr == "error: k_max must be >= 0\n"
 
     def test_bad_order_exit_5(self, tmp_path):
         res = run("experiment", "discrepancy", "--n", "8", "--samples", "1",

@@ -8,6 +8,7 @@ import pytest
 from stsramsey import (
     BadM,
     BadOrder,
+    alpha_star,
     binomial_3graph,
     build_system,
     derive_seed,
@@ -17,7 +18,7 @@ from stsramsey import (
     triangle_removal,
     validate_steiner,
 )
-from stsramsey.randomized import CSV_HEADER, _hill_climb_sts, rows_to_csv
+from stsramsey.randomized import CSV_HEADER, ProcessOutcome, _hill_climb_sts, rows_to_csv
 
 from oracles import stdlib_hill_climb_sts
 
@@ -153,6 +154,23 @@ class TestRandomSts:
     def test_seeds_vary(self):
         assert random_sts(13, 5).triples != random_sts(13, 6).triples
 
+    def test_hill_climb_gives_up_after_max_iters(self):
+        # each step adds at most one block, and 7 points need 7
+        assert _hill_climb_sts(7, random.Random(0), 6) is None
+
+    def test_restart_draws_from_the_next_attempt_stream(self, monkeypatch):
+        states = []
+
+        def fail_once(n, rng, max_iters):
+            states.append(rng.getstate())
+            return None if len(states) == 1 else _hill_climb_sts(n, rng, max_iters)
+
+        monkeypatch.setattr("stsramsey.randomized._hill_climb_sts", fail_once)
+        got = random_sts(13, 5)
+        assert states == [random.Random(derive_seed(5, a)).getstate() for a in (0, 1)]
+        blocks = _hill_climb_sts(13, random.Random(derive_seed(5, 1)), 200 * 13 * 13)
+        assert got == validate_steiner(build_system(13, blocks))
+
 
 class TestExperiment:
     def test_s9_full_rows_all_two(self):
@@ -189,6 +207,22 @@ class TestExperiment:
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             experiment_discrepancy(8, 1, seed=0)
+
+    def test_stuck_partial_system_is_retried(self, monkeypatch):
+        # a stuck first attempt is drawn again from derive_seed(seed, i, 1, 1)
+        seeds = []
+
+        def stuck_once(n, m, seed):
+            seeds.append(seed)
+            return ProcessOutcome(None) if len(seeds) == 1 else triangle_removal(n, m, seed)
+
+        monkeypatch.setattr("stsramsey.randomized.triangle_removal", stuck_once)
+        rows, _ = experiment_discrepancy(9, 1, seed=4)
+        assert seeds == [derive_seed(4, 0, 1), derive_seed(4, 0, 1, 1)]
+        partial = triangle_removal(9, 6, derive_seed(4, 0, 1, 1)).system
+        res = alpha_star(partial, 3)
+        assert (rows[0].model, rows[0].alpha_star3, rows[0].nodes) == (
+            "triangle_removal", res.value, res.budget_spent.nodes)
 
 
 def _digest(triples) -> str:

@@ -256,6 +256,18 @@ class TestAlphaStar:
         got = [tuple(_hole_tree(part, k) for k in (2, 4)) for part in _orbit_unions(make())]
         assert got == ORBIT_UNION_TREES[name]
 
+    @pytest.mark.parametrize("make, i, tree", [
+        (lambda: skolem(13), 0, (3, 604, "7247c397d0f1bd11")),
+        (lambda: bose(15), 1, (5, 15, "3c169cbd755c6627")),
+        (lambda: bose(21), 1, (7, 45, "9c587e6714f94e4a")),
+    ], ids=["skolem13-0", "bose15-1", "bose21-1"])
+    def test_k3_trees_where_a_top_frame_cannot_leave_its_vertex_out(self, make, i, tree):
+        # trees with frames among the top five whose vertex the prune
+        # refuses to leave out (15, 5 and 5 of them); the search offers
+        # such a leave-out at no depth, and these trees were recorded while
+        # it was offered there
+        assert _hole_tree(_orbit_unions(make())[i], 3) == tree
+
     @pytest.mark.parametrize("seed, trees", [
         (0, ((4, 189, "8143e48a7f7fdb13"), (6, 28, "2c2945d895cfd1a9"),
              (4, 0, "068833a107472cc1"))),
@@ -501,6 +513,10 @@ class TestMcExact:
     def test_r1_gives_n(self, s9_sys):
         res = mc_exact(s9_sys, 1)
         assert res.exact and res.value == 9
+
+    def test_no_colors_rejected(self, s9_sys):
+        with pytest.raises(ValueError, match="need at least one color"):
+            mc_exact(s9_sys, 0)
 
     def test_value_invariant_under_relabeling(self, s9_sys):
         rng = random.Random(17)
