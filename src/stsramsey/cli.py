@@ -120,13 +120,6 @@ def _budget_or_exit(max_nodes: int, max_seconds: float) -> SearchBudget:
         _fail(str(exc), 5)
 
 
-def _construction_coloring(ts: TripleSystem) -> tuple[str, EdgeColoring]:
-    """The layer coloring of a Bose or Skolem system, by its order."""
-    if ts.n % 6 == 3:
-        return "bose_coloring", col.bose_coloring(ts)
-    return "skolem_coloring", col.skolem_coloring(ts)
-
-
 def _result_doc(res, certificate_doc) -> dict:
     return {
         "value": res.value,
@@ -144,18 +137,20 @@ def _verdict(name: str, statement: str, ok: bool | None) -> dict:
 @click.option("-i", "--input", "in_path", type=click.Path(exists=False), required=True)
 @click.option("--param", type=click.Choice(["alpha", "alpha-star3", "mc3", "all"]),
               default="all")
-@click.option("--max-nodes", type=int, default=100_000_000)
-@click.option("--max-seconds", type=float, default=60.0)
+@click.option("--max-nodes", type=int, default=SearchBudget.max_nodes)
+@click.option("--max-seconds", type=float, default=SearchBudget.max_seconds)
 def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
     """Compute Ramsey-type parameters of a system file and report JSON."""
     t_start = time.monotonic()
     budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
     steiner = is_steiner(ts)
+    construction = "bose" if ts.n % 6 == 3 else "skolem"
     layer = []
     if steiner:
         try:
-            layer = [_construction_coloring(ts)]
+            coloring = col.bose_coloring(ts) if construction == "bose" else col.skolem_coloring(ts)
+            layer = [(f"{construction}_coloring", coloring)]
         except MissingLabels:
             pass
     want = {"alpha", "alpha-star3", "mc3"} if param == "all" else {param}
@@ -217,7 +212,6 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             None if (hole_a is None or hole_a == 0 or mc_exact_val is None)
             else mc_exact_val <= n - hole_a))
 
-    construction = None if not layer else ("bose" if ts.n % 6 == 3 else "skolem")
     report = {
         "schema": REPORT_SCHEMA,
         "input": {
@@ -226,7 +220,7 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             "m": ts.m,
             "steiner": steiner,
             "degenerate": steiner and ts.n == 3,
-            "construction": construction,
+            "construction": construction if layer else None,
         },
         "parameters": parameters,
         "bounds": None if bounds is None else {**asdict(bounds), "z2": round(bounds.z2, 6)},
@@ -269,14 +263,13 @@ def _coloring_summary(coloring: EdgeColoring, scheme: str, bound: int | None) ->
               help="Coloring file to write.")
 @click.option("--hole-file", type=click.Path(dir_okay=False), default=None,
               help="Use this hole certificate instead of searching (scheme hole).")
-@click.option("--max-nodes", type=int, default=100_000_000)
-@click.option("--max-seconds", type=float, default=60.0)
+@click.option("--max-nodes", type=int, default=SearchBudget.max_nodes)
+@click.option("--max-seconds", type=float, default=SearchBudget.max_seconds)
 def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
           max_nodes: int, max_seconds: float):
     """Build one of the explicit colorings and print its span/component table."""
     budget = _budget_or_exit(max_nodes, max_seconds)
     ts = _read_system_or_exit(in_path)
-    bound: int | None = None
     try:
         if hole_file is not None and scheme != "hole":
             raise StsError(f"--hole-file applies only to --scheme hole, not {scheme}")
@@ -286,27 +279,25 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
             # triples, one per cell: n//3 of them for Bose, n//6 for Skolem
             type1 = ts.n // 3 if scheme == "bose" else ts.n // 6
             bound = ts.n - ts.n // 3 + -(-type1 // 3)
-        elif scheme == "hole":
+        else:  # a hole, from the file, the hole search or a bicoloring
             if hole_file:
                 try:
                     hole = sio.read_hole(hole_file)
                 except (OSError, sio.FormatError) as exc:
                     _fail(f"cannot read hole file: {exc}", 3)
-            else:
+            elif scheme == "hole":
                 click.echo("searching 3-partite hole...", err=True)
                 hole = alpha_star(ts, 3, budget).lower_certificate
+            else:  # bicolor
+                click.echo("searching bicoloring...", err=True)
+                bi = bicoloring_search(ts, budget)
+                if bi is None:
+                    raise MissingLabels("system admits no bicoloring")
+                hole = col.bicoloring_to_bound(bi)[0]
             if hole.a == 0:
                 raise InvalidHole("no non-trivial hole available")
             coloring = col.hole_coloring(ts, hole)
             bound = ts.n - hole.a
-        else:  # bicolor
-            click.echo("searching bicoloring...", err=True)
-            bi = bicoloring_search(ts, budget)
-            if bi is None:
-                raise MissingLabels("system admits no bicoloring")
-            hole, bicolor_bound = col.bicoloring_to_bound(bi)
-            coloring = col.hole_coloring(ts, hole)
-            bound = bicolor_bound
     except StsError as exc:
         _fail(str(exc), 4)
     if output:
@@ -346,19 +337,17 @@ def random_cmd(process: str, n: int, m: int | None, p: float | None, seed: int,
                 return
             system = outcome.system
             doc.update({"stuck": False, "m": m, "triples": system.m, "linear": system.linear})
-        elif process == "binomial":
-            if p is None:
-                raise ValueError("--p is required for binomial")
-            system = rnd.binomial_3graph(n, p, seed)
-            doc.update({"p": p, "triples": system.m})
-        elif process == "linearized":
-            if p is None:
-                raise ValueError("--p is required for linearized")
-            system = rnd.linearize(rnd.binomial_3graph(n, p, seed))
-            doc.update({"p": p, "triples": system.m, "linear": system.linear})
-        else:  # sts
+        elif process == "sts":
             system = rnd.random_sts(n, seed)
             doc.update({"triples": system.m, "steiner": True})
+        else:  # binomial or linearized
+            if p is None:
+                raise ValueError(f"--p is required for {process}")
+            system = rnd.binomial_3graph(n, p, seed)
+            if process == "linearized":
+                system = rnd.linearize(system)
+                doc["linear"] = system.linear
+            doc.update({"p": p, "triples": system.m})
     except (StsError, ValueError) as exc:
         _fail(str(exc), 5)
     if output:
@@ -383,8 +372,8 @@ def experiment():
 @click.option("--samples", type=int, required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--max-nodes", type=int, default=100_000_000)
-@click.option("--max-seconds", type=float, default=60.0)
+@click.option("--max-nodes", type=int, default=SearchBudget.max_nodes)
+@click.option("--max-seconds", type=float, default=SearchBudget.max_seconds)
 def discrepancy(n: int, samples: int, seed: int, csv_path: str,
                 max_nodes: int, max_seconds: float):
     """Measure alpha*_3 over partial and full random systems; write CSV."""

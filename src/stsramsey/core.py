@@ -181,10 +181,11 @@ class TripleSystem:
                         seen.add(t)
                         norm.append(t)
                         continue
-            if len(vs) != 3 or len(set(vs)) != 3:
+            # count() tests equality as set() does, but needs no hash
+            if len(vs) != 3 or any(vs.count(v) != 1 for v in vs):
                 raise VertexOutOfRange(f"not three distinct vertices: {vs!r}")
             for v in vs:
-                if not (0 <= v < n):
+                if type(v) is int and not (0 <= v < n):
                     raise VertexOutOfRange(f"vertex {v} not in [0, {n})")
             for v in vs:
                 if type(v) is not int:

@@ -299,16 +299,28 @@ class TestColor:
         assert res.output.strip() == "error: budget fields must be positive"
 
     def test_hole_file_input(self, tmp_path):
+        # s9's one triple through 0 and 1 is (0, 1, 2), so no triple holds
+        # 0, 1 and 3: {0}, {1}, {3} is a hole of size 1
         path = tmp_path / "s9.sts"
         run("gen", "--construction", "s9", "-o", str(path))
         hole_path = tmp_path / "h.json"
         hole_path.write_text('{"k": 3, "a": 1, "parts": [[0], [1], [3]]}\n')
-        # {0},{1},{3}: line (0,1,2)? 0,1 share a line with 2 -> must avoid one
         res = run("color", "-i", str(path), "--scheme", "hole",
                   "--hole-file", str(hole_path))
-        # the specific parts may or may not form a hole; accept either exit 0
-        # with a bound or exit 4 if the certificate is invalid
-        assert res.exit_code in (0, 4)
+        assert res.exit_code == 0
+        doc = json.loads(res.stdout)
+        assert doc["guaranteed_bound"] == 8 == doc["max_component"]["size"]
+
+    def test_crossing_hole_file_exit_4(self, tmp_path):
+        # (0, 3, 6) is a triple of s9
+        path = tmp_path / "s9.sts"
+        run("gen", "--construction", "s9", "-o", str(path))
+        hole_path = tmp_path / "h.json"
+        hole_path.write_text('{"k": 3, "a": 1, "parts": [[0], [3], [6]]}\n')
+        res = run("color", "-i", str(path), "--scheme", "hole",
+                  "--hole-file", str(hole_path))
+        assert res.exit_code == 4
+        assert res.stderr.strip() == "error: certificate admits a crossing triple"
 
     @pytest.mark.parametrize("parts", ["[[0.5], [1.5], [2.5]]", '[["x"], ["y"], ["z"]]',
                                        "[[true], [false], [2]]"])

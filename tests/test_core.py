@@ -119,6 +119,13 @@ class TestBuildSystem:
         # nor a vertex count: the headers "3.0 1" and "True 0" do not parse
         (3.0, [(0, 1, 2)], VertexOutOfRange, "vertex count 3.0 is not an int"),
         (True, [], VertexOutOfRange, "vertex count True is not an int"),
+        # a vertex that is no number, even an unhashable one, is named
+        (3, [(0, 1, "2")], VertexOutOfRange, "vertex '2' is not an int"),
+        (3, [("a", "b", "c")], VertexOutOfRange, "vertex 'a' is not an int"),
+        (3, [(None, 1, 2)], VertexOutOfRange, "vertex None is not an int"),
+        (3, [(0, [1], 2)], VertexOutOfRange, "vertex [1] is not an int"),
+        # the range test reads the int vertices of a mixed triple
+        (3, [(0, 1.5, 7)], VertexOutOfRange, "vertex 7 not in [0, 3)"),
     ])
     def test_error_messages(self, n, triples, error, message):
         for make in (build_system, TripleSystem):

@@ -19,6 +19,7 @@ from stsramsey import (
     SearchBudget,
     alpha_star,
     bicoloring_search,
+    binomial_3graph,
     bose,
     build_system,
     closed_form_bounds,
@@ -839,9 +840,14 @@ def _as_sets(res):
 
 
 def _meets_the_pair_count(n, parts):
-    """3 (sum of squared part sizes) >= n^2 + 2n, which every L2 partition
-    of a Steiner system satisfies."""
-    return 3 * sum(len(p) ** 2 for p in parts) >= n * n + 2 * n
+    """What every L2 partition of a Steiner system satisfies: at most one
+    part has odd size, and 3 (sum of squared part sizes) >= m^2 + 2m, m the
+    size of their union, for every set of at least two parts; with all the
+    parts, m = n."""
+    sizes = [len(p) for p in parts]
+    return sum(sizes) == n and sum(s % 2 for s in sizes) <= 1 and all(
+        3 * sum(s * s for s in some) >= sum(some) ** 2 + 2 * sum(some)
+        for r in range(2, len(sizes) + 1) for some in combinations(sizes, r))
 
 
 def _two_largest(parts):
@@ -854,8 +860,10 @@ class TestL2Partitions:
         *[lambda s=s: _partial_linear(9, s, planted=False) for s in range(4)],
         *[lambda s=s: _partial_linear(n, s, planted=True) for n, s in
           ((6, 10), (8, 11), (9, 12), (9, 13), (10, 14))],
+        *[lambda s=s: binomial_3graph(9, 0.12, s) for s in range(4)],
     ], ids=["fano", "s9", "n3", "n4-empty", *[f"linear9-{s}" for s in range(4)],
-            "planted6", "planted8", "planted9a", "planted9b", "planted10"])
+            "planted6", "planted8", "planted9a", "planted9b", "planted10",
+            *[f"binomial9-{s}" for s in range(4)]])
     def test_matches_the_oracle(self, make):
         ts = make()
         res = search.l2_partitions(ts)
@@ -866,6 +874,15 @@ class TestL2Partitions:
         for parts in res.partitions:
             # ordered by their lowest vertices
             assert [min(p) for p in parts] == sorted(min(p) for p in parts)
+
+    @pytest.mark.parametrize("seed, count, nodes", [
+        (0, 8, 87), (1, 6, 74), (2, 176, 446), (3, 82, 285),
+    ])
+    def test_pinned_counts_where_a_pair_lies_in_two_triples(self, seed, count, nodes):
+        system = binomial_3graph(9, 0.12, seed)
+        assert not system.linear
+        res = search.l2_partitions(system)
+        assert (len(res.partitions), res.exact, res.budget_spent.nodes) == (count, True, nodes)
 
     def test_planted_systems_have_partitions(self):
         assert all(search.l2_partitions(_partial_linear(n, s, planted=True)).partitions
