@@ -3,8 +3,9 @@ constructive decomposition of 3-colored systems.
 
 The decomposition operates on the 3-multicolored complete shadow of a colored
 system with minimum pair degree >= 1: every vertex pair carries the set of
-colors of the triples containing it.  Following the structure of maximal
-monochromatic components, every 3-coloring lands in one of three cases:
+colors of the triples containing it.  Following a largest monochromatic
+component B and a largest component R that meets both B and its complement,
+every 3-coloring lands in one of three cases:
 
 * L1 - some color has a spanning component;
 * L2 - a partition {W, X, Y, Z} with all parts non-empty whose six cross
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from .constructions import bose_coloring, skolem_coloring  # re-exported
 from .core import (
@@ -100,6 +101,8 @@ def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
     parts.  Parts that do not partition the vertices into four, or a triple
     meeting three parts, raise ``MalformedCertificate``.
     """
+    if not all(type(v) is int and 0 <= v < ts.n for p in parts for v in p):
+        raise MalformedCertificate("an L2 partition needs four non-empty parts of the vertices")
     masks = [vertex_mask(p) for p in parts]
     if (len(masks) != 4 or not all(masks) or sum(m.bit_count() for m in masks) != ts.n
             or reduce(or_, masks) != (1 << ts.n) - 1):
@@ -184,23 +187,21 @@ class CheckResult:
         return self.ok
 
 
-def _select(cands: list[tuple[int, int]]) -> tuple[int, int]:
-    # largest first, then lowest color, then lexicographically smallest set
-    return min(cands, key=lambda item: (-item[0].bit_count(), item[1],
-                                        sorted(mask_vertices(item[0]))))
-
-
 def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResult:
-    """Decompose a 3-coloring by following maximal monochromatic components.
+    """Decompose a 3-coloring by following its largest monochromatic components.
 
-    Pick a containment-maximal monochromatic component B (largest, ties to
-    lowest color then lexicographic).  If B spans, emit L1.  Otherwise pick a
-    maximal component R in another color meeting both B and its complement U,
-    and emit L2 on (B&R, B-R, U&R, U-R) when U-R is non-empty, else L3 via
-    the third-color component G containing U + (B-R).  Components are
-    bitmask flood fills (:func:`core.flood_components`); a spanning
-    component is the largest there is, so the first color whose component
-    through vertex 0 spans settles L1 before the next color is read.
+    Pick the first largest monochromatic component B, colors in order and each
+    color's components by lowest vertex: the tie rule and the witness of
+    :func:`core.largest_mono_component`.  If B spans, emit L1.  Otherwise pick
+    the first largest component R meeting both B and its complement U, and
+    emit L2 on (B&R, B-R, U&R, U-R) when U-R is non-empty, else L3 via the
+    third-color component G containing U + (B-R).  B is containment-maximal,
+    since a component strictly containing it would be larger; so is R, since a
+    component strictly containing R crosses too and would be larger.  B-R is
+    non-empty, else R would strictly contain B and be larger than it.
+    Components are bitmask flood fills (:func:`core.flood_components`); a
+    spanning component is the largest there is, so the first color whose
+    component through vertex 0 spans settles L1 before the next color is read.
 
     On a Steiner system this bounds the largest component t of any
     3-coloring, the proof behind
@@ -251,14 +252,12 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
                 case="L1", role_colors=(col, (col + 1) % 3, (col + 2) % 3),
                 component=frozenset(range(n)))
         adj.append(row)
-    comps_by_color = [flood_components(row, reduce(or_, row, 0)) for row in adj]
-    allcomps = [(comp, col) for col in range(3) for comp in comps_by_color[col]]
-    maximal = [(comp, col) for (comp, col) in allcomps
-               if not any(comp != other and comp | other == other for (other, _) in allcomps)]
-    B, bcol = _select(maximal)
+    # max keeps the first of equal sizes
+    comps = [(comp.bit_count(), comp, col) for col, row in enumerate(adj)
+             for comp in flood_components(row, reduce(or_, row, 0))]
+    _, B, bcol = max(comps, key=itemgetter(0))
     U = V ^ B
-    crossing = [(comp, col) for (comp, col) in maximal if (comp & B) and (comp & U)]
-    R, rcol = _select(crossing)
+    _, R, rcol = max((item for item in comps if item[1] & B and item[1] & U), key=itemgetter(0))
     gcol = 3 - bcol - rcol
     if U & ~R:
         parts = (B & R, B & ~R, U & R, U & ~R)
@@ -266,10 +265,10 @@ def decompose_3coloring(ts: TripleSystem, c: EdgeColoring) -> DecompositionResul
                                    parts=tuple(map(mask_vertices, parts)))
     seed = U | (B & ~R)
     v0 = seed & -seed
-    # v0 lies on a green triple.  B-R is non-empty, else the maximal R would
-    # strictly contain B.  A pair from U to B-R is covered by some triple; it
-    # is not blue (U lies outside B) and not red (B-R lies outside R), so it
-    # is green.
+    # v0 lies on a green triple.  B-R is non-empty, else R would strictly
+    # contain B and be larger than it.  A pair from U to B-R is covered by
+    # some triple; it is not blue (U lies outside B) and not red (B-R lies
+    # outside R), so it is green.
     G = reach(adj[gcol], v0, V)
     parts = (B & R & G, B & ~G, B & ~R, U)
     return DecompositionResult(case="L3", role_colors=(bcol, rcol, gcol),

@@ -331,8 +331,8 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
         attempt = 0
         while outcome.stuck:
             attempt += 1
-            if attempt > 1000:
-                raise RestartsExhausted(f"partial process stuck 1000 times at n={n}")
+            if attempt > _MAX_RESTARTS:
+                raise RestartsExhausted(f"partial process stuck {_MAX_RESTARTS} times at n={n}")
             outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
         full = random_sts(n, derive_seed(seed, i, 2))
         for model, m_or_p, system in ((MODEL_PARTIAL, m_half, outcome.system),

@@ -1,9 +1,10 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -102,6 +103,18 @@ class TestL2Coloring:
                     parts[:3] + (frozenset({4, 5, 6}),)):
             with pytest.raises(MalformedCertificate, match="four non-empty parts"):
                 l2_coloring(fano_sys, bad)
+
+    # a vertex that is not an int in [0, n): a negative one, a str, and a bool
+    # standing for the missing vertex 1
+    @pytest.mark.parametrize("make, parts", [
+        (s9, [[-1], [0, 1], [2, 3, 4], [5, 6, 7, 8]]),
+        (s9, [[0, 1], ["a"], [2, 3, 4], [5, 6, 7, 8]]),
+        (lambda: bose(21), [[0, 2], [True], [3, 5, 7, 8, 9, 10, 12, 13, 16, 17, 18, 20],
+                            [4, 6, 11, 14, 15, 19]]),
+    ], ids=["negative", "str", "bool"])
+    def test_non_vertices_rejected(self, make, parts):
+        with pytest.raises(MalformedCertificate, match="four non-empty parts"):
+            l2_coloring(make(), parts)
 
 
 def bose_span_bound(n):
@@ -324,7 +337,49 @@ L2_TRIPLES = [
 L2_COLORS = (0,) * 7 + (1,) * 6 + (2,) * 6
 
 
+@pytest.fixture(scope="module")
+def pin_sample():
+    """366 colorings as (system, label, coloring): on skolem(13), bose(15)
+    and bose(21), 100 seeded ones that mostly color a triple by its lowest
+    vertex mod 3, and the hole coloring of alpha*_3; then the L2 coloring of
+    each of bose(21)'s 63 L2 partitions."""
+    out = []
+    for ts in (skolem(13), bose(15), bose(21)):
+        for s in range(100):
+            rng = random.Random(s)
+            colors = tuple(rng.randrange(3) if rng.random() < 0.3 else t.a % 3
+                           for t in ts.triples)
+            out.append((ts, s, EdgeColoring(system=ts, r=3, colors=colors)))
+        out.append((ts, "hole", hole_coloring(ts, alpha_star(ts, 3).lower_certificate)))
+    out += [(ts, f"l2-{i}", l2_coloring(ts, parts))  # ts is bose(21)
+            for i, parts in enumerate(l2_partitions(ts).partitions)]
+    return out
+
+
 class TestDecomposition:
+    def test_choices_pinned(self, pin_sample):
+        # recorded when B and R were picked among the containment-maximal
+        # components, ties broken by sorted vertex lists
+        rows, cases = [], Counter()
+        for ts, label, c in pin_sample:
+            d = decompose_3coloring(ts, c)
+            cases[d.case] += 1
+            rows.append((ts.n, label, d.case, d.role_colors,
+                         None if d.parts is None else [sorted(p) for p in d.parts]))
+        assert cases == {"L1": 269, "L2": 63, "L3": 34}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "3671b62f222ee859"
+
+    def test_b_is_the_largest_component_witness(self, pin_sample, fano_sys):
+        # B is the component for L1, W+X for L2 and W+X+Y for L3
+        every_fano = [(fano_sys, None, EdgeColoring(system=fano_sys, r=3, colors=colors))
+                      for colors in product(range(3), repeat=7)]
+        for ts, label, c in pin_sample + every_fano:
+            d = decompose_3coloring(ts, c)
+            B = d.component if d.case == "L1" else frozenset().union(
+                *d.parts[:2 if d.case == "L2" else 3])
+            _, color, witness = largest_mono_component(c)
+            assert (B, d.role_colors[0]) == (witness, color), (ts.n, label)
+
     def test_all_one_color_is_spanning(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
         d = decompose_3coloring(fano_sys, c)

@@ -8,6 +8,7 @@ import pytest
 from stsramsey import (
     BadM,
     BadOrder,
+    RestartsExhausted,
     alpha_star,
     binomial_3graph,
     build_system,
@@ -158,6 +159,19 @@ class TestRandomSts:
         # each step adds at most one block, and 7 points need 7
         assert _hill_climb_sts(7, random.Random(0), 6) is None
 
+    def test_gives_up_after_the_restart_cap(self, monkeypatch):
+        calls = []
+
+        def never(n, rng, max_iters):
+            calls.append(n)
+            return None
+
+        monkeypatch.setattr("stsramsey.randomized._hill_climb_sts", never)
+        with pytest.raises(RestartsExhausted) as err:
+            random_sts(19, 5)
+        assert len(calls) == 1000
+        assert str(err.value) == "no complete system on n=19 within 1000 restarts"
+
     def test_restart_draws_from_the_next_attempt_stream(self, monkeypatch):
         states = []
 
@@ -223,6 +237,20 @@ class TestExperiment:
         res = alpha_star(partial, 3)
         assert (rows[0].model, rows[0].alpha_star3, rows[0].nodes) == (
             "triangle_removal", res.value, res.budget_spent.nodes)
+
+    def test_stuck_partial_process_gives_up_after_the_restart_cap(self, monkeypatch):
+        # the first draw and 1000 restarts, all stuck
+        calls = []
+
+        def always_stuck(n, m, seed):
+            calls.append(seed)
+            return ProcessOutcome(None)
+
+        monkeypatch.setattr("stsramsey.randomized.triangle_removal", always_stuck)
+        with pytest.raises(RestartsExhausted) as err:
+            experiment_discrepancy(19, 1, seed=4)
+        assert len(calls) == 1001
+        assert str(err.value) == "partial process stuck 1000 times at n=19"
 
 
 def _digest(triples) -> str:
