@@ -281,8 +281,8 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
 
     The shadow is read from the triples of ``ts`` with the colors of ``c``,
     as per-color bitmask adjacencies (:func:`core.shadow`); a coloring of
-    another system, or a claim naming a role color outside the palette of
-    ``c``, fails at once.
+    another system, or a claim whose role colors are not three distinct
+    ints of the palette of ``c`` (a bool is no color), fails at once.
     """
     n = ts.n
     V = (1 << n) - 1
@@ -292,13 +292,16 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
 
     if c.system is not ts and c.system != ts:
         return fail("coloring belongs to another system")
-    if not all(col in range(c.r) for col in d.role_colors):
+    roles = d.role_colors
+    if len(roles) != 3 or any(type(col) is not int for col in roles) or len(set(roles)) != 3:
+        return fail("role colors are not three distinct int colors")
+    if not all(0 <= col < c.r for col in roles):
         return fail("role colors outside the palette")
 
     if d.case == "L1":
         if d.component != frozenset(range(n)):
             return fail("L1: component does not span")
-        adj = shadow(n, color_class(ts.triples, c.colors, d.role_colors[0]))
+        adj = shadow(n, color_class(ts.triples, c.colors, roles[0]))
         # the empty vertex set is spanned trivially
         if V and reach(adj, 1, V) != V:
             return fail("L1: component not connected in its color")
@@ -307,7 +310,7 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     if d.parts is None or len(d.parts) != 4:
         return fail("partition missing")
     W, X, Y, Z = d.parts
-    blue, red, green = d.role_colors
+    blue, red, green = roles
     union = W | X | Y | Z
     if union != frozenset(range(n)) or len(W) + len(X) + len(Y) + len(Z) != n:
         return fail("parts do not partition the vertex set")

@@ -638,13 +638,16 @@ def alpha_star(ts: TripleSystem, k: int,
     is the cap or the next level was refuted by an exhausted search.  When
     the budget runs out, the largest hole found so far is returned with
     ``exact=False``.  The certificate is re-checked by ``verify_hole``; a
-    failure raises ``InvalidHole``, also under ``python -O``.
+    failure raises ``InvalidHole``, also under ``python -O``.  A k that is
+    not an int of at least 2 raises ``BadK``.
     """
     return _alpha_star(ts, k, _Meter(budget))
 
 
 def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
     """:func:`alpha_star` on the nodes and clock of ``meter``."""
+    if not isinstance(k, int):
+        raise BadK(f"the number of parts must be an int, got {k!r}")
     if k < 2:
         raise BadK(f"need at least 2 parts, got {k}")
     n = ts.n
@@ -696,8 +699,11 @@ def mc_exact(ts: TripleSystem, r: int,
     problems"):
 
     * Components are bitmasks: for each color, every vertex holds the mask of
-      its component, so coloring a triple ORs three masks, and restoring the
-      old masks undoes it exactly.
+      its component, so coloring a triple ORs three masks.
+    * State is restored from a per-node snapshot: a node whose color merges
+      components first saves copies of that color's component and reach
+      lists and of every triple's domain and urgency, and backtracking puts
+      the copies back in place of the lists the node changed.
     * Every pending triple keeps a domain of the colors it may still take.
       When a color's component grows, each pending triple touching it loses
       that color if taking it would give a component at least as large as
@@ -756,10 +762,9 @@ def mc_exact(ts: TripleSystem, r: int,
     urgency = [3 * r] * m
     color = [0] * m
     # frame: [triple, its domain, colors left to try, largest component and
-    #         used-color count before the triple, trail of its current color:
-    #         (component list, reach list, old component masks, color bit,
-    #         triples that lost the bit, (triple, old reach) pairs),
-    #         its urgency]
+    #         used-color count before the triple, the state its current color
+    #         changed, saved before the change: (color, its component list,
+    #         its reach list, dom, urgency), its urgency]
     stack: list[list] = []
     exact = True
     nodes = 0
@@ -782,21 +787,9 @@ def mc_exact(ts: TripleSystem, r: int,
         descended = False
         while stack and not descended:
             frame = stack[-1]
-            t, saved, todo, cur_max, used, trail, saved_urgency = frame
-            if trail is not None:
-                cv, rc, olds, bit, dropped, grown = trail
-                for old in olds:
-                    rest = old
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        cv[low.bit_length() - 1] = old
-                for u in dropped:
-                    dom[u] |= bit
-                    urgency[u] += rc[u] - lose
-                for u, old in grown:
-                    urgency[u] += old - rc[u]
-                    rc[u] = old
+            t, saved, todo, cur_max, used, undo, saved_urgency = frame
+            if undo is not None:
+                c, comp[c], reach[c], dom, urgency = undo
                 frame[5] = None
             # after a new incumbent, this path's largest component may reach
             # it, and domains filtered against the old one may be too wide
@@ -822,9 +815,7 @@ def mc_exact(ts: TripleSystem, r: int,
             color[t] = c
             if mask != cx:
                 rc = reach[c]
-                dropped: list[int] = []
-                grown: list[tuple[int, int]] = []
-                frame[5] = (cv, rc, {cx, cy, cz}, bit, dropped, grown)
+                frame[5] = (c, cv[:], rc[:], dom[:], urgency[:])
                 # relabel the merged component and forward-check the pending
                 # triples at each relabelled vertex; a triple's other vertices
                 # inside the mask still hold subsets of it, so the test is exact
@@ -842,12 +833,10 @@ def mc_exact(ts: TripleSystem, r: int,
                             if grow >= best:
                                 dom[u] ^= bit
                                 urgency[u] += lose - rc[u]
-                                dropped.append(u)
                                 if not dom[u]:
                                     wiped = True
                                     break
                             elif grow != rc[u]:
-                                grown.append((u, rc[u]))
                                 urgency[u] += grow - rc[u]
                                 rc[u] = grow
                 if wiped:

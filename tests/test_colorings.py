@@ -506,6 +506,17 @@ class TestDecomposition:
                 check = verify_decomposition(ts, c, replace(d, role_colors=tuple(roles)))
                 assert not check and check.failed_clause == "role colors outside the palette"
 
+    @pytest.mark.parametrize("roles", [(0, 1), (0, 1, 2, 0), (0, 0, 1), (True, 1, 2)],
+                             ids=["two", "four", "repeated", "bool"])
+    def test_role_colors_not_three_distinct_ints_fail(self, roles):
+        # two or four role colors once raised ValueError while unpacking
+        ts = bose(21)
+        c = hole_coloring(ts, alpha_star(ts, 3).lower_certificate)
+        d = decompose_3coloring(ts, c)
+        assert verify_decomposition(ts, c, d)
+        check = verify_decomposition(ts, c, replace(d, role_colors=roles))
+        assert not check and check.failed_clause == "role colors are not three distinct int colors"
+
     def test_coloring_of_another_system_rejected(self, fano_sys):
         c = EdgeColoring(system=skolem(7), r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         with pytest.raises(ValueError, match="another system"):

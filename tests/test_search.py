@@ -211,6 +211,17 @@ class TestAlphaStar:
         with pytest.raises(BadK):
             alpha_star(fano_sys, 1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None], ids=["fraction", "float", "str", "none"])
+    def test_k_that_is_not_an_int(self, fano_sys, k):
+        # a float k once leaked a TypeError from deep inside the search
+        with pytest.raises(BadK, match="must be an int"):
+            alpha_star(fano_sys, k)
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_bad_k_message(self, fano_sys, k):
+        with pytest.raises(BadK, match=f"^need at least 2 parts, got {k}$"):
+            alpha_star(fano_sys, k)
+
     @pytest.mark.parametrize("make", [fano, s9, lambda: bose(9), lambda: skolem(7),
                                       lambda: skolem(13), lambda: bose(15)],
                              ids=["fano", "s9", "bose9", "skolem7", "skolem13", "bose15"])
@@ -603,6 +614,24 @@ class TestMcExactTree:
         if seeded:
             initial = hole_coloring(system, alpha_star(system, 3).lower_certificate)
         res = mc_exact(system, 3, initial=initial)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (value, True, nodes)
+        assert _digest(res.lower_certificate) == digest
+
+    @pytest.mark.parametrize("make, r, seeded, value, nodes, digest", [
+        (lambda: bose(15), 2, False, 15, 9_592, "0d5535e13cc9708d"),
+        (lambda: skolem(13), 2, False, 13, 2_194, "659d36ca563ba462"),
+        (fano, 4, False, 5, 20, "bc0fdebe09ef0f73"),
+        (s9, 4, False, 3, 333, "3ad56ff16221bc36"),
+        (lambda: triangle_removal(19, 28, 7).system, 3, False, 9, 8_385, "5750f38da2cb3c86"),
+        (lambda: triangle_removal(19, 28, 7).system, 3, True, 9, 7_988, "5750f38da2cb3c86"),
+    ], ids=["bose15-r2", "skolem13-r2", "fano-r4", "s9-r4", "tr19", "tr19-hole-seeded"])
+    def test_exhausted_tree_at_other_r_and_on_a_partial_system(self, make, r, seeded,
+                                                                 value, nodes, digest):
+        system = make()
+        initial = None
+        if seeded:
+            initial = hole_coloring(system, alpha_star(system, 3).lower_certificate)
+        res = mc_exact(system, r, initial=initial)
         assert (res.value, res.exact, res.budget_spent.nodes) == (value, True, nodes)
         assert _digest(res.lower_certificate) == digest
 
