@@ -179,9 +179,9 @@ def analyze(in_path: str, param: str, max_nodes: int, max_seconds: float):
             initial = (col.hole_coloring(ts, hole_cert)
                        if hole_cert is not None and hole_cert.a > 0 else None)
             mc_res = mc_exact(ts, 3, budget, initial=initial)
-            upper_source = (
-                "search" if mc_res.exact or initial is None
-                or mc_res.value < largest_mono_component(initial)[0] else "hole_coloring")
+            # the search keeps its seed until it finds a strictly better coloring
+            upper_source = ("hole_coloring" if initial is not None
+                            and mc_res.lower_certificate == initial else "search")
             lower_source = "search"
         parameters["mc3"] = _result_doc(
             mc_res, {"r": 3, "colors": list(mc_res.lower_certificate.colors)})

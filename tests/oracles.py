@@ -133,7 +133,8 @@ def brute_mc3(n, triples):
         if s0 == 0:
             break
         s0 = (s0 - 1) & full
-    assert count == 3 ** m
+    if count != 3 ** m:
+        raise RuntimeError(f"walked {count} colorings, not 3^{m}")
     return best
 
 
@@ -297,9 +298,10 @@ def brute_components(triples):
     return out
 
 
-def brute_decomposition_ok(n, triples, colors, d):
-    """Check a claimed L1/L2/L3 decomposition clause by clause.
+def brute_decomposition_ok(n, triples, colors, d, r):
+    """Check a claimed L1/L2/L3 decomposition of an r-coloring clause by clause.
 
+    The role colors must be three distinct ints in range(r), none a bool.
     Builds the multicolored shadow literally, as a table from each vertex
     pair to the set of colors of the triples holding it, and tests every
     clause of the claimed case on that table with breadth-first search for
@@ -333,6 +335,10 @@ def brute_decomposition_ok(n, triples, colors, d):
                     queue.append(v)
         return seen == set(S)
 
+    roles = d.role_colors
+    if (len(roles) != 3 or not all(type(col) is int and 0 <= col < r for col in roles)
+            or len(set(roles)) != 3):
+        return False
     everything = set(range(n))
     if d.case == "L1":
         return (d.component is not None and set(d.component) == everything

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -17,12 +19,49 @@ def run(*args):
     return CliRunner().invoke(cli, list(args))
 
 
+def parameters(path, *args):
+    return json.loads(run("analyze", "-i", str(path), *args).stdout)["parameters"]
+
+
 def test_import_does_not_load_numpy():
     src = str(Path(stsramsey.__file__).resolve().parents[1])
     code = "import stsramsey, stsramsey.cli, sys; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_main():
+    # the console script calls the same cli.main; the child runs at this
+    # interpreter's optimization level, so under python -O too
+    src = str(Path(stsramsey.__file__).resolve().parents[1])
+    cmd = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "stsramsey.cli", "--help"]
+    out = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("Usage: ")
+    assert [ln.split()[0] for ln in out.stdout.split("Commands:\n")[1].splitlines()] == [
+        "analyze", "color", "experiment", "gen", "random"]
+
+
+# sha256 of the files the seeded samplers and the constructions write
+@pytest.mark.parametrize("args, digest", [
+    (["random", "--process", "triangle-removal", "--n", "199", "--m", "3284", "--seed", "7"],
+     "fdd962f4a1a4b5b0adf88f97df36a646289ccb281dada185e330b92a9af3c0f6"),
+    (["random", "--process", "sts", "--n", "99", "--seed", "5"],
+     "4c4173a7c4d247338b5f3bc7f7015a6405fb86297475174f48d4c4c82f2d8a66"),
+    (["random", "--process", "linearized", "--n", "99", "--p", "0.004", "--seed", "5"],
+     "903fc57b42fd2f1e0203c093b10a2f8248d3fcc15e8d62cdfc0b85dc5b31400b"),
+    (["random", "--process", "binomial", "--n", "99", "--p", "0.004", "--seed", "5"],
+     "85a6ac0a13794a1e1af7f1938e1d5395ec870e5759def3f6d200b4391b59d63d"),
+    (["gen", "--construction", "bose", "--n", "99"],
+     "e9fd631856e3905deafb1686e2b8937f2a63df1529e34052635bef901774567e"),
+    (["gen", "--construction", "skolem", "--n", "97"],
+     "25b99bdb7007f930284e03144d7b288cb6850cc5bc23247bee6deab09fe4ffcf"),
+], ids=["triangle-removal199", "sts99", "linearized99", "binomial99", "bose99", "skolem97"])
+def test_written_file_digest(tmp_path, args, digest):
+    out = tmp_path / "x.sts"
+    assert run(*args, "-o", str(out)).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args", [
@@ -175,6 +214,58 @@ class TestAnalyze:
         assert not doc["input"]["steiner"]
         assert mc3["exact"] and mc3["lower_bound_source"] == "search"
 
+    def test_skolem13_parameters(self, tmp_path):
+        path = tmp_path / "s13.sts"
+        run("gen", "--construction", "skolem", "--n", "13", "-o", str(path))
+        mc3 = parameters(path)["mc3"]
+        assert (mc3["value"], mc3["exact"]) == (10, True)
+        hole = parameters(path, "--param", "alpha-star3", "--max-nodes", "1000")["alpha_star3"]
+        assert (hole["value"], hole["exact"]) == (3, True) and hole["nodes"] <= 1000
+        alpha = parameters(path, "--param", "alpha")["alpha"]
+        assert (alpha["value"], alpha["exact"]) == (6, True)
+
+    def test_b27_alpha_within_its_node_cap(self, tmp_path):
+        path = tmp_path / "b27.sts"
+        run("gen", "--construction", "bose", "--n", "27", "-o", str(path))
+        alpha = parameters(path, "--param", "alpha", "--max-nodes", "150000")["alpha"]
+        assert (alpha["value"], alpha["exact"], alpha["nodes"]) == (10, True, 16_350)
+
+    @pytest.mark.parametrize("construction, n, value, relation", [
+        ("skolem", 19, 14, operator.eq), ("bose", 21, 16, operator.gt)], ids=["skolem19", "bose21"])
+    def test_steiner_mc3_nodes_against_alpha_star3(self, tmp_path, construction, n, value,
+                                                   relation):
+        # at the alpha*_3 cap (skolem(19)) the decomposition skips the L2
+        # enumeration and spends the hole search's nodes alone; below the
+        # cap (bose(21)) the enumeration adds its own
+        path = tmp_path / "x.sts"
+        run("gen", "--construction", construction, "--n", str(n), "-o", str(path))
+        hole = parameters(path, "--param", "alpha-star3")["alpha_star3"]
+        mc3 = parameters(path, "--param", "mc3")["mc3"]
+        assert hole["exact"] and mc3["exact"]
+        assert (mc3["value"], mc3["lower_bound_source"]) == (value, "decomposition")
+        assert relation(mc3["nodes"], hole["nodes"])
+
+    # with every parameter asked for, mc_exact starts from the hole coloring,
+    # which certifies the value as long as the search finds nothing better
+    @pytest.mark.parametrize("n, m, seed, args, result", [
+        (9, 6, 4, [], (5, True, 3, "hole_coloring", [1, 2, 1, 2, 0, 0])),
+        (9, 6, 4, ["--param", "mc3"], (5, True, 20, "search", [0, 0, 0, 1, 2, 1])),
+        (19, 28, 7, ["--param", "mc3"], (9, True, 8_385, "search", None)),
+        (19, 28, 7, ["--max-nodes", "100"], (13, False, 100, "hole_coloring", None)),
+        (19, 28, 7, ["--max-nodes", "500"], (12, False, 500, "search", None)),
+        (19, 28, 7, [], (9, True, 7_988, "search", None)),
+    ], ids=["tr9-seeded", "tr9-mc3", "tr19-mc3", "tr19-cap100", "tr19-cap500", "tr19-seeded"])
+    def test_partial_system_mc3_upper_bound_source(self, tmp_path, n, m, seed, args, result):
+        path = tmp_path / "tr.sts"
+        run("random", "--process", "triangle-removal", "--n", str(n), "--m", str(m),
+            "--seed", str(seed), "-o", str(path))
+        mc3 = parameters(path, *args)["mc3"]
+        *head, colors = result
+        assert [mc3["value"], mc3["exact"], mc3["nodes"], mc3["upper_bound_source"]] == head
+        assert mc3["lower_bound_source"] == ("search" if mc3["exact"] else None)
+        if colors is not None:
+            assert mc3["certificate"]["colors"] == colors
+
     def test_verdicts_recompute(self, tmp_path):
         path = tmp_path / "s9.sts"
         run("gen", "--construction", "s9", "-o", str(path))
@@ -249,6 +340,8 @@ class TestColor:
         doc = json.loads(res.stdout)
         assert all(pc["span"] <= 21 for pc in doc["per_color"])
         assert doc["guaranteed_bound"] == 21
+        largest = max(s for pc in doc["per_color"] for s in pc["component_sizes"])
+        assert doc["max_component"]["size"] == largest == 21
 
     def test_sk19_skolem_scheme(self, tmp_path):
         path = tmp_path / "sk19.sts"
@@ -364,6 +457,7 @@ class TestColor:
         assert res.exit_code == 0
         doc = json.loads(res.stdout)
         assert doc["guaranteed_bound"] == 8
+        assert doc["max_component"]["size"] == 8
 
     def test_bicolor_scheme_deeper_than_the_recursion_limit(self, tmp_path):
         path = tmp_path / "deep.sts"
@@ -396,6 +490,14 @@ class TestColor:
         assert res.exit_code == 4
         assert "ran out of budget" in res.stderr
         assert "admits no bicoloring" not in res.stderr
+
+    def test_bicolor_scheme_stops_at_its_node_cap(self, tmp_path):
+        path = tmp_path / "b15.sts"
+        run("gen", "--construction", "bose", "--n", "15", "-o", str(path))
+        res = run("color", "-i", str(path), "--scheme", "bicolor", "--max-nodes", "4095")
+        assert res.exit_code == 4
+        assert res.stderr.splitlines()[-1] == \
+            "error: bicoloring search ran out of budget after 4095 nodes"
 
 
 class TestRandomCmd:

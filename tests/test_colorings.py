@@ -45,7 +45,7 @@ from stsramsey import (
     verify_hole,
     verify_z2_range,
 )
-from stsramsey.colorings import DecompositionResult, l2_coloring
+from stsramsey.colorings import Bicoloring, DecompositionResult, l2_coloring
 from stsramsey.constructions import LABEL_TYPE1, LABEL_TYPE3
 from stsramsey.io import format_system
 from stsramsey.search import l2_partitions
@@ -89,7 +89,7 @@ class TestL2Coloring:
             coloring = l2_coloring(ts, parts)
             claim = DecompositionResult(case="L2", role_colors=(0, 1, 2), parts=parts)
             assert verify_decomposition(ts, coloring, claim)
-            assert brute_decomposition_ok(ts.n, ts.triples, coloring.colors, claim)
+            assert brute_decomposition_ok(ts.n, ts.triples, coloring.colors, claim, coloring.r)
             two = sum(sorted(map(len, parts))[2:])
             assert largest_mono_component(coloring)[0] == two
             assert max_component_size(ts.n, ts.triples, coloring.colors) == two
@@ -380,6 +380,21 @@ class TestDecomposition:
             _, color, witness = largest_mono_component(c)
             assert (B, d.role_colors[0]) == (witness, color), (ts.n, label)
 
+    @pytest.mark.parametrize("which, case, sizes", [("l2", "L2", [12, 6, 2, 1]),
+                                                    ("hole", "L3", [5, 6, 5, 5])],
+                             ids=["l2", "hole"])
+    def test_bose21_colorings_decompose(self, which, case, sizes):
+        # its first L2 partition's coloring, and its hole coloring
+        ts = bose(21)
+        c = (l2_coloring(ts, l2_partitions(ts).partitions[0]) if which == "l2"
+             else hole_coloring(ts, alpha_star(ts, 3).lower_certificate))
+        d = decompose_3coloring(ts, c)
+        assert (d.case, [len(p) for p in d.parts]) == (case, sizes)
+        assert verify_decomposition(ts, c, d)
+        B = frozenset().union(*d.parts[:2 if case == "L2" else 3])
+        _, color, witness = largest_mono_component(c)
+        assert (B, d.role_colors[0]) == (witness, color)
+
     def test_all_one_color_is_spanning(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)
         d = decompose_3coloring(fano_sys, c)
@@ -517,6 +532,19 @@ class TestDecomposition:
         check = verify_decomposition(ts, c, replace(d, role_colors=roles))
         assert not check and check.failed_clause == "role colors are not three distinct int colors"
 
+    def test_claim_without_four_covering_parts_or_a_known_case_fails(self):
+        ts = build_system(8, L2_TRIPLES)
+        c = EdgeColoring(system=ts, r=3, colors=L2_COLORS)
+        d = decompose_3coloring(ts, c)
+        W, X, Y, Z = d.parts
+        for claim, clause in ((replace(d, parts=None), "partition missing"),
+                              (replace(d, parts=(W, X, Y | Z)), "partition missing"),
+                              (replace(d, parts=(W, X, Y, Z - {max(Z)})),
+                               "parts do not partition the vertex set"),
+                              (replace(d, case="L4"), "unknown case 'L4'")):
+            check = verify_decomposition(ts, c, claim)
+            assert not check and check.failed_clause == clause
+
     def test_coloring_of_another_system_rejected(self, fano_sys):
         c = EdgeColoring(system=skolem(7), r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         with pytest.raises(ValueError, match="another system"):
@@ -572,7 +600,7 @@ class TestDecomposition:
             d = decompose_3coloring(system, c)
             for claim in [d] + _decomposition_variants(d, n, rng):
                 got = bool(verify_decomposition(system, c, claim))
-                assert got == brute_decomposition_ok(n, system.triples, colors, claim), \
+                assert got == brute_decomposition_ok(n, system.triples, colors, claim, c.r), \
                     (colors, claim)
                 verdicts.add(got)
         assert verdicts == {True, False}
@@ -599,7 +627,31 @@ def _decomposition_variants(d, n, rng):
     # an L1 claim missing one vertex
     out.append(DecompositionResult(case="L1", role_colors=d.role_colors,
                                    component=frozenset(range(n)) - {rng.randrange(n)}))
+    # role colors that are not three distinct ints of the palette
+    out += [replace(d, role_colors=roles) for roles in (
+        (0, 1), (0, 1, 2, 0), (0, 0, 1), (1, 2, 3), (True,) + d.role_colors[1:])]
     return out
+
+
+# raises that no other test reaches, with their messages
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hole_coloring(build_system(3, []),
+                           HoleCertificate(k=1, a=1, parts=(frozenset([0]),))),
+     InvalidHole, "need at least 2 parts"),
+    (lambda: verify_bicoloring(s9(), (1, 2, 3) * 2), ValueError, "one class per vertex required"),
+    (lambda: verify_bicoloring(s9(), (1, 1, 2, 1, 1, 2, 2, 2, 4)), ValueError,
+     "classes must be in {1, 2, 3}"),
+    (lambda: bicoloring_to_bound(Bicoloring(s9(), (1, 2, 3) * 3, (3, 3, 3))), InvalidHole,
+     "bicoloring classes do not induce a hole"),
+    (lambda: decompose_3coloring(fano(), EdgeColoring(system=fano(), r=2, colors=(0,) * 7)),
+     ValueError, "decomposition needs exactly 3 colors"),
+    (lambda: closed_form_bounds(2), ValueError, "bounds need n >= 3"),
+], ids=["hole-coloring-one-part", "bicoloring-length", "bicoloring-class-4",
+        "bicoloring-without-hole", "decompose-2-coloring", "bounds-n2"])
+def test_rejected_input_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestClosedFormBounds:

@@ -126,12 +126,28 @@ class TestBuildSystem:
         (3, [(0, [1], 2)], VertexOutOfRange, "vertex [1] is not an int"),
         # the range test reads the int vertices of a mixed triple
         (3, [(0, 1.5, 7)], VertexOutOfRange, "vertex 7 not in [0, 3)"),
+        (3, [(0, 0, 1)], VertexOutOfRange, "not three distinct vertices: (0, 0, 1)"),
+        (-1, [], VertexOutOfRange, "negative vertex count -1"),
     ])
     def test_error_messages(self, n, triples, error, message):
         for make in (build_system, TripleSystem):
             with pytest.raises(error) as err:
                 make(n, triples)
             assert str(err.value) == message
+
+
+# raises that no other test reaches, with their messages
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: validate_steiner(fano(), labels=("x",)), ValueError,
+     "label count differs from triple count"),
+    (lambda: EdgeColoring(fano(), 3, (0,)), ValueError, "one color per triple required"),
+    (lambda: verify_hole(fano(), HoleCertificate(k=3, a=1, parts=(frozenset([0]),))),
+     MalformedCertificate, "k=3 but 1 parts given"),
+], ids=["labels", "colors", "hole-parts"])
+def test_rejected_input_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestValidateSteiner:

@@ -44,6 +44,18 @@ def test_wrong_triple_count():
         parse_system("7 2\n0 1 2\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n\n", "empty system file"),
+    ("a b\n", "non-integer header 'a b'"),
+    ("3 1\n0 1\n", "triple line must have 3 vertices: '0 1'"),
+    ("3 1\n0 1 x\n", "non-integer vertex in '0 1 x'"),
+], ids=["empty", "header", "two-vertices", "non-integer-vertex"])
+def test_parse_system_error_messages(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_system(text)
+    assert str(err.value) == message
+
+
 def test_unsorted_triple_rejected():
     with pytest.raises(FormatError):
         parse_system("3 1\n2 1 0\n")

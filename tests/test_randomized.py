@@ -222,6 +222,10 @@ class TestExperiment:
         with pytest.raises(BadOrder):
             experiment_discrepancy(8, 1, seed=0)
 
+    def test_no_sample(self):
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            experiment_discrepancy(19, 0, 1)
+
     def test_stuck_partial_system_is_retried(self, monkeypatch):
         # a stuck first attempt is drawn again from derive_seed(seed, i, 1, 1)
         seeds = []

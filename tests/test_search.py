@@ -624,7 +624,9 @@ class TestMcExactTree:
         (s9, 4, False, 3, 333, "3ad56ff16221bc36"),
         (lambda: triangle_removal(19, 28, 7).system, 3, False, 9, 8_385, "5750f38da2cb3c86"),
         (lambda: triangle_removal(19, 28, 7).system, 3, True, 9, 7_988, "5750f38da2cb3c86"),
-    ], ids=["bose15-r2", "skolem13-r2", "fano-r4", "s9-r4", "tr19", "tr19-hole-seeded"])
+        (lambda: skolem(13), 4, False, 9, 207_370, "119d4593cc5b16dd"),
+    ], ids=["bose15-r2", "skolem13-r2", "fano-r4", "s9-r4", "tr19", "tr19-hole-seeded",
+            "skolem13-r4"])
     def test_exhausted_tree_at_other_r_and_on_a_partial_system(self, make, r, seeded,
                                                                  value, nodes, digest):
         system = make()
