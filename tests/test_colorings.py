@@ -301,9 +301,13 @@ class TestBicolorings:
         assert verify_hole(s9_sys, hole)
 
     def test_bound_arithmetic_for_24_24_33(self):
-        # class sizes (24, 24, 33) on 81 vertices give bound 24 + 33 = 57
-        a, b, c = 24, 24, 33
-        assert a + b + c == 81 and (a + b + c) - a == b + c == 57
+        # the doubling recursion's base, class sizes (24, 24, 33) on 81
+        # vertices: the classes cut to 24 form a hole, whose bound is the
+        # sum of the two larger classes, 81 - 24 = 24 + 33 = 57
+        base = cdr_sequence(0)[0]
+        m, n = base.m, base.n
+        assert (m, n) == (24, 33)
+        assert closed_form_bounds(m + m + n, m).hole_upper == m + n == 57
 
     def test_empty_class_rejected(self):
         ts = build_system(3, [(0, 1, 2)])
@@ -367,7 +371,7 @@ class TestDecomposition:
             rows.append((ts.n, label, d.case, d.role_colors,
                          None if d.parts is None else [sorted(p) for p in d.parts]))
         assert cases == {"L1": 269, "L2": 63, "L3": 34}
-        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "3671b62f222ee859"
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "f396d16f66f578b2"
 
     def test_b_is_the_largest_component_witness(self, pin_sample, fano_sys):
         # B is the component for L1, W+X for L2 and W+X+Y for L3

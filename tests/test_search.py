@@ -15,6 +15,7 @@ from stsramsey import (
     BadK,
     BudgetExhausted,
     EdgeColoring,
+    HoleCertificate,
     InvalidHole,
     SearchBudget,
     alpha_star,
@@ -403,7 +404,7 @@ class TestAlphaStar:
 
     def test_bose27_hole_at_least_two_ninths(self):
         # the ladder climbs to a certified hole of size >= 2n/9 and, with
-        # dominance detection, refutes 8 within this cap (114,180 nodes)
+        # dominance detection, refutes 8 within this cap (62,836 nodes)
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
         assert res.exact and res.value == 7 >= 6
@@ -422,12 +423,12 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("system, cap, value, nodes, digest", [
         (skolem(25), 150_000, 7, 2_175, "aea8022747a784da"),
-        (bose(21), 500_000, 5, 22_923, "b1160b0d28e57df8"),
-        (bose(27), 400_000, 7, 114_261, "1a65323c7651ca9c"),
-        (bose(27), 150_000, 7, 114_261, "1a65323c7651ca9c"),
+        (bose(21), 500_000, 5, 12_038, "b1160b0d28e57df8"),
+        (bose(27), 400_000, 7, 62_917, "1a65323c7651ca9c"),
+        (bose(27), 150_000, 7, 62_917, "1a65323c7651ca9c"),
         (random_sts(25, 1_000_028), 150_000, 7, 20_891, "a61bdecf967af67c"),
         (_relabeled(bose(21), 12), 500_000, 5, 252_115, "125e6d23a6cf8e38"),
-        (bose(15), 150_000, 4, 19, "42af19f75f419f36"),
+        (bose(15), 150_000, 4, 17, "2e06b3d0932da20c"),
         (skolem(19), 150_000, 5, 24, "0c7f48a030aebb93"),
         (random_sts(19, 1_000_022), 150_000, 5, 29, "11ecfc675796c7ec"),
         (random_sts(21, 1_000_024), 150_000, 6, 3_181, "49be27a727e0212c"),
@@ -438,17 +439,20 @@ class TestAlphaStar:
         # these caps; skolem(25) and random_sts(25) end at the cap
         # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8,
         # also under the holes benchmark's 150k cap.  The node counts pin
-        # the probe, the pruning, the branching order, the orbital bans and
-        # dominance detection, which together cut bose(21) from 264,704
-        # nodes and bose(27) from 1,253,718.  The probe settles none of the
-        # first six caps within its slice of 3n nodes, so each of those
-        # counts is the climb's plus 75, 63, 81, 81, 75 and 63.  A relabelled
-        # bose(21) has a trivial group, so its count is that of the tree
-        # without bans or dominance detection; the digest pins the
-        # certificate's parts.  The last four rows, with the five above them
-        # at the 150k cap, are the eight inputs of the holes benchmark at
-        # seed 1: the probe finds the cap hole of the first three, and
-        # random_sts(21) climbs to its cap 6 after the probe's 63 nodes
+        # the probe, the pruning, the branching order, the orbital bans,
+        # dominance detection and, on the Bose rows, the cap level searched
+        # one left-out set per orbit, which together cut bose(21) from
+        # 264,704 nodes and bose(27) from 1,253,718.  The probe settles none
+        # of the first six caps within its slice of 3n nodes, so each of
+        # those counts is the climb's plus 75, 63, 81, 81, 75 and 63.  A
+        # relabelled bose(21) has a trivial group, so its count is that of
+        # the tree without bans, dominance detection or left-out sets; the
+        # digest pins the certificate's parts.  The last four rows, with
+        # skolem25, bose21 (whose count is the same under a 150k cap),
+        # bose27-holes-cap and random_sts25, are the eight inputs of the
+        # holes benchmark at seed 1: the probe finds the cap hole of the
+        # first three, and random_sts(21) climbs to its cap 6 after the
+        # probe's 63 nodes
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
         assert res.budget_spent.nodes == nodes
@@ -493,6 +497,60 @@ class TestAlphaStar:
         partial = triangle_removal(13, 13, 5).system
         res = alpha_star(partial, 3)
         assert res.exact and res.value <= 13 // 3
+
+
+def _image(g, mask):
+    return sum(1 << g[v] for v in range(len(g)) if mask >> v & 1)
+
+
+class TestLeftOutRoute:
+    """The cap level of a system with a large group, searched one left-out
+    set per orbit."""
+
+    @pytest.mark.parametrize("n", [9, 15, 21])
+    def test_representatives_cover_every_set_once(self, n):
+        group = layer_automorphisms(bose(n))
+        rho = n - 3 * (n // 3 - 1)
+        covered = []
+        for mask, stab in search._left_out_sets(n, rho, group):
+            orbit = {_image(g, mask) for g in group}
+            assert len(orbit) * len(stab) == len(group)
+            assert stab[0] == tuple(range(n))
+            assert all(_image(g, mask) == mask for g in stab)
+            # the representative is its orbit's lowest set in lexicographic order
+            as_sets = sorted(tuple(v for v in range(n) if m >> v & 1) for m in orbit)
+            assert as_sets[0] == tuple(v for v in range(n) if mask >> v & 1)
+            covered += orbit
+        assert sorted(covered) == sorted(sum(1 << v for v in c)
+                                         for c in combinations(range(n), rho))
+
+    @pytest.mark.parametrize("n, found", [(15, True), (21, False), (27, False)])
+    def test_same_verdict_as_the_plain_route(self, n, found):
+        system = bose(n)
+        a = n // 3 - 1
+        mate = search._mates(system)
+        group = layer_automorphisms(system)
+        routes = [search._find_hole_by_left_out(n, a, mate, group, search._Meter(None),
+                                                0, float("inf")),
+                  search._find_hole(n, 3, a, mate, [], group, search._Meter(None),
+                                    0, float("inf"))]
+        for parts, _, settled in routes:
+            assert settled and (parts is not None) == found
+            if found:
+                assert verify_hole(system, HoleCertificate(k=3, a=a, parts=parts))
+
+    @pytest.mark.parametrize("cap", [1, 62, 63, 64, 107, 108, 109, 5_000, 12_037, 12_038,
+                                     12_039, 20_000])
+    def test_capped_runs_spend_their_cap(self, cap):
+        # bose(21) sinks the probe's 63 nodes, climbs to 5 by node 108 and
+        # refutes the cap 6 one orbit at a time by node 12,038; any smaller
+        # cap is spent to the node
+        system = bose(21)
+        res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
+        assert res.budget_spent.nodes == min(cap, 12_038)
+        assert res.exact == (cap >= 12_038)
+        assert res.value <= 5 and (cap < 108 or res.value == 5)
+        assert verify_hole(system, res.lower_certificate)
 
 
 class TestMcExact:
@@ -607,7 +665,7 @@ class TestMcExactTree:
     @pytest.mark.parametrize("system, seeded, value, nodes, digest", [
         (skolem(13), False, 10, 19_778, "b7b7004aef2ef95b"),
         (skolem(13), True, 10, 19_573, "7f1aea4de505ed00"),
-        (bose(15), True, 11, 35_148, "391bf5ce649eb9da"),
+        (bose(15), True, 11, 35_148, "e15378991f7143b4"),
     ], ids=["skolem13", "skolem13-hole-seeded", "bose15-hole-seeded"])
     def test_exhausted_tree(self, system, seeded, value, nodes, digest):
         initial = None
@@ -1037,10 +1095,10 @@ class TestMc3ByDecomposition:
         assert shared.budget_spent.nodes == hole.budget_spent.nodes + alone.budget_spent.nodes
 
     @pytest.mark.parametrize("cap, exact", [
-        (22_922, False), (22_923, False), (22_924, False), (25_446, False), (25_447, True),
+        (12_037, False), (12_038, False), (12_039, False), (14_561, False), (14_562, True),
     ])
     def test_one_meter_hands_over_from_the_hole_to_the_enumeration(self, cap, exact):
-        # alpha_star settles bose(21) at 5 after 22,923 nodes, and the L2
+        # alpha_star settles bose(21) at 5 after 12,038 nodes, and the L2
         # enumeration below the cap takes 2,524 more on the same meter.  A
         # cap short of the sum stops the hole search or the enumeration, and
         # the hole coloring's 16 stands, inexact
