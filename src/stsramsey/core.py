@@ -448,14 +448,20 @@ def largest_mono_component(c: EdgeColoring) -> tuple[int, int, frozenset[int]]:
 def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
     """True iff no triple of s intersects all k parts.
 
-    Structural defects of the certificate itself (overlapping parts, unequal
-    sizes, vertices that are not ints or lie outside the system) raise
-    MalformedCertificate; failure of the hole property returns False.
+    Structural defects of the certificate itself (k or a not an int, parts
+    that are not sets or overlap, unequal sizes, vertices that are not ints
+    or lie outside the system) raise MalformedCertificate; failure of the
+    hole property returns False.
     """
+    for name, value in (("k", h.k), ("a", h.a)):
+        if type(value) is not int:
+            raise MalformedCertificate(f"{name} {value!r} is not an int")
     if h.k != len(h.parts):
         raise MalformedCertificate(f"k={h.k} but {len(h.parts)} parts given")
     seen: set[int] = set()
     for part in h.parts:
+        if not isinstance(part, (set, frozenset)):
+            raise MalformedCertificate(f"part {part!r} is not a set")
         if len(part) != h.a:
             raise MalformedCertificate("parts must all have the declared size")
         if part & seen:

@@ -280,68 +280,6 @@ def independence_number(ts: TripleSystem,
 # k-partite-hole number
 # ---------------------------------------------------------------------------
 
-# the deepest paths recorded as nogoods and checked for dominance; see
-# alpha_star
-_RECORD_DEPTH = 5
-_CHECK_DEPTH = 9
-
-
-def _decision_key(masks: list[int], n: int) -> int:
-    """One int for decisions given as a vertex mask per part, then the mask
-    of the vertices left out; equal for any relabelling of the parts.
-    Consumes ``masks``."""
-    key = masks.pop()
-    masks.sort()
-    for m in masks:
-        key = key << n | m
-    return key
-
-
-def _record_nogood(images: dict[int, list[int]], group: tuple[tuple[int, ...], ...],
-                   path: list[tuple[int, int]], n: int) -> None:
-    """Store in ``images`` every image under ``group`` of ``path``, decisions
-    (vertex, part 0-2 or -1 for left out) that no hole extends."""
-    for g in group:
-        masks = [0] * 4                 # part -1, left out, is masks[3]
-        for u, j in path:
-            masks[j] |= 1 << g[u]
-        mask = sum(masks)
-        key = _decision_key(masks, n)
-        keys = images.setdefault(mask, [])
-        if key not in keys:
-            keys.append(key)
-
-
-def _lookup_sets(path: list[tuple[int, int]]) -> list[int]:
-    """The vertex masks that :func:`_dominated` looks up for ``path``: its
-    last vertex with every set of at most ``_RECORD_DEPTH - 1`` others.
-    They depend on the path's vertices alone, so every option of a frame
-    shares them."""
-    subs = [1 << path[-1][0]]
-    for u, _ in path[:-1]:
-        b = 1 << u
-        subs += [m | b for m in subs if m.bit_count() < _RECORD_DEPTH]
-    return subs
-
-
-def _dominated(images: dict[int, list[int]], path: list[tuple[int, int]],
-               subs: list[int], n: int) -> bool:
-    """Whether ``path`` contains a stored image, up to a relabelling of the
-    parts and with left-out vertices on left-out ones.  Only images through
-    the path's last vertex are looked up: one that avoids it lies in the
-    parent path, which was checked before any nogood recorded since, and
-    those are longer than it.  The store holds paths of at most
-    ``_RECORD_DEPTH`` decisions, so only vertex sets of that size, the
-    ``subs`` of :func:`_lookup_sets`, are looked up."""
-    cur = [0] * 4
-    for u, j in path:
-        cur[j] |= 1 << u
-    for m in filter(images.__contains__, subs):
-        if _decision_key([c & m for c in cur], n) in images[m]:
-            return True
-    return False
-
-
 def _left_out_sets(n: int, rho: int, group: tuple[tuple[int, ...], ...]):
     """Yield one rho-subset of range(n) per orbit of ``group``, the lowest
     in lexicographic order, as a vertex mask with its setwise stabilizer in
@@ -390,20 +328,13 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     used = 0
     # the root frame's H is the whole group, None when trivial
     top = group if len(group) > 1 else None
-    # dominance detection, with a nontrivial group only: images[mask] holds
-    # the keys of the recorded nogoods' images under the group whose vertex
-    # set is mask; it lives for this level only
-    images: dict[int, list[int]] | None = {} if top is not None else None
     # frame: [vertex, the part it is placed in (-1 while it is left out or
     #         between options), has and used before it,
     #         options left: a bit per part, then bit 3 for leaving it out,
     #         the vertex's orbit under the group H that fixes every vertex
     #         decided above it (0 once H is trivial), the subgroup of H that
-    #         also fixes the vertex (the next frame's H), the part bit
-    #         whose subtree is being searched while the orbit is nonzero,
-    #         whether the path through the option being searched is
-    #         recorded as a nogood once its subtree is exhausted, and the
-    #         frame's _lookup_sets, built on its first dominance check]
+    #         also fixes the vertex (the next frame's H), and the part bit
+    #         whose subtree is being searched while the orbit is nonzero]
     stack: list[list] = []
     # the next count to stop at: the meter's next question or the limit
     stop = min(meter.stop, limit)
@@ -452,13 +383,10 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 stab = [g for g in stab if g[v] == v]
                 if len(stab) == 1:
                     stab = None
-            stack.append([v, -1, tuple(has), used, opts, orbit, stab, 0, False, None])
+            stack.append([v, -1, tuple(has), used, opts, orbit, stab, 0])
         while stack:
             frame = stack[-1]
-            v, j, saved_has, used, opts, orbit, _, tried, refuted, _ = frame
-            if refuted:
-                _record_nogood(images, group, [(f[0], f[1]) for f in stack], n)
-                frame[8] = False
+            v, j, saved_has, used, opts, orbit, _, tried = frame
             vb = bits[v]
             if j >= 0:
                 mem[j].pop()        # v: later placements were undone first
@@ -489,19 +417,6 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                         least = c
                         bit = low
             frame[4] = opts ^ bit
-            if images is not None and len(stack) <= _CHECK_DEPTH:
-                if images:
-                    path = [(f[0], f[1]) for f in stack]
-                    path[-1] = (v, bit.bit_length() - 1 if bit != out else -1)
-                    if frame[9] is None:
-                        frame[9] = _lookup_sets(path)
-                    if _dominated(images, path, frame[9], n):
-                        # skipped like a banned option; its failure bans v's
-                        # orbit like a searched one's
-                        if orbit and bit != out:
-                            frame[7] = bit
-                        continue
-                frame[8] = len(stack) <= _RECORD_DEPTH
             if bit == out:
                 h0, h1, h2 = has
                 has[:] = h0 & ~vb, h1 & ~vb, h2 & ~vb
@@ -623,8 +538,6 @@ def alpha_star(ts: TripleSystem, k: int,
       not offered when the prune above would refuse it at once: when the
       parts' candidates together have no slack over the vertices still
       needed, or the vertex is a candidate of a part with none to spare.
-      Its path, which the prune refutes with no node, is then not recorded
-      as a nogood (see below) either.
     * Parts are interchangeable while empty, so only the used parts and the
       lowest empty one are offered.
     * Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011,
@@ -639,28 +552,6 @@ def alpha_star(ts: TripleSystem, k: int,
       hole with an orbit vertex in p would map to one with v in p.  The
       first descent, and the whole tree of a system whose group is
       trivial, are unchanged.
-    * Symmetry-breaking by dominance detection (Fahle, Schamberger &
-      Sellmann 2001, "Symmetry breaking"; Gent & Smith 2000), on the same
-      group.  A decision is "v in part j" or "v left out".  When the
-      subtree under a path of at most 5 decisions is exhausted, no hole
-      extends the path, and it is recorded as a nogood: every pruning
-      removes only options with no hole (forward checking, the Hall-type
-      prune, the bans, dominance itself) or options whose holes have a copy
-      under a part relabelling that is searched (the part offer).  An
-      option whose path has at most 9 decisions is skipped when some
-      element g of the group and some injective relabelling of the parts
-      map a nogood into the path, left-out vertices onto left-out ones: g
-      and the relabelling map holes onto holes, so no hole extends the
-      path.  Each nogood's images under the group are kept, for the level
-      only, in one dict keyed by their vertex masks, and only images that
-      contain the newest decided vertex and at most 4 others are looked
-      up: the rest were checked at the parent, belong to nogoods recorded
-      since, which are longer than the parent's path, or are larger than
-      any stored path.  The bounds 5 and 9 are by measurement on bose(21)
-      and bose(27): recording deeper paths cuts a few more nodes but more
-      than doubles the store, and checking deeper ones costs more time
-      than it saves.  A system whose group is trivial, such as a random or
-      relabelled one, runs none of this and keeps its tree.
     * The left-out set first, one orbit representative at a time
       (Ostrowski et al. 2011), at the cap level a = floor(n/3) - 1 of a
       Steiner system whose group has at least n elements: in practice
@@ -671,19 +562,19 @@ def alpha_star(ts: TripleSystem, k: int,
       at the root and searched with its setwise stabilizer as the group.
       Any hole maps under some element of the group to a hole whose
       left-out set is its orbit's representative, and the stabilizer maps
-      that instance onto itself, so the bans and dominance detection stay
-      sound inside it.  The probe and the ladder both search the cap this
-      way, on one running count: the first hole ends the level, a spent
-      slice or budget leaves it unsettled, and it is refuted when every
-      representative's search is.  The orbits are built lazily, so a
-      search stopped in the first costs one pass over the group.  The
-      refutation of the cap fell from 22,815 to 11,930 nodes on bose(21)
-      (15 orbits) and from 114,094 to 62,750 on bose(27) (26 orbits).
-      With few or no symmetries nearly every rho-set is its own orbit, and
-      the many small searches cost more than the one tree: finding the cap
+      that instance onto itself, so the bans stay sound inside it.  The
+      probe and the ladder both search the cap this way, on one running
+      count: the first hole ends the level, a spent slice or budget leaves
+      it unsettled, and it is refuted when every representative's search
+      is.  The orbits are built lazily, so a search stopped in the first
+      costs one pass over the group.  The refutation of the cap takes
+      13,826 nodes on bose(21) (15 orbits) against 76,439 for the plain
+      search, and 67,438 on bose(27) (26 orbits) against 359,369.  With
+      few or no symmetries nearly every rho-set is its own orbit, and the
+      many small searches cost more than the one tree: finding the cap
       hole takes 67,947 nodes against 20,749 on
-      ``random_sts(25, 1_000_028)``, 2,892 against 2,035 on skolem(25) and
-      462 against 24 on skolem(19), so those keep the plain search.
+      ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
+      868 against 24 on skolem(19), so those keep the plain search.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
@@ -691,9 +582,7 @@ def alpha_star(ts: TripleSystem, k: int,
     node, so the leave-outs not offered change no node count, hole or
     value.  Neither is a banned option, which is never offered: a frame's
     own bans take from its vertex only parts it has tried or was never
-    offered.  A dominated option is skipped before the meter is asked, so it
-    is not a node either, and when it places v it bans v's orbit as a failed
-    subtree would.  The probe and every level draw on the one meter of
+    offered.  The probe and every level draw on the one meter of
     ``budget``, whose node cap is checked before a node is counted, so
     ``budget_spent.nodes`` never exceeds it.  ``exact=True`` means the value
     is the cap or the next level was refuted by an exhausted search.  When

@@ -80,6 +80,14 @@ class TestHoleColoring:
         with pytest.raises(InvalidHole):
             hole_coloring(fano_sys, bad)
 
+    @pytest.mark.parametrize("parts", [([0], [1]), (frozenset([0]), 1)],
+                             ids=["list-parts", "int-part"])
+    def test_parts_that_are_not_sets_map_to_invalid(self, fano_sys, parts):
+        # verify_hole's MalformedCertificate, not a TypeError from & or len()
+        bad = HoleCertificate(k=2, a=1, parts=parts)
+        with pytest.raises(InvalidHole):
+            hole_coloring(fano_sys, bad)
+
 
 class TestL2Coloring:
     @pytest.mark.parametrize("make", [lambda: bose(21), lambda: bose(27)], ids=["bose21", "bose27"])

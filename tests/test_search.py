@@ -90,17 +90,17 @@ def _hole_tree(system, k):
 # no tree is searched: the holes are the round-robin parts at the cap
 ORBIT_UNION_TREES = {
     "bose9": [((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
-              ((1, 8, "9c731319e6f8d3c3"), (2, 0, "c01880c51daed7d6")),
+              ((1, 9, "9c731319e6f8d3c3"), (2, 0, "c01880c51daed7d6")),
               ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
               ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6"))],
-    "s9": [((2, 11, "94c10612b654912c"), (2, 0, "c01880c51daed7d6")),
+    "s9": [((2, 13, "94c10612b654912c"), (2, 0, "c01880c51daed7d6")),
            ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
            ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6")),
            ((0, 2, "a683096011db3975"), (2, 0, "c01880c51daed7d6"))],
     "skolem13": [((1, 22, "bb45fdac96207bcc"), (3, 0, "cbee5c95c1a59c6e")),
-                 ((2, 31, "9e7a2d4808f40dbf"), (3, 0, "cbee5c95c1a59c6e")),
+                 ((2, 33, "9e7a2d4808f40dbf"), (3, 0, "cbee5c95c1a59c6e")),
                  ((2, 39, "f7914d221ed0455a"), (3, 0, "cbee5c95c1a59c6e")),
-                 ((2, 30, "d1428d2883156792"), (3, 0, "cbee5c95c1a59c6e"))],
+                 ((2, 31, "d1428d2883156792"), (3, 0, "cbee5c95c1a59c6e"))],
 }
 
 
@@ -270,7 +270,7 @@ class TestAlphaStar:
         assert got == ORBIT_UNION_TREES[name]
 
     @pytest.mark.parametrize("make, i, tree", [
-        (lambda: skolem(13), 0, (3, 604, "7247c397d0f1bd11")),
+        (lambda: skolem(13), 0, (3, 977, "7247c397d0f1bd11")),
         (lambda: bose(15), 1, (5, 15, "3c169cbd755c6627")),
         (lambda: bose(21), 1, (7, 45, "9c587e6714f94e4a")),
     ], ids=["skolem13-0", "bose15-1", "bose21-1"])
@@ -311,7 +311,7 @@ class TestAlphaStar:
         # (value, exact, nodes, parts digest) at caps on both sides of the
         # probe's slice of 2n nodes and of the exhausted tree's count, on
         # triangle_removal(19, 28, 0) (trivial group) and on the third
-        # union of skolem(13)'s triple orbits (bans and dominance)
+        # union of skolem(13)'s triple orbits (orbital bans)
         system = (triangle_removal(19, 28, 0).system if which == "triangle"
                   else _orbit_unions(skolem(13))[2])
         res = alpha_star(system, 2, SearchBudget(max_nodes=cap))
@@ -320,12 +320,12 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("make", [lambda: bose(15), lambda: bose(21)],
                              ids=["bose15", "bose21"])
-    def test_dominance_agrees_with_a_relabeled_copy(self, make):
+    def test_bans_under_subgroups_agree_with_a_relabeled_copy(self, make):
         # unions of triple orbits under three subgroups: the scalings fixing
         # vertex 0, those with the layer rotations (fixing the cell {0, 1,
         # 2}), and the affine maps that keep every layer; each union keeps
         # its subgroup, and the relabelled copy's group is trivial, so the
-        # copy runs neither the bans nor the dominance check
+        # copy runs no bans
         system = make()
         group = layer_automorphisms(system)
         subgroups = ([g for g in group if g[0] == 0],
@@ -403,8 +403,8 @@ class TestAlphaStar:
             assert res.lower_certificate.parts == parts
 
     def test_bose27_hole_at_least_two_ninths(self):
-        # the ladder climbs to a certified hole of size >= 2n/9 and, with
-        # dominance detection, refutes 8 within this cap (62,836 nodes)
+        # the ladder climbs to a certified hole of size >= 2n/9 and
+        # refutes 8 within this cap (67,605 nodes)
         system = bose(27)
         res = alpha_star(system, 3, SearchBudget(max_nodes=300_000, max_seconds=30))
         assert res.exact and res.value == 7 >= 6
@@ -423,9 +423,9 @@ class TestAlphaStar:
 
     @pytest.mark.parametrize("system, cap, value, nodes, digest", [
         (skolem(25), 150_000, 7, 2_175, "aea8022747a784da"),
-        (bose(21), 500_000, 5, 12_038, "b1160b0d28e57df8"),
-        (bose(27), 400_000, 7, 62_917, "1a65323c7651ca9c"),
-        (bose(27), 150_000, 7, 62_917, "1a65323c7651ca9c"),
+        (bose(21), 500_000, 5, 13_934, "b1160b0d28e57df8"),
+        (bose(27), 400_000, 7, 67_605, "1a65323c7651ca9c"),
+        (bose(27), 150_000, 7, 67_605, "1a65323c7651ca9c"),
         (random_sts(25, 1_000_028), 150_000, 7, 20_891, "a61bdecf967af67c"),
         (_relabeled(bose(21), 12), 500_000, 5, 252_115, "125e6d23a6cf8e38"),
         (bose(15), 150_000, 4, 17, "2e06b3d0932da20c"),
@@ -439,19 +439,18 @@ class TestAlphaStar:
         # these caps; skolem(25) and random_sts(25) end at the cap
         # floor(n/3) - 1, bose(21) by refuting 6 and bose(27) by refuting 8,
         # also under the holes benchmark's 150k cap.  The node counts pin
-        # the probe, the pruning, the branching order, the orbital bans,
-        # dominance detection and, on the Bose rows, the cap level searched
-        # one left-out set per orbit, which together cut bose(21) from
-        # 264,704 nodes and bose(27) from 1,253,718.  The probe settles none
-        # of the first six caps within its slice of 3n nodes, so each of
-        # those counts is the climb's plus 75, 63, 81, 81, 75 and 63.  A
-        # relabelled bose(21) has a trivial group, so its count is that of
-        # the tree without bans, dominance detection or left-out sets; the
-        # digest pins the certificate's parts.  The last four rows, with
-        # skolem25, bose21 (whose count is the same under a 150k cap),
-        # bose27-holes-cap and random_sts25, are the eight inputs of the
-        # holes benchmark at seed 1: the probe finds the cap hole of the
-        # first three, and random_sts(21) climbs to its cap 6 after the
+        # the probe, the pruning, the branching order, the orbital bans
+        # and, on the Bose rows, the cap level searched one left-out set
+        # per orbit, which together cut bose(21) from 264,704 nodes and
+        # bose(27) from 1,253,718.  The probe settles none of the first six
+        # caps within its slice of 3n nodes, so each of those counts is the
+        # climb's plus 75, 63, 81, 81, 75 and 63.  A relabelled bose(21) has
+        # a trivial group, so its count is that of the tree without bans or
+        # left-out sets; the digest pins the certificate's parts.  The last
+        # four rows, with skolem25, bose21 (whose count is the same under a
+        # 150k cap), bose27-holes-cap and random_sts25, are the eight inputs
+        # of the holes benchmark at seed 1: the probe finds the cap hole of
+        # the first three, and random_sts(21) climbs to its cap 6 after the
         # probe's 63 nodes
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
         assert res.exact and res.value == value
@@ -539,16 +538,16 @@ class TestLeftOutRoute:
             if found:
                 assert verify_hole(system, HoleCertificate(k=3, a=a, parts=parts))
 
-    @pytest.mark.parametrize("cap", [1, 62, 63, 64, 107, 108, 109, 5_000, 12_037, 12_038,
-                                     12_039, 20_000])
+    @pytest.mark.parametrize("cap", [1, 62, 63, 64, 107, 108, 109, 5_000, 13_933, 13_934,
+                                     13_935, 20_000])
     def test_capped_runs_spend_their_cap(self, cap):
         # bose(21) sinks the probe's 63 nodes, climbs to 5 by node 108 and
-        # refutes the cap 6 one orbit at a time by node 12,038; any smaller
+        # refutes the cap 6 one orbit at a time by node 13,934; any smaller
         # cap is spent to the node
         system = bose(21)
         res = alpha_star(system, 3, SearchBudget(max_nodes=cap))
-        assert res.budget_spent.nodes == min(cap, 12_038)
-        assert res.exact == (cap >= 12_038)
+        assert res.budget_spent.nodes == min(cap, 13_934)
+        assert res.exact == (cap >= 13_934)
         assert res.value <= 5 and (cap < 108 or res.value == 5)
         assert verify_hole(system, res.lower_certificate)
 
@@ -1095,10 +1094,10 @@ class TestMc3ByDecomposition:
         assert shared.budget_spent.nodes == hole.budget_spent.nodes + alone.budget_spent.nodes
 
     @pytest.mark.parametrize("cap, exact", [
-        (12_037, False), (12_038, False), (12_039, False), (14_561, False), (14_562, True),
+        (13_933, False), (13_934, False), (13_935, False), (16_457, False), (16_458, True),
     ])
     def test_one_meter_hands_over_from_the_hole_to_the_enumeration(self, cap, exact):
-        # alpha_star settles bose(21) at 5 after 12,038 nodes, and the L2
+        # alpha_star settles bose(21) at 5 after 13,934 nodes, and the L2
         # enumeration below the cap takes 2,524 more on the same meter.  A
         # cap short of the sum stops the hole search or the enumeration, and
         # the hole coloring's 16 stands, inexact
