@@ -449,13 +449,15 @@ def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
     """True iff no triple of s intersects all k parts.
 
     Structural defects of the certificate itself (k or a not an int, parts
-    that are not sets or overlap, unequal sizes, vertices that are not ints
-    or lie outside the system) raise MalformedCertificate; failure of the
-    hole property returns False.
+    not given as a tuple or list, parts that are not sets or overlap,
+    unequal sizes, vertices that are not ints or lie outside the system)
+    raise MalformedCertificate; failure of the hole property returns False.
     """
     for name, value in (("k", h.k), ("a", h.a)):
         if type(value) is not int:
             raise MalformedCertificate(f"{name} {value!r} is not an int")
+    if not isinstance(h.parts, (tuple, list)):
+        raise MalformedCertificate(f"parts {h.parts!r} is not a tuple or list")
     if h.k != len(h.parts):
         raise MalformedCertificate(f"k={h.k} but {len(h.parts)} parts given")
     seen: set[int] = set()

@@ -19,7 +19,10 @@ deterministic device); node budgets cannot.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -89,7 +92,12 @@ class _Meter:
         self.max_nodes = budget.max_nodes
         self.t0 = time.monotonic()
         self.deadline = self.t0 + budget.max_seconds
-        self.stop = min(self.max_nodes, 4095)
+        self.resume(0)
+
+    def resume(self, nodes: int) -> None:
+        """Set the stop a run at count ``nodes`` has ahead: the least
+        4095 + 4096 j at or above it, capped at ``max_nodes``."""
+        self.stop = min(self.max_nodes, nodes + (4095 - nodes) % 4096)
 
     def ask(self, nodes: int) -> int:
         """-1 to refuse the node at count ``nodes``, else the next stop."""
@@ -468,12 +476,89 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     """:func:`_find_hole` at k = 3, asked once per orbit of ``group`` on the
     (n - 3a)-sets of vertices, with that orbit's lowest set left out and its
     stabilizer as the group.  The first hole found, or the first search left
-    unsettled, ends the level; it is refuted when every search is."""
-    for left, stab in _left_out_sets(n, n - 3 * a, group):
+    unsettled, ends the level; it is refuted when every search is.  A ladder
+    level splits as alpha_star says."""
+    reps = _left_out_sets(n, n - 3 * a, group)
+    # a fork is safe where os.fork exists and leaves no other thread behind
+    cpus = (len(os.sched_getaffinity(0)) if limit == math.inf and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
+    split = nodes + 2000 if cpus > 1 else math.inf
+    for left, stab in reps:
         parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, limit, left)
         if parts is not None or not settled:
             return parts, nodes, settled
+        if nodes >= split and (rest := list(reps)):
+            return _split_left_out(n, a, mate, meter, nodes, rest, min(cpus, len(rest)))
     return None, nodes, True
+
+
+def _split_left_out(n: int, a: int, mate: list[dict[int, int]], meter: _Meter,
+                    nodes: int, reps: list, workers: int,
+                    ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
+    """``reps`` searched in order from count ``nodes`` by the caller and
+    ``workers`` - 1 forked children, each taking every ``workers``-th on a
+    count of its own; the caller replays the reports in order on the true
+    count (see alpha_star)."""
+
+    def share(count, first):
+        # (index, parts, count, settled, refused by the clock, not the cap)
+        for i in range(first, len(reps), workers):
+            left, stab = reps[i]
+            parts, count, settled = _find_hole(n, 3, a, mate, [], stab, meter, count,
+                                               math.inf, left)
+            yield i, parts, count, settled, not settled and count < meter.max_nodes
+            if parts is not None or not settled:
+                return
+
+    first_stop = meter.stop
+    children = []
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wfd)
+                break       # the shares left without a child are searched below
+            if pid == 0:
+                try:
+                    with os.fdopen(wfd, "wb") as out:
+                        marshal.dump(list(share(nodes, w)), out)
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            children.append((pid, os.fdopen(r, "rb")))
+        reports = {report[0]: report for report in share(nodes, 0)}
+        for _, file in children:
+            try:
+                reports.update((report[0], report) for report in marshal.load(file))
+            except (EOFError, ValueError):
+                pass        # nor is the share of a child that sent nothing
+        refused = any(report[4] for report in reports.values())
+        counts = [nodes] * workers
+        for i in range(len(reps)):
+            p = i % workers
+            if i not in reports:
+                meter.resume(counts[p])
+                reports[i] = next(share(counts[p], i))
+                refused = refused or reports[i][4]
+            _, parts, count, settled, _ = reports[i]
+            spent, counts[p] = count - counts[p], count
+            cut = first_stop if refused else meter.max_nodes
+            if not settled or nodes + spent > cut:
+                meter.stop = -1
+                return None, cut, False
+            nodes += spent
+            if parts is not None:
+                break
+        meter.resume(nodes)
+        return parts, nodes, True
+    finally:
+        for pid, file in children:
+            file.close()
+            os.kill(pid, 9)     # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def alpha_star(ts: TripleSystem, k: int,
@@ -574,7 +659,14 @@ def alpha_star(ts: TripleSystem, k: int,
       many small searches cost more than the one tree: finding the cap
       hole takes 67,947 nodes against 20,749 on
       ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
-      868 against 24 on skolem(19), so those keep the plain search.
+      868 against 24 on skolem(19), so those keep the plain search.  A
+      ladder level on this route that has spent 2,000 nodes hands its
+      remaining representatives to W usable CPUs (:func:`_split_left_out`);
+      the probe's slice never splits.  Values, counts, certificates and the
+      cut at the cap are the one-process run's, though the work over the W
+      processes can reach W times the cap less the count at the split, and a
+      clock refusal in any process ends the level inexact at the meter's
+      next stop at the split.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 

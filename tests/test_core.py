@@ -491,10 +491,12 @@ class TestVerifyHole:
         (3, True, (frozenset([0]), frozenset([1]), frozenset([2])), "a True is not an int"),
         (True, 1, (frozenset([0]),), "k True is not an int"),
         (3.0, 1, (frozenset([0]), frozenset([1]), frozenset([2])), "k 3.0 is not an int"),
-    ], ids=["list-part", "int-part", "bool-a", "bool-k", "float-k"])
+        (3, 1, None, "parts None is not a tuple or list"),
+        (3, 1, 3, "parts 3 is not a tuple or list"),
+    ], ids=["list-part", "int-part", "bool-a", "bool-k", "float-k", "none-parts", "int-parts"])
     def test_wrong_types_malformed(self, fano_sys, k, a, parts, message):
-        # each used to raise TypeError or pass: a list has no &, an int no
-        # len(), and True == 1
+        # each used to raise TypeError or pass: a list has no &, an int or
+        # None no len(), and True == 1
         h = HoleCertificate(k=k, a=a, parts=parts)
         with pytest.raises(MalformedCertificate) as err:
             verify_hole(fano_sys, h)

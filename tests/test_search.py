@@ -1,10 +1,14 @@
 import hashlib
+import marshal
 import os
 import random
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -502,6 +506,66 @@ def _image(g, mask):
     return sum(1 << g[v] for v in range(len(g)) if mask >> v & 1)
 
 
+@contextmanager
+def _one_cpu():
+    """This process pinned to one of its CPUs, so alpha_star searches in one
+    process; the mask is restored on the way out."""
+    pid = os.getpid()
+    mask = os.sched_getaffinity(pid)
+    os.sched_setaffinity(pid, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(pid, mask)
+
+
+def _counted_forks(monkeypatch):
+    """The pids of the children os.fork starts from now on."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_fork():
+    raise AssertionError("a one-process search forked")
+
+
+def _fork_fails():
+    raise OSError("fork refused")
+
+
+def _outcome(res):
+    return (res.value, res.exact, res.budget_spent.nodes, _hole_digest(res.lower_certificate))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="os.sched_setaffinity is missing")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork")
+    or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1,
+    reason="the cap level splits on two or more CPUs, with no other thread")
+
+# bose(21) reaches 5 at node 108 and refutes its cap 6 in 15 orbit
+# searches, the third ending at node 2,762, past the 2,000 nodes after which
+# the other 12 split; the fifth, from 3,709 to 4,632, is a child's first.
+# bose(27) reaches 7 at node 167 and refutes 8 in 26 searches, the first
+# ending at the split, node 3,355; a child's first runs from 6,089 to 8,771
+SPLIT_CAPS = {21: (13_934, [1, 2_761, 2_762, 2_763, 4_000, 13_933, 13_934, 13_935, None]),
+              27: (67_605, [1, 3_354, 3_355, 3_356, 7_000, 67_604, 67_605, 67_606, None])}
+
+
 class TestLeftOutRoute:
     """The cap level of a system with a large group, searched one left-out
     set per orbit."""
@@ -550,6 +614,110 @@ class TestLeftOutRoute:
         assert res.exact == (cap >= 13_934)
         assert res.value <= 5 and (cap < 108 or res.value == 5)
         assert verify_hole(system, res.lower_certificate)
+
+    @needs_affinity
+    @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
+                                        for cap in caps])
+    def test_split_runs_match_one_cpu(self, monkeypatch, n, cap):
+        # the caps fall before, at and after the split, inside a child's
+        # share and around the end; pinned to one CPU the search never forks
+        system = bose(n)
+        budget = SearchBudget(max_nodes=cap) if cap else None
+        split = _outcome(alpha_star(system, 3, budget))
+        monkeypatch.setattr(os, "fork", _no_fork)
+        with _one_cpu():
+            alone = _outcome(alpha_star(system, 3, budget))
+        final = SPLIT_CAPS[n][0]
+        assert split == alone
+        assert alone[1:3] == (cap is None or cap >= final, min(cap or final, final))
+
+    @needs_affinity
+    @pytest.mark.parametrize("cap", [None, 4_000, 13_000])
+    def test_the_split_leaves_the_meter_at_the_one_process_stop(self, monkeypatch, cap):
+        # the cap level of bose(21) from node 108, where the ladder reaches it
+        system = bose(21)
+        mate, group = search._mates(system), layer_automorphisms(system)
+        budget = SearchBudget(max_nodes=cap) if cap else None
+
+        def level():
+            meter = search._Meter(budget)
+            parts, nodes, settled = search._find_hole_by_left_out(21, 6, mate, group, meter,
+                                                                  108, float("inf"))
+            return parts, nodes, settled, meter.stop
+
+        split = level()
+        monkeypatch.setattr(os, "fork", _no_fork)
+        with _one_cpu():
+            alone = level()
+        assert split == alone
+        assert alone[1:] == {None: (13_934, True, 16_383), 4_000: (4_000, False, -1),
+                             13_000: (13_000, False, -1)}[cap]
+
+    @pytest.mark.parametrize("unsafe", ["thread", "no-fork"])
+    def test_one_process_where_a_fork_is_unsafe(self, monkeypatch, unsafe):
+        # a fork would leave another thread's work behind, or cannot be made
+        expected = _hole_tree(bose(21), 3)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        if unsafe == "thread":
+            monkeypatch.setattr(os, "fork", _no_fork)
+            waiter.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            assert _hole_tree(bose(21), 3) == expected
+        finally:
+            done.set()
+            if unsafe == "thread":
+                waiter.join(timeout=10)
+                assert not waiter.is_alive()
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("cap", [None, 4_000])
+    def test_no_child_outlives_the_search(self, monkeypatch, cap):
+        pids = _counted_forks(monkeypatch)
+        res = alpha_star(bose(21), 3, SearchBudget(max_nodes=cap) if cap else None)
+        assert res.budget_spent.nodes == (cap or 13_934) and res.exact == (cap is None)
+        assert len(pids) == min(len(os.sched_getaffinity(0)), 12) - 1
+        _assert_no_children()
+
+    @needs_two_cpus
+    def test_a_clock_refusal_in_a_child_ends_the_level_at_the_split_stop(self, monkeypatch):
+        # only the children see the deadline pass, each in its first search;
+        # the level ends at 4,095, the meter's next stop at the split (3,355)
+        caller = os.getpid()
+        monkeypatch.setattr(search.time, "monotonic",
+                            lambda: 0.0 if os.getpid() == caller else 1e9)
+        res = alpha_star(bose(27), 3, SearchBudget(max_seconds=1.0))
+        assert (res.value, res.exact, res.budget_spent.nodes) == (7, False, 4_095)
+        _assert_no_children()
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("cap", [None, 4_000])
+    @pytest.mark.parametrize("fault", ["child-sends-nothing", "fork-fails"])
+    def test_a_share_without_a_report_is_searched_here(self, monkeypatch, cap, fault):
+        budget = SearchBudget(max_nodes=cap) if cap else None
+        expected = _outcome(alpha_star(bose(21), 3, budget))
+        if fault == "child-sends-nothing":
+            mute = SimpleNamespace(dump=lambda value, file: os._exit(0), load=marshal.load)
+            monkeypatch.setattr(search, "marshal", mute)
+        else:
+            monkeypatch.setattr(os, "fork", _fork_fails)
+        assert _outcome(alpha_star(bose(21), 3, budget)) == expected
+        _assert_no_children()
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_an_exception_in_the_caller_reaps_every_child(self, monkeypatch, error):
+        def fail(file):
+            raise error
+
+        pids = _counted_forks(monkeypatch)
+        monkeypatch.setattr(search, "marshal", SimpleNamespace(dump=marshal.dump, load=fail))
+        with pytest.raises(error):
+            alpha_star(bose(27), 3)
+        assert pids
+        _assert_no_children()
 
 
 class TestMcExact:
@@ -1106,6 +1274,19 @@ class TestMc3ByDecomposition:
         assert (res.value, res.exact, name) == (16, exact, "hole_coloring")
         assert res.budget_spent.nodes == cap
         assert largest_mono_component(res.lower_certificate)[0] == 16
+
+    @pytest.mark.parametrize("cap, exact", [
+        (67_604, False), (67_605, False), (67_606, False), (76_395, False), (76_396, True),
+    ])
+    def test_one_meter_hands_over_on_bose27(self, cap, exact):
+        # alpha_star settles bose(27) at 7 after 67,605 nodes, the last
+        # 64,250 of them split across the CPUs, and the L2 enumeration takes
+        # 8,791 more on the same meter
+        system = bose(27)
+        res, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=cap))
+        assert (res.value, res.exact, name) == (20, exact, "hole_coloring")
+        assert res.budget_spent.nodes == cap
+        assert largest_mono_component(res.lower_certificate)[0] == 20
 
     @pytest.mark.parametrize("make", [fano, s9], ids=["fano", "s9"])
     def test_node_cap_is_never_exceeded(self, make):
