@@ -292,7 +292,7 @@ def color(in_path: str, scheme: str, output: str | None, hole_file: str | None,
                 click.echo("searching bicoloring...", err=True)
                 bi = bicoloring_search(ts, budget)
                 if bi is None:
-                    raise MissingLabels("system admits no bicoloring")
+                    raise StsError("system admits no bicoloring")
                 hole = col.bicoloring_to_bound(bi)[0]
             if hole.a == 0:
                 raise InvalidHole("no non-trivial hole available")

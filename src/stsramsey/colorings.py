@@ -136,6 +136,9 @@ def verify_bicoloring(ts: TripleSystem, phi) -> Bicoloring:
     classes = tuple(phi)
     if len(classes) != ts.n:
         raise ValueError("one class per vertex required")
+    # 1.0 and True equal 1 but are no class
+    if not all(type(c) is int for c in classes):
+        raise ValueError("classes must be ints")
     if not set(classes) <= {1, 2, 3}:
         raise ValueError("classes must be in {1, 2, 3}")
     for i, t in enumerate(ts.triples):
@@ -381,6 +384,8 @@ class BoundsRecord:
 
 def closed_form_bounds(n: int, alpha_star3: int | None = None) -> BoundsRecord:
     """The desk-reference inequalities for an n-vertex system."""
+    if type(n) is not int:
+        raise ValueError(f"bounds need an int n, got {n!r}")
     if n < 3:
         raise ValueError("bounds need n >= 3")
     z2 = n / 2 + (n / 6) * math.sqrt(1 + 8 / n)
@@ -427,6 +432,8 @@ def cdr_sequence(k_max: int) -> list[CdrTerm]:
     M_k = M^2 + 2MN and N_k = 2M^2 + N^2 with exact integers; r_k = M_k/N_k
     is an exact rational, nondecreasing with limit 1.
     """
+    if type(k_max) is not int:
+        raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     m_val, n_val = 24, 33

@@ -112,6 +112,8 @@ def triangle_removal(n: int, m: int, seed: int) -> ProcessOutcome:
     order fixes the order of the swaps, so the list evolves, and the output
     comes out, as it always has for a given seed.
     """
+    if type(n) is not int or type(m) is not int:
+        raise BadM(f"n and m must be ints, got n={n!r} m={m!r}")
     if n < 0 or m < 0 or m > math.comb(n, 2) // 3:
         raise BadM(f"need 0 <= m <= C(n,2)/3, got n={n} m={m}")
     rng = random.Random(derive_seed(seed))
@@ -322,6 +324,8 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
     """
     if n % 6 not in (1, 3):
         raise BadOrder(n)
+    if type(samples) is not int:
+        raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     m_half = round(math.comb(n, 2) / 6)

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Sequence
 
@@ -477,88 +477,81 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     (n - 3a)-sets of vertices, with that orbit's lowest set left out and its
     stabilizer as the group.  The first hole found, or the first search left
     unsettled, ends the level; it is refuted when every search is.  A ladder
-    level splits as alpha_star says."""
+    level splits into blocks as alpha_star says."""
     reps = _left_out_sets(n, n - 3 * a, group)
     # a fork is safe where os.fork exists and leaves no other thread behind
     cpus = (len(os.sched_getaffinity(0)) if limit == math.inf and hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
     split = nodes + 2000 if cpus > 1 else math.inf
-    for left, stab in reps:
-        parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, limit, left)
-        if parts is not None or not settled:
-            return parts, nodes, settled
-        if nodes >= split and (rest := list(reps)):
-            return _split_left_out(n, a, mate, meter, nodes, rest, min(cpus, len(rest)))
-    return None, nodes, True
-
-
-def _split_left_out(n: int, a: int, mate: list[dict[int, int]], meter: _Meter,
-                    nodes: int, reps: list, workers: int,
-                    ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
-    """``reps`` searched in order from count ``nodes`` by the caller and
-    ``workers`` - 1 forked children, each taking every ``workers``-th on a
-    count of its own; the caller replays the reports in order on the true
-    count (see alpha_star)."""
-
-    def share(count, first):
-        # (index, parts, count, settled, refused by the clock, not the cap)
-        for i in range(first, len(reps), workers):
-            left, stab = reps[i]
-            parts, count, settled = _find_hole(n, 3, a, mate, [], stab, meter, count,
-                                               math.inf, left)
-            yield i, parts, count, settled, not settled and count < meter.max_nodes
-            if parts is not None or not settled:
-                return
-
-    first_stop = meter.stop
-    children = []
+    rest = []           # the representatives left at the split
+    children = {}       # the index of a child's first representative: (pid, pipe)
+    reports = iter(())  # the reports of the block being walked, in order
     try:
-        for w in range(1, workers):
-            r, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wfd)
-                break       # the shares left without a child are searched below
-            if pid == 0:
+        for i, (left, stab) in enumerate(chain(reps, rest)):
+            if i in children:
                 try:
-                    with os.fdopen(wfd, "wb") as out:
-                        marshal.dump(list(share(nodes, w)), out)
-                finally:
-                    os._exit(0)
-            os.close(wfd)
-            children.append((pid, os.fdopen(r, "rb")))
-        reports = {report[0]: report for report in share(nodes, 0)}
-        for _, file in children:
-            try:
-                reports.update((report[0], report) for report in marshal.load(file))
-            except (EOFError, ValueError):
-                pass        # nor is the share of a child that sent nothing
-        refused = any(report[4] for report in reports.values())
-        counts = [nodes] * workers
-        for i in range(len(reps)):
-            p = i % workers
-            if i not in reports:
-                meter.resume(counts[p])
-                reports[i] = next(share(counts[p], i))
-                refused = refused or reports[i][4]
-            _, parts, count, settled, _ = reports[i]
-            spent, counts[p] = count - counts[p], count
-            cut = first_stop if refused else meter.max_nodes
-            if not settled or nodes + spent > cut:
-                meter.stop = -1
-                return None, cut, False
-            nodes += spent
-            if parts is not None:
-                break
-        meter.resume(nodes)
-        return parts, nodes, True
+                    reports = iter(marshal.load(children[i][1]))
+                except (EOFError, ValueError):
+                    reports = iter(())  # a child that sent nothing: its block is searched here
+            report = next(reports, None)
+            if report is None:
+                parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes,
+                                                   limit, left)
+            else:
+                # a child's search, folded in on the true count
+                parts, spent, settled, refused = report
+                nodes += spent
+                if not settled or nodes > meter.max_nodes:
+                    meter.stop = -1
+                    return None, split_stop if refused else meter.max_nodes, False
+                meter.resume(nodes)
+            if parts is not None or not settled:
+                return parts, nodes, settled
+            if nodes >= split:
+                split, split_stop = math.inf, meter.stop
+                rest += reps
+                # ceil(left / W) with W = min(cpus, left) is ceil(left / cpus)
+                size = -(-len(rest) // cpus)
+                for w in range(1, min(cpus, len(rest))):
+                    r, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(r)
+                        os.close(wfd)
+                        break       # the blocks left without a child are searched here
+                    if pid == 0:
+                        try:
+                            with os.fdopen(wfd, "wb") as out:
+                                marshal.dump(_search_block(n, a, mate, meter, nodes,
+                                                           rest[w * size:(w + 1) * size]), out)
+                        finally:
+                            os._exit(0)
+                    os.close(wfd)
+                    children[i + 1 + w * size] = pid, os.fdopen(r, "rb")
+        return None, nodes, True
     finally:
-        for pid, file in children:
+        for pid, file in children.values():
             file.close()
             os.kill(pid, 9)     # SIGKILL
             os.waitpid(pid, 0)
+
+
+def _search_block(n: int, a: int, mate: list[dict[int, int]], meter: _Meter, nodes: int,
+                  block: list) -> list[tuple]:
+    """A child's block searched in order from count ``nodes`` up to its first
+    hole or unsettled search, one report per search: (parts, nodes spent,
+    settled, refused by the clock, not the cap)."""
+    reports = []
+    for left, stab in block:
+        parts, count, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, math.inf,
+                                           left)
+        reports.append((parts, count - nodes, settled,
+                        not settled and count < meter.max_nodes))
+        if parts is not None or not settled:
+            break
+        nodes = count
+    return reports
 
 
 def alpha_star(ts: TripleSystem, k: int,
@@ -660,13 +653,16 @@ def alpha_star(ts: TripleSystem, k: int,
       hole takes 67,947 nodes against 20,749 on
       ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
       868 against 24 on skolem(19), so those keep the plain search.  A
-      ladder level on this route that has spent 2,000 nodes hands its
-      remaining representatives to W usable CPUs (:func:`_split_left_out`);
-      the probe's slice never splits.  Values, counts, certificates and the
-      cut at the cap are the one-process run's, though the work over the W
-      processes can reach W times the cap less the count at the split, and a
-      clock refusal in any process ends the level inexact at the meter's
-      next stop at the split.
+      ladder level on this route that has spent 2,000 nodes cuts the
+      representatives left into W = min(usable CPUs, representatives left)
+      contiguous blocks; the probe's slice never splits.  The caller walks
+      the first block on the true count, W - 1 forked children one block
+      each on counts of their own (:func:`_search_block`), and the walk folds
+      each child's reports in when it reaches that block.  Values, counts,
+      certificates and the cut at the cap are the one-process run's, though
+      the work over the W processes can reach W times the cap less the count
+      at the split.  A clock refusal in the caller ends the level where one
+      process would, and one in a child at the meter's stop at the split.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 

@@ -658,8 +658,16 @@ def _decomposition_variants(d, n, rng):
     (lambda: decompose_3coloring(fano(), EdgeColoring(system=fano(), r=2, colors=(0,) * 7)),
      ValueError, "decomposition needs exactly 3 colors"),
     (lambda: closed_form_bounds(2), ValueError, "bounds need n >= 3"),
+    # s9's first bicoloring with True or 1.0 in place of its first class 1
+    (lambda: verify_bicoloring(s9(), (True, 1, 2, 1, 1, 2, 2, 2, 3)), ValueError,
+     "classes must be ints"),
+    (lambda: verify_bicoloring(s9(), (1.0, 1, 2, 1, 1, 2, 2, 2, 3)), ValueError,
+     "classes must be ints"),
+    (lambda: closed_form_bounds(9.5), ValueError, "bounds need an int n, got 9.5"),
+    (lambda: cdr_sequence(2.0), ValueError, "k_max must be an int, got 2.0"),
 ], ids=["hole-coloring-one-part", "bicoloring-length", "bicoloring-class-4",
-        "bicoloring-without-hole", "decompose-2-coloring", "bounds-n2"])
+        "bicoloring-without-hole", "decompose-2-coloring", "bounds-n2", "bicoloring-class-true",
+        "bicoloring-class-float", "bounds-float-n", "cdr-float-k"])
 def test_rejected_input_message(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -69,6 +69,11 @@ class TestTriangleRemoval:
         with pytest.raises(BadM):
             triangle_removal(7, 8, 0)  # C(7,2)/3 = 7
 
+    @pytest.mark.parametrize("n, m", [(9.0, 3), (9, 3.0), (9, True)])
+    def test_n_and_m_must_be_ints(self, n, m):
+        with pytest.raises(BadM, match="^n and m must be ints"):
+            triangle_removal(n, m, 1)
+
 
 class TestBinomial3Graph:
     def test_p_zero(self):
@@ -225,6 +230,10 @@ class TestExperiment:
     def test_no_sample(self):
         with pytest.raises(ValueError, match="^need at least one sample$"):
             experiment_discrepancy(19, 0, 1)
+
+    def test_samples_must_be_an_int(self):
+        with pytest.raises(ValueError, match=r"^samples must be an int, got 1\.5$"):
+            experiment_discrepancy(9, 1.5, 1)
 
     def test_stuck_partial_system_is_retried(self, monkeypatch):
         # a stuck first attempt is drawn again from derive_seed(seed, i, 1, 1)

@@ -559,11 +559,21 @@ needs_two_cpus = pytest.mark.skipif(
 
 # bose(21) reaches 5 at node 108 and refutes its cap 6 in 15 orbit
 # searches, the third ending at node 2,762, past the 2,000 nodes after which
-# the other 12 split; the fifth, from 3,709 to 4,632, is a child's first.
+# the other 12 split into blocks; on two CPUs the caller's block of 6 ends at
+# node 8,317 and the child's block runs from there to 13,934.
 # bose(27) reaches 7 at node 167 and refutes 8 in 26 searches, the first
-# ending at the split, node 3,355; a child's first runs from 6,089 to 8,771
-SPLIT_CAPS = {21: (13_934, [1, 2_761, 2_762, 2_763, 4_000, 13_933, 13_934, 13_935, None]),
-              27: (67_605, [1, 3_354, 3_355, 3_356, 7_000, 67_604, 67_605, 67_606, None])}
+# ending at the split, node 3,355; on two CPUs the caller's block of 13 ends
+# at node 37,988 and the child's 12 run from there to 67,605
+SPLIT_CAPS = {21: (13_934, [1, 2_761, 2_762, 2_763, 4_000, 10_000, 13_933, 13_934, 13_935,
+                            None]),
+              27: (67_605, [1, 3_354, 3_355, 3_356, 7_000, 40_000, 60_000, 67_604, 67_605,
+                            67_606, None])}
+# the count at the split and the representatives left there
+SPLIT_AT = {21: (2_762, 12), 27: (3_355, 25)}
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or threading.active_count() > 1,
+                                reason="the cap level splits only with os.fork and no other "
+                                       "thread")
 
 
 class TestLeftOutRoute:
@@ -619,8 +629,9 @@ class TestLeftOutRoute:
     @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
                                         for cap in caps])
     def test_split_runs_match_one_cpu(self, monkeypatch, n, cap):
-        # the caps fall before, at and after the split, inside a child's
-        # share and around the end; pinned to one CPU the search never forks
+        # the caps fall before, at and after the split, inside the caller's
+        # block and a child's, and around the end; pinned to one CPU the
+        # search never forks
         system = bose(n)
         budget = SearchBudget(max_nodes=cap) if cap else None
         split = _outcome(alpha_star(system, 3, budget))
@@ -630,6 +641,26 @@ class TestLeftOutRoute:
         final = SPLIT_CAPS[n][0]
         assert split == alone
         assert alone[1:3] == (cap is None or cap >= final, min(cap or final, final))
+
+    @needs_fork
+    @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
+                                        for cap in caps])
+    def test_every_number_of_cpus_matches_one(self, monkeypatch, n, cap):
+        # W CPUs cut the representatives left into blocks of ceil(left / W),
+        # so bose(27) at W = 4 has blocks of 7, 7, 7 and a short 4
+        system = bose(n)
+        budget = SearchBudget(max_nodes=cap) if cap else None
+        at, left = SPLIT_AT[n]
+        pids = _counted_forks(monkeypatch)
+        outcomes = []
+        for cpus in range(1, 6):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            pids.clear()
+            outcomes.append(_outcome(alpha_star(system, 3, budget)))
+            assert len(pids) == (min(cpus, left) - 1 if cap is None or cap >= at else 0)
+            _assert_no_children()
+        assert outcomes == [outcomes[0]] * 5
 
     @needs_affinity
     @pytest.mark.parametrize("cap", [None, 4_000, 13_000])
