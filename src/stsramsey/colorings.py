@@ -388,6 +388,8 @@ def closed_form_bounds(n: int, alpha_star3: int | None = None) -> BoundsRecord:
         raise ValueError(f"bounds need an int n, got {n!r}")
     if n < 3:
         raise ValueError("bounds need n >= 3")
+    if alpha_star3 is not None and type(alpha_star3) is not int:
+        raise ValueError(f"bounds need an int alpha_star3, got {alpha_star3!r}")
     z2 = n / 2 + (n / 6) * math.sqrt(1 + 8 / n)
     return BoundsRecord(
         gyarfas=-(-2 * n // 3) + 1,

@@ -54,6 +54,8 @@ def _splitmix64(x: int) -> int:
 
 def derive_seed(master: int, *path: int) -> int:
     """Expand a master seed along an index path (sample, stage, attempt...)."""
+    if any(type(x) is not int for x in (master, *path)):
+        raise ValueError(f"seeds and path steps must be ints, got {(master, *path)!r}")
     x = master & _MASK
     for step in path:
         x = _splitmix64(x ^ ((step + 1) * 0xD6E8FEB86659FD93 & _MASK))
@@ -157,6 +159,8 @@ def binomial_3graph(n: int, p: float, seed: int) -> TripleSystem:
     Triples are examined in lexicographic order, one uniform draw each, so
     the outcome is a pure function of (n, p, seed).
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must be in [0, 1], got {p}")
     rng = random.Random(derive_seed(seed))
@@ -266,7 +270,7 @@ def random_sts(n: int, seed: int) -> TripleSystem:
     The climb draws only through ``getrandbits``, as ``Random.choice`` and
     ``Random.sample`` do, so its bytes do not depend on those stdlib methods.
     """
-    if n % 6 not in (1, 3) or n < 3:
+    if type(n) is not int or n % 6 not in (1, 3) or n < 3:
         raise BadOrder(n)
     for attempt in range(_MAX_RESTARTS):
         rng = random.Random(derive_seed(seed, attempt))
@@ -322,7 +326,7 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
     one full approximately-random system; two rows each.  The summary compares
     the exact values against floor(n/3) - 1 and the display curve n^0.9.
     """
-    if n % 6 not in (1, 3):
+    if type(n) is not int or n % 6 not in (1, 3):
         raise BadOrder(n)
     if type(samples) is not int:
         raise ValueError(f"samples must be an int, got {samples!r}")

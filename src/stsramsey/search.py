@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import or_
 from typing import Sequence
 
@@ -121,8 +121,8 @@ def _triples_at(ts: TripleSystem) -> list[list[int]]:
 
 def _mates(ts: TripleSystem) -> list[dict[int, int]]:
     """``mate[w][u]``: the third vertices of every triple through w and u, as
-    a mask, for the two engines that take vertices into sets: the forward
-    check of :func:`_find_hole` and the candidate filter of
+    a mask, for the three engines that place vertices: the forward checks of
+    :func:`_find_hole` and :func:`_l2_search` and the candidate filter of
     :func:`independence_number`.  One dict per vertex, holding only its
     neighbours, so the rows take space in proportion to the triples."""
     mate: list[dict[int, int]] = [{} for _ in range(ts.n)]
@@ -149,15 +149,6 @@ def _mates(ts: TripleSystem) -> list[dict[int, int]]:
             mate[z][x] |= by
             mate[z][y] |= bx
     return mate
-
-
-def _pairs_at(ts: TripleSystem) -> list[list[tuple[int, int]]]:
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(ts.n)]
-    for x, y, z in ts.triples:
-        pairs[x].append((y, z))
-        pairs[y].append((x, z))
-        pairs[z].append((x, y))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -478,27 +469,62 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     stabilizer as the group.  The first hole found, or the first search left
     unsettled, ends the level; it is refuted when every search is.  A ladder
     level splits into blocks as alpha_star says."""
+
+    def walk(block, nodes: int, split: float):
+        """The left-out sets of ``block`` searched in order from count
+        ``nodes`` up to the first hole or unsettled search, or the first
+        search that ends at ``split`` or past it."""
+        for left, stab in block:
+            parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, limit,
+                                               left)
+            if parts is not None or not settled or nodes >= split:
+                return parts, nodes, settled
+        return None, nodes, True
+
     reps = _left_out_sets(n, n - 3 * a, group)
     # a fork is safe where os.fork exists and leaves no other thread behind
     cpus = (len(os.sched_getaffinity(0)) if limit == math.inf and hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
-    split = nodes + 2000 if cpus > 1 else math.inf
-    rest = []           # the representatives left at the split
-    children = {}       # the index of a child's first representative: (pid, pipe)
-    reports = iter(())  # the reports of the block being walked, in order
+    parts, nodes, settled = walk(reps, nodes, nodes + 2000 if cpus > 1 else math.inf)
+    if parts is not None or not settled:
+        return parts, nodes, settled
+    # the representatives left at the split, in contiguous non-empty blocks
+    # of ceil(left / cpus), none when the walk used them all; a child
+    # searches each block after the first
+    rest = list(reps)
+    size = -(-len(rest) // cpus) or 1
+    blocks = [rest[i:i + size] for i in range(0, len(rest), size)]
+    split_stop = meter.stop
+    children = []       # (pid, pipe) of the children of blocks 1, 2, ...
     try:
-        for i, (left, stab) in enumerate(chain(reps, rest)):
-            if i in children:
+        for block in blocks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break           # the blocks left without a child are searched here
+            if pid == 0:
                 try:
-                    reports = iter(marshal.load(children[i][1]))
-                except (EOFError, ValueError):
-                    reports = iter(())  # a child that sent nothing: its block is searched here
-            report = next(reports, None)
+                    with os.fdopen(w, "wb") as out:
+                        parts, count, settled = walk(block, nodes, math.inf)
+                        marshal.dump((parts, count - nodes, settled,
+                                      not settled and count < meter.max_nodes), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        for i, block in enumerate(blocks):
+            try:
+                report = marshal.load(children[i - 1][1]) if 0 < i <= len(children) else None
+            except (EOFError, ValueError):
+                report = None   # a child that sent nothing: its block is searched here
             if report is None:
-                parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes,
-                                                   limit, left)
+                parts, nodes, settled = walk(block, nodes, math.inf)
             else:
-                # a child's search, folded in on the true count
+                # a child's block, folded in on the true count: (parts, nodes
+                # spent, settled, refused by the clock, not the cap)
                 parts, spent, settled, refused = report
                 nodes += spent
                 if not settled or nodes > meter.max_nodes:
@@ -507,51 +533,12 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
                 meter.resume(nodes)
             if parts is not None or not settled:
                 return parts, nodes, settled
-            if nodes >= split:
-                split, split_stop = math.inf, meter.stop
-                rest += reps
-                # ceil(left / W) with W = min(cpus, left) is ceil(left / cpus)
-                size = -(-len(rest) // cpus)
-                for w in range(1, min(cpus, len(rest))):
-                    r, wfd = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        os.close(r)
-                        os.close(wfd)
-                        break       # the blocks left without a child are searched here
-                    if pid == 0:
-                        try:
-                            with os.fdopen(wfd, "wb") as out:
-                                marshal.dump(_search_block(n, a, mate, meter, nodes,
-                                                           rest[w * size:(w + 1) * size]), out)
-                        finally:
-                            os._exit(0)
-                    os.close(wfd)
-                    children[i + 1 + w * size] = pid, os.fdopen(r, "rb")
         return None, nodes, True
     finally:
-        for pid, file in children.values():
+        for pid, file in children:
             file.close()
             os.kill(pid, 9)     # SIGKILL
             os.waitpid(pid, 0)
-
-
-def _search_block(n: int, a: int, mate: list[dict[int, int]], meter: _Meter, nodes: int,
-                  block: list) -> list[tuple]:
-    """A child's block searched in order from count ``nodes`` up to its first
-    hole or unsettled search, one report per search: (parts, nodes spent,
-    settled, refused by the clock, not the cap)."""
-    reports = []
-    for left, stab in block:
-        parts, count, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, math.inf,
-                                           left)
-        reports.append((parts, count - nodes, settled,
-                        not settled and count < meter.max_nodes))
-        if parts is not None or not settled:
-            break
-        nodes = count
-    return reports
 
 
 def alpha_star(ts: TripleSystem, k: int,
@@ -654,15 +641,17 @@ def alpha_star(ts: TripleSystem, k: int,
       ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
       868 against 24 on skolem(19), so those keep the plain search.  A
       ladder level on this route that has spent 2,000 nodes cuts the
-      representatives left into W = min(usable CPUs, representatives left)
-      contiguous blocks; the probe's slice never splits.  The caller walks
-      the first block on the true count, W - 1 forked children one block
-      each on counts of their own (:func:`_search_block`), and the walk folds
-      each child's reports in when it reaches that block.  Values, counts,
-      certificates and the cut at the cap are the one-process run's, though
-      the work over the W processes can reach W times the cap less the count
-      at the split.  A clock refusal in the caller ends the level where one
-      process would, and one in a child at the meter's stop at the split.
+      representatives left into contiguous blocks of ceil(left / usable
+      CPUs), W of them, none empty; the probe's slice never splits.  One
+      walk searches them in every process: the caller walks the first
+      block on the true count, and W - 1 forked children walk one block
+      each on counts of their own.  Each child sends one report for its
+      block, which the caller folds in when it reaches that block.  Values,
+      counts, certificates and the cut at the cap are the one-process run's,
+      though the work over the W processes can reach W times the cap less
+      the count at the split.  A clock refusal in the caller ends the level
+      where one process would, and one in a child at the meter's stop at
+      the split.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
@@ -925,8 +914,7 @@ def _l2_search(ts: TripleSystem, meter: _Meter,
     found: list[tuple[int, ...]] = []
     if n < 4:
         return found, nodes, True
-    pairs = _pairs_at(ts)
-    bits = [1 << v for v in range(n)]
+    mate = _mates(ts)
     everyone = (1 << n) - 1
     parts4 = range(4)
     # drop[p][q]: the parts a vertex loses when it shares a triple with a
@@ -996,22 +984,18 @@ def _l2_search(ts: TripleSystem, meter: _Meter,
             if nodes == stop and (stop := meter.ask(nodes)) < 0:
                 return found, nodes, False
             nodes += 1
-            vb = bits[v]
+            vb = 1 << v
             part[v] = p
             inside[p] |= vb
-            # forward check: a triple through v and a vertex in another part
-            # keeps its third vertex in one of the two parts
+            # forward check: a triple through v and a vertex x in another
+            # part keeps its third vertex in one of the two parts; has holds
+            # undecided vertices alone, so a decided third loses nothing
             row = drop[p]
-            for x, y in pairs[v]:
+            for x, third in mate[v].items():
                 px = part[x]
-                py = part[y]
-                if px >= 0:
-                    if py < 0 and px != p:
-                        for j in row[px]:
-                            has[j] &= ~bits[y]
-                elif py >= 0 and py != p:
-                    for j in row[py]:
-                        has[j] &= ~bits[x]
+                if px >= 0 and px != p:
+                    for j in row[px]:
+                        has[j] &= ~third
             for j in parts4:
                 has[j] &= ~vb
             undecided = everyone ^ (inside[0] | inside[1] | inside[2] | inside[3])

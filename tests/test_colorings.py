@@ -665,9 +665,14 @@ def _decomposition_variants(d, n, rng):
      "classes must be ints"),
     (lambda: closed_form_bounds(9.5), ValueError, "bounds need an int n, got 9.5"),
     (lambda: cdr_sequence(2.0), ValueError, "k_max must be an int, got 2.0"),
+    (lambda: closed_form_bounds(9, alpha_star3=2.5), ValueError,
+     "bounds need an int alpha_star3, got 2.5"),
+    (lambda: closed_form_bounds(9, alpha_star3=True), ValueError,
+     "bounds need an int alpha_star3, got True"),
 ], ids=["hole-coloring-one-part", "bicoloring-length", "bicoloring-class-4",
         "bicoloring-without-hole", "decompose-2-coloring", "bounds-n2", "bicoloring-class-true",
-        "bicoloring-class-float", "bounds-float-n", "cdr-float-k"])
+        "bicoloring-class-float", "bounds-float-n", "cdr-float-k", "bounds-float-hole",
+        "bounds-bool-hole"])
 def test_rejected_input_message(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -35,6 +35,20 @@ class TestSeedDerivation:
     def test_order_matters(self):
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
+    # a master seed or path step that is not an int, given directly or as the
+    # seed of a sampler
+    @pytest.mark.parametrize("call", [
+        lambda: derive_seed(1.5),
+        lambda: derive_seed(1, 2.0),
+        lambda: derive_seed(True),
+        lambda: random_sts(9, 1.5),
+        lambda: triangle_removal(9, 3, 1.5),
+        lambda: binomial_3graph(9, 0.5, 1.5),
+    ], ids=["master", "step", "bool-master", "random-sts", "triangle-removal", "binomial"])
+    def test_seeds_must_be_ints(self, call):
+        with pytest.raises(ValueError, match="^seeds and path steps must be ints"):
+            call()
+
 
 class TestTriangleRemoval:
     def test_zero_steps(self):
@@ -85,6 +99,10 @@ class TestBinomial3Graph:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             binomial_3graph(5, 1.5, 4)
+
+    def test_n_must_be_an_int(self):
+        with pytest.raises(ValueError, match=r"^n must be an int, got 9\.0$"):
+            binomial_3graph(9.0, 0.5, 1)
 
     def test_mean_count_in_three_sigma(self):
         # 2000 seeded samples of G(30, 1/60); per-sample sd of the count is
@@ -143,6 +161,10 @@ class TestRandomSts:
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             random_sts(8, 0)
+
+    def test_n_must_be_an_int(self):
+        with pytest.raises(BadOrder):
+            random_sts(9.0, 1)
 
     def test_deterministic(self):
         assert random_sts(13, 5).triples == random_sts(13, 5).triples
@@ -226,6 +248,10 @@ class TestExperiment:
     def test_bad_order(self):
         with pytest.raises(BadOrder):
             experiment_discrepancy(8, 1, seed=0)
+
+    def test_n_must_be_an_int(self):
+        with pytest.raises(BadOrder):
+            experiment_discrepancy(9.0, 1, 1)
 
     def test_no_sample(self):
         with pytest.raises(ValueError, match="^need at least one sample$"):

@@ -545,6 +545,13 @@ def _outcome(res):
     return (res.value, res.exact, res.budget_spent.nodes, _hole_digest(res.lower_certificate))
 
 
+def _forks(cpus, left):
+    """The children a split makes: one per non-empty block of ceil(left /
+    cpus) after the caller's."""
+    size = -(-left // cpus)
+    return -(-left // size) - 1
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -642,25 +649,43 @@ class TestLeftOutRoute:
         assert split == alone
         assert alone[1:3] == (cap is None or cap >= final, min(cap or final, final))
 
-    @needs_fork
-    @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
-                                        for cap in caps])
-    def test_every_number_of_cpus_matches_one(self, monkeypatch, n, cap):
-        # W CPUs cut the representatives left into blocks of ceil(left / W),
-        # so bose(27) at W = 4 has blocks of 7, 7, 7 and a short 4
+    @staticmethod
+    def _check_cpus(monkeypatch, n, cap, cpus_list):
+        """The outcome on each number of CPUs is the one-CPU outcome, with one
+        child per non-empty block after the caller's and none left after."""
         system = bose(n)
         budget = SearchBudget(max_nodes=cap) if cap else None
         at, left = SPLIT_AT[n]
         pids = _counted_forks(monkeypatch)
         outcomes = []
-        for cpus in range(1, 6):
+        for cpus in cpus_list:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             pids.clear()
             outcomes.append(_outcome(alpha_star(system, 3, budget)))
-            assert len(pids) == (min(cpus, left) - 1 if cap is None or cap >= at else 0)
+            assert len(pids) == (_forks(cpus, left) if cap is None or cap >= at else 0)
             _assert_no_children()
-        assert outcomes == [outcomes[0]] * 5
+        assert outcomes == [outcomes[0]] * len(cpus_list)
+
+    @needs_fork
+    @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
+                                        for cap in caps])
+    def test_every_number_of_cpus_matches_one(self, monkeypatch, n, cap):
+        # W CPUs cut the representatives left into blocks of ceil(left / W),
+        # so bose(27) at W = 4 has blocks of 7, 7, 7 and a short 4, and
+        # bose(21) at W = 5 three children for blocks of 3, not four
+        self._check_cpus(monkeypatch, n, cap, range(1, 6))
+
+    @needs_fork
+    @pytest.mark.parametrize("n, cpus, cap", [(21, 7, None), (21, 7, 10_000), (27, 6, None),
+                                              (27, 6, 60_000)])
+    def test_forks_follow_the_non_empty_blocks(self, monkeypatch, n, cpus, cap):
+        # here blocks of ceil(left / W) fill only W - 1 blocks, so the split
+        # makes W - 2 children: bose(21)'s 12 left at W = 7 make 6 blocks of
+        # 2, bose(27)'s 25 at W = 6 make 5 blocks of 5; the caps fall inside
+        # a child's block
+        assert _forks(cpus, SPLIT_AT[n][1]) == cpus - 2
+        self._check_cpus(monkeypatch, n, cap, (1, cpus))
 
     @needs_affinity
     @pytest.mark.parametrize("cap", [None, 4_000, 13_000])
@@ -709,7 +734,7 @@ class TestLeftOutRoute:
         pids = _counted_forks(monkeypatch)
         res = alpha_star(bose(21), 3, SearchBudget(max_nodes=cap) if cap else None)
         assert res.budget_spent.nodes == (cap or 13_934) and res.exact == (cap is None)
-        assert len(pids) == min(len(os.sched_getaffinity(0)), 12) - 1
+        assert len(pids) == _forks(len(os.sched_getaffinity(0)), 12)
         _assert_no_children()
 
     @needs_two_cpus
