@@ -12,8 +12,8 @@ triangle-removal process are linear: every pair lies in at most one triple
 (``TripleSystem.linear``).  The Bose and Skolem constructions attach
 per-triple ``labels``, which equality ignores; they are written only for
 the frozen benchmark under ``bench/``, and nothing in the package reads
-them.  No Bose/Skolem arithmetic lives here: the layer encoding, its
-colorings and its group are in :mod:`constructions`.
+them beyond their count.  No Bose/Skolem arithmetic lives here: the
+layer encoding, its colorings and its group are in :mod:`constructions`.
 
 Connectivity is always meant through the shadow graph: two vertices are
 adjacent when they share a triple, and components of one color class of an
@@ -149,8 +149,8 @@ class TripleSystem:
     cannot disagree with them.  It is the only cache, one int: no per-pair
     table outlives the call that builds it.  ``labels``, when present, tags
     each triple with its construction type (one label per triple, in triple
-    order); equality and hashing ignore it, and it is kept only for the
-    frozen benchmark under ``bench/``, like ``base``.
+    order, else ``ValueError``); equality and hashing ignore it, and it is
+    kept only for the frozen benchmark under ``bench/``, like ``base``.
     """
 
     n: int
@@ -191,6 +191,9 @@ class TripleSystem:
                 if type(v) is not int:
                     raise VertexOutOfRange(f"vertex {v!r} is not an int")
             raise DuplicateTriple(f"triple {tuple(t)} listed twice")
+        labels = vars(self)["labels"]   # counted, never read for a type
+        if labels is not None and len(labels) != len(norm):
+            raise ValueError("label count differs from triple count")
         object.__setattr__(self, "triples", tuple(norm))
 
     @cached_property

@@ -157,12 +157,13 @@ def binomial_3graph(n: int, p: float, seed: int) -> TripleSystem:
     """Include each of the C(n,3) triples independently with probability p.
 
     Triples are examined in lexicographic order, one uniform draw each, so
-    the outcome is a pure function of (n, p, seed).
+    the outcome is a pure function of (n, p, seed).  A non-int n, or a p
+    that is not a number in [0, 1], raises ``ValueError``.
     """
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability must be in [0, 1], got {p}")
+    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be a number in [0, 1], got {p!r}")
     rng = random.Random(derive_seed(seed))
     triples = [t for t in combinations(range(n), 3) if rng.random() < p]
     return build_system(n, triples)

@@ -52,11 +52,14 @@ class SearchBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self):
+        nodes, seconds = self.max_nodes, self.max_seconds
+        if not isinstance(seconds, (int, float)) or isinstance(seconds, bool):
+            raise ValueError("max_seconds must be an int or a float")
         # written as "not > 0" so that NaN, which compares false, is rejected
-        if not (self.max_nodes > 0 and self.max_seconds > 0):
+        if isinstance(nodes, (int, float)) and not (nodes > 0 and seconds > 0):
             raise ValueError("budget fields must be positive")
         # a fractional cap would let the count pass it; bool is no count
-        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
+        if not isinstance(nodes, int) or isinstance(nodes, bool):
             raise ValueError("max_nodes must be an int")
 
 
@@ -109,14 +112,6 @@ class _Meter:
 
     def spent(self, nodes: int) -> BudgetSpent:
         return BudgetSpent(nodes=nodes, seconds=time.monotonic() - self.t0)
-
-
-def _triples_at(ts: TripleSystem) -> list[list[int]]:
-    at: list[list[int]] = [[] for _ in range(ts.n)]
-    for i, t in enumerate(ts.triples):
-        for v in t:
-            at[v].append(i)
-    return at
 
 
 def _mates(ts: TripleSystem) -> list[dict[int, int]]:
@@ -331,9 +326,8 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
     #         between options), has and used before it,
     #         options left: a bit per part, then bit 3 for leaving it out,
     #         the vertex's orbit under the group H that fixes every vertex
-    #         decided above it (0 once H is trivial), the subgroup of H that
-    #         also fixes the vertex (the next frame's H), and the part bit
-    #         whose subtree is being searched while the orbit is nonzero]
+    #         decided above it (0 once H is trivial), and the subgroup of H
+    #         that also fixes the vertex (the next frame's H)]
     stack: list[list] = []
     # the next count to stop at: the meter's next question or the limit
     stop = min(meter.stop, limit)
@@ -382,23 +376,20 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 stab = [g for g in stab if g[v] == v]
                 if len(stab) == 1:
                     stab = None
-            stack.append([v, -1, tuple(has), used, opts, orbit, stab, 0])
+            stack.append([v, -1, tuple(has), used, opts, orbit, stab])
         while stack:
             frame = stack[-1]
-            v, j, saved_has, used, opts, orbit, _, tried = frame
+            v, j, saved_has, used, opts, orbit, _ = frame
             vb = bits[v]
             if j >= 0:
                 mem[j].pop()        # v: later placements were undone first
                 frame[1] = -1
-            if tried:
-                # orbital ban: v in part j failed, so by symmetry every vertex
-                # of v's orbit fails there; an empty j stands for every
-                # empty part
-                j = tried.bit_length() - 1
-                saved_has = tuple(h & ~orbit if i == j or j == used <= i else h
-                                  for i, h in enumerate(saved_has))
-                frame[2] = saved_has
-                frame[7] = 0
+                if orbit:
+                    # orbital ban: v in part j failed, so every vertex of v's orbit
+                    # fails there by symmetry, and in every empty part if j was empty
+                    saved_has = tuple(h & ~orbit if i == j or j == used <= i else h
+                                      for i, h in enumerate(saved_has))
+                    frame[2] = saved_has
             if not opts:
                 stack.pop()
                 continue
@@ -420,8 +411,6 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
                 h0, h1, h2 = has
                 has[:] = h0 & ~vb, h1 & ~vb, h2 & ~vb
                 break
-            if orbit:
-                frame[7] = bit
             if nodes == stop:
                 if nodes == limit or (stop := meter.ask(nodes)) < 0:
                     return None, nodes, False
@@ -468,16 +457,14 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     (n - 3a)-sets of vertices, with that orbit's lowest set left out and its
     stabilizer as the group.  The first hole found, or the first search left
     unsettled, ends the level; it is refuted when every search is.  A ladder
-    level splits into blocks as alpha_star says."""
+    level splits at its start into blocks, one per CPU, as alpha_star says."""
 
-    def walk(block, nodes: int, split: float):
-        """The left-out sets of ``block`` searched in order from count
-        ``nodes`` up to the first hole or unsettled search, or the first
-        search that ends at ``split`` or past it."""
+    def walk(block, nodes: int):
+        """Search ``block`` from count ``nodes`` to its first hole or unsettled search."""
         for left, stab in block:
             parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, limit,
                                                left)
-            if parts is not None or not settled or nodes >= split:
+            if parts is not None or not settled:
                 return parts, nodes, settled
         return None, nodes, True
 
@@ -485,15 +472,15 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     # a fork is safe where os.fork exists and leaves no other thread behind
     cpus = (len(os.sched_getaffinity(0)) if limit == math.inf and hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
-    parts, nodes, settled = walk(reps, nodes, nodes + 2000 if cpus > 1 else math.inf)
-    if parts is not None or not settled:
-        return parts, nodes, settled
-    # the representatives left at the split, in contiguous non-empty blocks
-    # of ceil(left / cpus), none when the walk used them all; a child
-    # searches each block after the first
-    rest = list(reps)
-    size = -(-len(rest) // cpus) or 1
-    blocks = [rest[i:i + size] for i in range(0, len(rest), size)]
+    # one CPU walks the orbits as they are built; more cut them into contiguous
+    # blocks, the larger first, and a child searches each block after the first
+    blocks = [reps]
+    if cpus > 1:
+        reps = list(reps)
+        cpus = min(cpus, len(reps))
+        size, extra = divmod(len(reps), cpus)
+        blocks = [reps[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
+                  for i in range(cpus)]
     split_stop = meter.stop
     children = []       # (pid, pipe) of the children of blocks 1, 2, ...
     try:
@@ -508,7 +495,7 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
             if pid == 0:
                 try:
                     with os.fdopen(w, "wb") as out:
-                        parts, count, settled = walk(block, nodes, math.inf)
+                        parts, count, settled = walk(block, nodes)
                         marshal.dump((parts, count - nodes, settled,
                                       not settled and count < meter.max_nodes), out)
                 finally:
@@ -521,7 +508,7 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
             except (EOFError, ValueError):
                 report = None   # a child that sent nothing: its block is searched here
             if report is None:
-                parts, nodes, settled = walk(block, nodes, math.inf)
+                parts, nodes, settled = walk(block, nodes)
             else:
                 # a child's block, folded in on the true count: (parts, nodes
                 # spent, settled, refused by the clock, not the cap)
@@ -639,19 +626,20 @@ def alpha_star(ts: TripleSystem, k: int,
       many small searches cost more than the one tree: finding the cap
       hole takes 67,947 nodes against 20,749 on
       ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
-      868 against 24 on skolem(19), so those keep the plain search.  A
-      ladder level on this route that has spent 2,000 nodes cuts the
-      representatives left into contiguous blocks of ceil(left / usable
-      CPUs), W of them, none empty; the probe's slice never splits.  One
-      walk searches them in every process: the caller walks the first
-      block on the true count, and W - 1 forked children walk one block
-      each on counts of their own.  Each child sends one report for its
-      block, which the caller folds in when it reaches that block.  Values,
-      counts, certificates and the cut at the cap are the one-process run's,
-      though the work over the W processes can reach W times the cap less
-      the count at the split.  A clock refusal in the caller ends the level
+      868 against 24 on skolem(19), so those keep the plain search.  On
+      more than one usable CPU a ladder level on this route lists its
+      representatives at its start and cuts them into W = min(CPUs,
+      representatives) contiguous blocks, sizes differing by at most one,
+      the larger first; the probe's slice and one CPU walk the lazily built
+      orbits in one process.  The caller walks the first block on the true
+      count, and W - 1 forked children walk one block each on counts of
+      their own.  Each child sends one report for its block, which the
+      caller folds in when it reaches that block.  Values, counts,
+      certificates and the cut at the cap are the one-process run's, though
+      the work over the W processes can reach W times the cap less the
+      count at the start.  A clock refusal in the caller ends the level
       where one process would, and one in a child at the meter's stop at
-      the split.
+      the start.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
@@ -764,10 +752,11 @@ def mc_exact(ts: TripleSystem, r: int,
     returned as an upper bound with ``exact=False``.  The certificate is
     re-checked by ``largest_mono_component``; a coloring whose largest
     component differs from the value raises ``RuntimeError``, also under
-    ``python -O``.
+    ``python -O``.  An ``r`` that is not an int of at least 1 raises
+    ``ValueError``.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"need at least one color, as an int, got {r!r}")
     meter = _Meter(budget)
     n, m = ts.n, ts.m
 
@@ -784,7 +773,10 @@ def mc_exact(ts: TripleSystem, r: int,
     best_colors = list(seed_colors)
 
     tris = ts.triples
-    tri_at = _triples_at(ts)
+    tri_at: list[list[int]] = [[] for _ in range(n)]     # the triples through each vertex
+    for i, t in enumerate(tris):
+        for v in t:
+            tri_at[v].append(i)
     comp = [[1 << v for v in range(n)] for _ in range(r)]
     dom = [(1 << r) - 1] * m      # colors a pending triple may still take; 0 once colored
     # reach[c][u]: size of the component that coloring pending triple u with c
@@ -1097,14 +1089,17 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     skipped, and the value is then re-checked against the bound: a
     certificate whose largest component, by ``largest_mono_component``,
     differs from it raises ``RuntimeError``, also under ``python -O``.  A
-    system that is not Steiner, a hole that is not 3-partite and a
-    candidate that is not a 3-coloring of ``ts`` raise ``ValueError``.
+    system that is not Steiner, a hole without a 3-partite
+    :class:`HoleCertificate` and a candidate that is not an
+    :class:`EdgeColoring` of ``ts`` in at most 3 colors raise ``ValueError``.
     """
     if not is_steiner(ts):
         raise ValueError("the decomposition needs a Steiner triple system")
-    if hole is not None and hole.lower_certificate.k != 3:
+    certificate = getattr(hole, "lower_certificate", None)
+    if hole is not None and not (isinstance(certificate, HoleCertificate) and certificate.k == 3):
         raise ValueError("hole must be a 3-partite hole")
-    if any((c.system is not ts and c.system != ts) or c.r > 3 for _, c in candidates):
+    if not all(isinstance(c, EdgeColoring) and (c.system is ts or c.system == ts) and c.r <= 3
+               for _, c in candidates):
         raise ValueError("candidate colorings must 3-color this system")
     meter = _Meter(budget)
     nodes = 0

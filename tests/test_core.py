@@ -140,10 +140,12 @@ class TestBuildSystem:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: validate_steiner(fano(), labels=("x",)), ValueError,
      "label count differs from triple count"),
+    (lambda: replace(bose(9), triples=bose(9).triples[:-1]), ValueError,
+     "label count differs from triple count"),
     (lambda: EdgeColoring(fano(), 3, (0,)), ValueError, "one color per triple required"),
     (lambda: verify_hole(fano(), HoleCertificate(k=3, a=1, parts=(frozenset([0]),))),
      MalformedCertificate, "k=3 but 1 parts given"),
-], ids=["labels", "colors", "hole-parts"])
+], ids=["labels", "replaced-triples-keep-labels", "colors", "hole-parts"])
 def test_rejected_input_message(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -257,7 +259,7 @@ class TestPairCount:
     def test_follows_replaced_triples(self):
         # dropping the last triple uncovers its three pairs
         full = bose(99)
-        cut = replace(full, triples=full.triples[:-1])
+        cut = replace(full, triples=full.triples[:-1], labels=None)
         assert cut.pair_count == full.pair_count - 3
         assert (cut.pair_count, is_steiner(cut), cut.linear) == oracle_pair_facts(cut) \
             == (99 * 98 // 2 - 3, False, True)

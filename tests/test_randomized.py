@@ -104,6 +104,11 @@ class TestBinomial3Graph:
         with pytest.raises(ValueError, match=r"^n must be an int, got 9\.0$"):
             binomial_3graph(9.0, 0.5, 1)
 
+    @pytest.mark.parametrize("p", ["0.5", None, True], ids=["str", "none", "bool"])
+    def test_p_must_be_a_number(self, p):
+        with pytest.raises(ValueError, match="^probability must be a number"):
+            binomial_3graph(9, p, 1)
+
     def test_mean_count_in_three_sigma(self):
         # 2000 seeded samples of G(30, 1/60); per-sample sd of the count is
         # sqrt(C(30,3) p (1-p))

@@ -546,10 +546,8 @@ def _outcome(res):
 
 
 def _forks(cpus, left):
-    """The children a split makes: one per non-empty block of ceil(left /
-    cpus) after the caller's."""
-    size = -(-left // cpus)
-    return -(-left // size) - 1
+    """The children a split makes: one per block after the caller's."""
+    return min(cpus, left) - 1
 
 
 def _assert_no_children():
@@ -564,19 +562,19 @@ needs_two_cpus = pytest.mark.skipif(
     or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1,
     reason="the cap level splits on two or more CPUs, with no other thread")
 
-# bose(21) reaches 5 at node 108 and refutes its cap 6 in 15 orbit
-# searches, the third ending at node 2,762, past the 2,000 nodes after which
-# the other 12 split into blocks; on two CPUs the caller's block of 6 ends at
-# node 8,317 and the child's block runs from there to 13,934.
-# bose(27) reaches 7 at node 167 and refutes 8 in 26 searches, the first
-# ending at the split, node 3,355; on two CPUs the caller's block of 13 ends
-# at node 37,988 and the child's 12 run from there to 67,605
-SPLIT_CAPS = {21: (13_934, [1, 2_761, 2_762, 2_763, 4_000, 10_000, 13_933, 13_934, 13_935,
-                            None]),
-              27: (67_605, [1, 3_354, 3_355, 3_356, 7_000, 40_000, 60_000, 67_604, 67_605,
-                            67_606, None])}
-# the count at the split and the representatives left there
-SPLIT_AT = {21: (2_762, 12), 27: (3_355, 25)}
+# bose(21) reaches 5 at node 108, where its cap 6 splits, and refutes the
+# cap in 15 orbit searches, the third ending at node 2,762; on two CPUs the
+# caller's block of 8 ends at node 7,373 and the child's 7 run from there to
+# 13,934.
+# bose(27) reaches 7 at node 167, where 8 splits, and refutes 8 in 26
+# searches, the first ending at node 3,355; on two CPUs the caller's block
+# of 13 ends at node 35,091 and the child's 13 run from there to 67,605
+SPLIT_CAPS = {21: (13_934, [1, 107, 108, 109, 2_761, 2_762, 2_763, 4_000, 10_000, 13_933,
+                            13_934, 13_935, None]),
+              27: (67_605, [1, 166, 167, 168, 3_354, 3_355, 3_356, 7_000, 40_000, 60_000,
+                            67_604, 67_605, 67_606, None])}
+# the count at the split and the representatives there
+SPLIT_AT = {21: (108, 15), 27: (167, 26)}
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or threading.active_count() > 1,
                                 reason="the cap level splits only with os.fork and no other "
@@ -652,7 +650,7 @@ class TestLeftOutRoute:
     @staticmethod
     def _check_cpus(monkeypatch, n, cap, cpus_list):
         """The outcome on each number of CPUs is the one-CPU outcome, with one
-        child per non-empty block after the caller's and none left after."""
+        child per block after the caller's and none left after."""
         system = bose(n)
         budget = SearchBudget(max_nodes=cap) if cap else None
         at, left = SPLIT_AT[n]
@@ -671,20 +669,21 @@ class TestLeftOutRoute:
     @pytest.mark.parametrize("n, cap", [(n, cap) for n, (_, caps) in SPLIT_CAPS.items()
                                         for cap in caps])
     def test_every_number_of_cpus_matches_one(self, monkeypatch, n, cap):
-        # W CPUs cut the representatives left into blocks of ceil(left / W),
-        # so bose(27) at W = 4 has blocks of 7, 7, 7 and a short 4, and
-        # bose(21) at W = 5 three children for blocks of 3, not four
+        # W CPUs cut the representatives into min(W, reps) blocks whose
+        # sizes differ by at most one, the larger first, so bose(27) at
+        # W = 4 has blocks of 7, 7, 6 and 6, and bose(21) at W = 4 has 4, 4,
+        # 4 and 3
         self._check_cpus(monkeypatch, n, cap, range(1, 6))
 
     @needs_fork
     @pytest.mark.parametrize("n, cpus, cap", [(21, 7, None), (21, 7, 10_000), (27, 6, None),
                                               (27, 6, 60_000)])
     def test_forks_follow_the_non_empty_blocks(self, monkeypatch, n, cpus, cap):
-        # here blocks of ceil(left / W) fill only W - 1 blocks, so the split
-        # makes W - 2 children: bose(21)'s 12 left at W = 7 make 6 blocks of
-        # 2, bose(27)'s 25 at W = 6 make 5 blocks of 5; the caps fall inside
-        # a child's block
-        assert _forks(cpus, SPLIT_AT[n][1]) == cpus - 2
+        # every CPU gets a block, so the split makes W - 1 children:
+        # bose(21)'s 15 at W = 7 make blocks of 3, 2, 2, 2, 2, 2 and 2,
+        # bose(27)'s 26 at W = 6 make 5, 5, 4, 4, 4 and 4; the caps fall
+        # inside a child's block
+        assert _forks(cpus, SPLIT_AT[n][1]) == cpus - 1
         self._check_cpus(monkeypatch, n, cap, (1, cpus))
 
     @needs_affinity
@@ -734,13 +733,13 @@ class TestLeftOutRoute:
         pids = _counted_forks(monkeypatch)
         res = alpha_star(bose(21), 3, SearchBudget(max_nodes=cap) if cap else None)
         assert res.budget_spent.nodes == (cap or 13_934) and res.exact == (cap is None)
-        assert len(pids) == _forks(len(os.sched_getaffinity(0)), 12)
+        assert len(pids) == _forks(len(os.sched_getaffinity(0)), SPLIT_AT[21][1])
         _assert_no_children()
 
     @needs_two_cpus
     def test_a_clock_refusal_in_a_child_ends_the_level_at_the_split_stop(self, monkeypatch):
         # only the children see the deadline pass, each in its first search;
-        # the level ends at 4,095, the meter's next stop at the split (3,355)
+        # the level ends at 4,095, the meter's next stop at the split (167)
         caller = os.getpid()
         monkeypatch.setattr(search.time, "monotonic",
                             lambda: 0.0 if os.getpid() == caller else 1e9)
@@ -810,6 +809,11 @@ class TestMcExact:
     def test_no_colors_rejected(self, s9_sys):
         with pytest.raises(ValueError, match="need at least one color"):
             mc_exact(s9_sys, 0)
+
+    @pytest.mark.parametrize("r", ["3", 3.0], ids=["str", "float"])
+    def test_colors_must_be_an_int(self, s9_sys, r):
+        with pytest.raises(ValueError, match="^need at least one color, as an int"):
+            mc_exact(s9_sys, r)
 
     def test_value_invariant_under_relabeling(self, s9_sys):
         rng = random.Random(17)
@@ -939,11 +943,17 @@ class TestBudgetCaps:
         with pytest.raises(ValueError, match="budget fields must be positive"):
             SearchBudget(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "5"],
+                             ids=["fraction", "float", "bool", "str"])
     def test_node_cap_must_be_an_int(self, value):
         # a cap of 2.5 once let each engine spend 3 nodes
         with pytest.raises(ValueError, match="max_nodes must be an int"):
             SearchBudget(max_nodes=value)
+
+    @pytest.mark.parametrize("value", ["1", True, None], ids=["str", "bool", "none"])
+    def test_seconds_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="max_seconds must be an int or a float"):
+            SearchBudget(max_seconds=value)
 
     def test_infinite_seconds_accepted(self, s9_sys):
         res = independence_number(s9_sys, SearchBudget(max_seconds=float("inf")))
@@ -1336,7 +1346,7 @@ class TestMc3ByDecomposition:
     ])
     def test_one_meter_hands_over_on_bose27(self, cap, exact):
         # alpha_star settles bose(27) at 7 after 67,605 nodes, the last
-        # 64,250 of them split across the CPUs, and the L2 enumeration takes
+        # 67,438 of them split across the CPUs, and the L2 enumeration takes
         # 8,791 more on the same meter
         system = bose(27)
         res, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=cap))
@@ -1377,6 +1387,14 @@ class TestMc3ByDecomposition:
                       EdgeColoring(system=s9_sys, r=4, colors=(3,) * 12)):
             with pytest.raises(ValueError, match="3-color this system"):
                 search.mc3_by_decomposition(s9_sys, candidates=[("other", other)])
+
+    @pytest.mark.parametrize("hole, candidates, message", [
+        (lambda s: independence_number(s), (), "3-partite"),
+        (lambda s: None, [("x", 5)], "3-color this system"),
+    ], ids=["alpha-result", "int-candidate"])
+    def test_wrong_types_raise_value_error(self, s9_sys, hole, candidates, message):
+        with pytest.raises(ValueError, match=message):
+            search.mc3_by_decomposition(s9_sys, hole(s9_sys), candidates=candidates)
 
     def test_certificate_that_misses_the_bound_raises(self, s9_sys):
         # understating alpha*_3 by one raises the bound n - alpha*_3 past
