@@ -34,7 +34,7 @@ from .core import (
     pair_counts,
     validate_steiner,
 )
-from .search import SearchBudget, alpha_star
+from .search import SearchBudget, alpha_star, forked_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,10 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
     stopped at m = round(C(n,2)/6) (half of a full system's triple count) and
     one full approximately-random system; two rows each.  The summary compares
     the exact values against floor(n/3) - 1 and the display curve n^0.9.
+    On more than one usable CPU the samples run in contiguous blocks, one per
+    CPU, through ``search.forked_blocks``; the rows come back in sample order,
+    so rows, CSV and summary are the one-CPU run's, and the first error in
+    sample order is raised.
     """
     if type(n) is not int or n % 6 not in (1, 3):
         raise BadOrder(n)
@@ -334,23 +338,30 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
     if samples < 1:
         raise ValueError("need at least one sample")
     m_half = round(math.comb(n, 2) / 6)
-    rows: list[ExperimentRow] = []
-    for i in range(samples):
-        outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1))
-        attempt = 0
-        while outcome.stuck:
-            attempt += 1
-            if attempt > _MAX_RESTARTS:
-                raise RestartsExhausted(f"partial process stuck {_MAX_RESTARTS} times at n={n}")
-            outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
-        full = random_sts(n, derive_seed(seed, i, 2))
-        for model, m_or_p, system in ((MODEL_PARTIAL, m_half, outcome.system),
-                                      (MODEL_FULL, n * (n - 1) // 6, full)):
-            res = alpha_star(system, 3, budget)
-            rows.append(ExperimentRow(seed=seed, n=n, model=model, m_or_p=m_or_p,
-                                      sample=i, alpha_star3=res.value, exact=res.exact,
-                                      nodes=res.budget_spent.nodes,
-                                      seconds=round(res.budget_spent.seconds)))
+
+    def measure(block: Iterable[int]) -> list[tuple]:
+        """The rows of the samples in ``block``, as plain tuples."""
+        out = []
+        for i in block:
+            outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1))
+            attempt = 0
+            while outcome.stuck:
+                attempt += 1
+                if attempt > _MAX_RESTARTS:
+                    raise RestartsExhausted(
+                        f"partial process stuck {_MAX_RESTARTS} times at n={n}")
+                outcome = triangle_removal(n, m_half, derive_seed(seed, i, 1, attempt))
+            full = random_sts(n, derive_seed(seed, i, 2))
+            for model, m_or_p, system in ((MODEL_PARTIAL, m_half, outcome.system),
+                                          (MODEL_FULL, n * (n - 1) // 6, full)):
+                res = alpha_star(system, 3, budget)
+                out.append((model, m_or_p, i, res.value, res.exact, res.budget_spent.nodes,
+                            round(res.budget_spent.seconds)))
+        return out
+
+    with forked_blocks(range(samples), measure) as blocks:
+        rows = [ExperimentRow(seed, n, *row) for block, report in blocks
+                for row in (measure(block) if report is None else report)]
     summary = _summarize(n, rows)
     return rows, summary
 

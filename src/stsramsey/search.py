@@ -24,11 +24,12 @@ import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .colorings import Bicoloring, hole_coloring, l2_coloring, verify_bicoloring
 from .constructions import layer_automorphisms
@@ -112,6 +113,66 @@ class _Meter:
 
     def spent(self, nodes: int) -> BudgetSpent:
         return BudgetSpent(nodes=nodes, seconds=time.monotonic() - self.t0)
+
+
+@contextmanager
+def forked_blocks(items: Iterable, run: Callable[[list], object]):
+    """Yield the (block, report) pairs of ``items`` cut into one contiguous
+    block per usable CPU, each report read when reached.
+
+    CPUs are usable where ``os.fork`` and ``os.sched_getaffinity`` exist and
+    no other thread runs; with one, ``items`` is one block.  Else they are
+    cut into min(CPUs, items) blocks whose sizes differ by at most one, the
+    larger first, and a child forked per later block sends ``run(block)``
+    through a pipe with ``marshal``.  The report is None for the first block
+    and any whose pipe or fork failed, child died or ``run`` raised: the
+    caller computes it.  Every child is killed and reaped on the way out.
+    """
+    safe = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if safe and threading.active_count() == 1 else 1
+    blocks = [items]
+    if cpus > 1:
+        items = list(items)
+        cpus = min(cpus, len(items))
+        size, extra = divmod(len(items), cpus)
+        blocks = [items[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
+                  for i in range(cpus)]
+    children = []       # (pid, pipe) of the children of blocks 1, 2, ...
+    try:
+        for block in blocks[1:]:
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break           # the blocks left without a child are computed here
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    with os.fdopen(w, "wb") as out:
+                        marshal.dump(run(block), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+
+        def reports():
+            for i, block in enumerate(blocks):
+                try:
+                    report = marshal.load(children[i - 1][1]) if 0 < i <= len(children) else None
+                except (EOFError, ValueError):
+                    report = None   # a child that sent nothing
+                yield block, report
+
+        yield reports()
+    finally:
+        for pid, file in children:
+            file.close()
+            os.kill(pid, 9)     # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _mates(ts: TripleSystem) -> list[dict[int, int]]:
@@ -457,7 +518,8 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
     (n - 3a)-sets of vertices, with that orbit's lowest set left out and its
     stabilizer as the group.  The first hole found, or the first search left
     unsettled, ends the level; it is refuted when every search is.  A ladder
-    level splits at its start into blocks, one per CPU, as alpha_star says."""
+    level splits at its start into blocks, one per CPU, by :func:`forked_blocks`,
+    and folds each child's report in on the true count, as alpha_star says."""
 
     def walk(block, nodes: int):
         """Search ``block`` from count ``nodes`` to its first hole or unsettled search."""
@@ -469,44 +531,16 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
         return None, nodes, True
 
     reps = _left_out_sets(n, n - 3 * a, group)
-    # a fork is safe where os.fork exists and leaves no other thread behind
-    cpus = (len(os.sched_getaffinity(0)) if limit == math.inf and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
-    # one CPU walks the orbits as they are built; more cut them into contiguous
-    # blocks, the larger first, and a child searches each block after the first
-    blocks = [reps]
-    if cpus > 1:
-        reps = list(reps)
-        cpus = min(cpus, len(reps))
-        size, extra = divmod(len(reps), cpus)
-        blocks = [reps[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
-                  for i in range(cpus)]
-    split_stop = meter.stop
-    children = []       # (pid, pipe) of the children of blocks 1, 2, ...
-    try:
-        for block in blocks[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                break           # the blocks left without a child are searched here
-            if pid == 0:
-                try:
-                    with os.fdopen(w, "wb") as out:
-                        parts, count, settled = walk(block, nodes)
-                        marshal.dump((parts, count - nodes, settled,
-                                      not settled and count < meter.max_nodes), out)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        for i, block in enumerate(blocks):
-            try:
-                report = marshal.load(children[i - 1][1]) if 0 < i <= len(children) else None
-            except (EOFError, ValueError):
-                report = None   # a child that sent nothing: its block is searched here
+    if limit < math.inf:
+        return walk(reps, nodes)    # the probe's slice never splits
+    split_stop, start = meter.stop, nodes
+
+    def child(block):
+        parts, count, settled = walk(block, start)
+        return parts, count - start, settled, not settled and count < meter.max_nodes
+
+    with forked_blocks(reps, child) as blocks:
+        for block, report in blocks:
             if report is None:
                 parts, nodes, settled = walk(block, nodes)
             else:
@@ -520,12 +554,7 @@ def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
                 meter.resume(nodes)
             if parts is not None or not settled:
                 return parts, nodes, settled
-        return None, nodes, True
-    finally:
-        for pid, file in children:
-            file.close()
-            os.kill(pid, 9)     # SIGKILL
-            os.waitpid(pid, 0)
+    return None, nodes, True
 
 
 def alpha_star(ts: TripleSystem, k: int,

@@ -583,6 +583,21 @@ class TestExperimentCmd:
         lines = csv1.read_text().splitlines()
         assert len(lines) == 1 + 6  # header + 2 rows per sample
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the samples split only with os.fork")
+    def test_discrepancy_bytes_on_every_number_of_cpus(self, tmp_path, monkeypatch):
+        # one to five CPUs cut the 10 samples into one to five blocks; the
+        # CSV and stdout stay the one-CPU run's
+        path = tmp_path / "d.csv"
+        outputs = []
+        for cpus in range(1, 6):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            res = run("experiment", "discrepancy", "--n", "19", "--samples", "10", "--seed", "1",
+                      "--csv", str(path))
+            assert res.exit_code == 0
+            outputs.append((res.stdout, path.read_bytes()))
+        assert outputs == [outputs[0]] * 5
+
     def test_cdr_table(self):
         res = run("experiment", "cdr", "--kmax", "12")
         doc = json.loads(res.stdout)  # exact values travel as decimal strings

@@ -1,6 +1,9 @@
+import errno
 import hashlib
 import math
+import os
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -22,6 +25,7 @@ from stsramsey import (
 from stsramsey.randomized import CSV_HEADER, ProcessOutcome, _hill_climb_sts, rows_to_csv
 
 from oracles import stdlib_hill_climb_sts
+from test_search import _assert_no_children, _counted_forks, _no_fork, needs_fork
 
 
 class TestSeedDerivation:
@@ -295,6 +299,86 @@ class TestExperiment:
             experiment_discrepancy(19, 1, seed=4)
         assert len(calls) == 1001
         assert str(err.value) == "partial process stuck 1000 times at n=19"
+
+
+def _experiment(n, samples, seed=1):
+    rows, summary = experiment_discrepancy(n, samples, seed)
+    return rows, rows_to_csv(rows), summary
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestSampleSplit:
+    """The samples of the experiment cut into one contiguous block per CPU,
+    every block after the first run in a forked child."""
+
+    @needs_fork
+    @pytest.mark.parametrize("n, samples", [(9, 1), (9, 3), (13, 4), (19, 10)])
+    def test_every_number_of_cpus_matches_one(self, monkeypatch, n, samples):
+        # W CPUs make min(W, samples) blocks, so min(W, samples) - 1 children
+        pids = _counted_forks(monkeypatch)
+        outcomes = []
+        for cpus in range(1, 6):
+            _cpus(monkeypatch, cpus)
+            pids.clear()
+            outcomes.append(_experiment(n, samples))
+            assert len(pids) == min(cpus, samples) - 1
+            _assert_no_children()
+        assert outcomes == [outcomes[0]] * 5
+
+    @needs_fork
+    def test_the_first_error_in_sample_order_is_raised_here(self, monkeypatch):
+        # samples 4 and 8 fail; at W = 2 sample 4 is in the caller's block,
+        # at W = 3 to 5 both are in children's blocks
+        failing = {derive_seed(1, i, 2): i for i in (4, 8)}
+
+        def flaky(n, seed):
+            if seed in failing:
+                raise RestartsExhausted(f"sample {failing[seed]} failed")
+            return random_sts(n, seed)
+
+        monkeypatch.setattr("stsramsey.randomized.random_sts", flaky)
+        pids = _counted_forks(monkeypatch)
+        for cpus in range(1, 6):
+            _cpus(monkeypatch, cpus)
+            pids.clear()
+            with pytest.raises(RestartsExhausted, match="^sample 4 failed$"):
+                experiment_discrepancy(19, 10, 1)
+            assert len(pids) == cpus - 1
+            _assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("fault", ["thread", "fork-fails", "pipe-fails"])
+    def test_one_process_where_no_child_can_run(self, monkeypatch, fault):
+        # a second live thread forks nothing; a fork or pipe that fails (out
+        # of file descriptors) leaves every block to the caller
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        expected = _experiment(19, 10)
+        _cpus(monkeypatch, 4)
+        tries = []
+
+        def refuse():
+            tries.append(len(tries))
+            raise OSError(errno.EMFILE if fault == "pipe-fails" else errno.EAGAIN, "refused")
+
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        if fault == "thread":
+            waiter.start()
+        else:
+            monkeypatch.setattr(os, "fork" if fault == "fork-fails" else "pipe", refuse)
+        try:
+            assert _experiment(19, 10) == expected
+        finally:
+            done.set()
+            if fault == "thread":
+                waiter.join(timeout=10)
+                assert not waiter.is_alive()
+        assert tries == ([] if fault == "thread" else [0])
+        _assert_no_children()
 
 
 def _digest(triples) -> str:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import marshal
 import os
@@ -759,6 +760,26 @@ class TestLeftOutRoute:
         else:
             monkeypatch.setattr(os, "fork", _fork_fails)
         assert _outcome(alpha_star(bose(21), 3, budget)) == expected
+        _assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("n, value, nodes", [(21, 5, 13_934), (27, 7, 67_605)])
+    def test_a_pipe_that_fails_is_a_fork_that_fails(self, monkeypatch, n, value, nodes):
+        # out of file descriptors at the first child's pipe: every block is
+        # searched here, with the one-CPU outcome
+        tries = []
+
+        def no_pipe():
+            tries.append(len(tries))
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        res = alpha_star(bose(n), 3)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (value, True, nodes)
+        assert verify_hole(bose(n), res.lower_certificate)
+        assert tries == [0]
         _assert_no_children()
 
     @needs_two_cpus
