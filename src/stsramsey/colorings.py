@@ -285,7 +285,8 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     The shadow is read from the triples of ``ts`` with the colors of ``c``,
     as per-color bitmask adjacencies (:func:`core.shadow`); a coloring of
     another system, or a claim whose role colors are not three distinct
-    ints of the palette of ``c`` (a bool is no color), fails at once.
+    ints of the palette of ``c`` (a bool is no color) or whose parts are not
+    four sets of int vertices, fails at once.
     """
     n = ts.n
     V = (1 << n) - 1
@@ -296,7 +297,8 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
     if c.system is not ts and c.system != ts:
         return fail("coloring belongs to another system")
     roles = d.role_colors
-    if len(roles) != 3 or any(type(col) is not int for col in roles) or len(set(roles)) != 3:
+    if (not isinstance(roles, (tuple, list)) or len(roles) != 3
+            or any(type(col) is not int for col in roles) or len(set(roles)) != 3):
         return fail("role colors are not three distinct int colors")
     if not all(0 <= col < c.r for col in roles):
         return fail("role colors outside the palette")
@@ -310,15 +312,20 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
             return fail("L1: component not connected in its color")
         return CheckResult(ok=True)
 
-    if d.parts is None or len(d.parts) != 4:
+    if not isinstance(d.parts, (tuple, list)) or len(d.parts) != 4:
         return fail("partition missing")
+    if not all(isinstance(P, (set, frozenset)) for P in d.parts):
+        return fail("parts are not vertex sets")
     W, X, Y, Z = d.parts
     blue, red, green = roles
     union = W | X | Y | Z
     if union != frozenset(range(n)) or len(W) + len(X) + len(Y) + len(Z) != n:
         return fail("parts do not partition the vertex set")
-    # the parts partition range(n) from here on
-    mW, mX, mY, mZ = masks = [vertex_mask(P) for P in d.parts]
+    # the parts partition range(n) from here on, but 8.0 passes for 8
+    try:
+        mW, mX, mY, mZ = masks = [vertex_mask(P) for P in d.parts]
+    except TypeError:
+        return fail("parts hold a vertex that is not an int")
     adj = [shadow(n, color_class(ts.triples, c.colors, col)) for col in range(c.r)]
 
     def joins(A, mB, cols) -> bool:

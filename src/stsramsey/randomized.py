@@ -359,9 +359,8 @@ def experiment_discrepancy(n: int, samples: int, seed: int,
                             round(res.budget_spent.seconds)))
         return out
 
-    with forked_blocks(range(samples), measure) as blocks:
-        rows = [ExperimentRow(seed, n, *row) for block, report in blocks
-                for row in (measure(block) if report is None else report)]
+    with forked_blocks(range(samples), measure) as results:
+        rows = [ExperimentRow(seed, n, *row) for block_rows in results for row in block_rows]
     summary = _summarize(n, rows)
     return rows, summary
 

@@ -24,7 +24,7 @@ import math
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -117,16 +117,17 @@ class _Meter:
 
 @contextmanager
 def forked_blocks(items: Iterable, run: Callable[[list], object]):
-    """Yield the (block, report) pairs of ``items`` cut into one contiguous
-    block per usable CPU, each report read when reached.
+    """Yield ``run(block)`` for each block of ``items``, in block order, the
+    blocks being one contiguous block per usable CPU.
 
     CPUs are usable where ``os.fork`` and ``os.sched_getaffinity`` exist and
     no other thread runs; with one, ``items`` is one block.  Else they are
     cut into min(CPUs, items) blocks whose sizes differ by at most one, the
     larger first, and a child forked per later block sends ``run(block)``
-    through a pipe with ``marshal``.  The report is None for the first block
-    and any whose pipe or fork failed, child died or ``run`` raised: the
-    caller computes it.  Every child is killed and reaped on the way out.
+    through a pipe with ``marshal``.  The caller runs the first block, and
+    any block whose pipe or fork failed or whose child died, raised or sent
+    nothing, when it is reached.  Every child is killed and reaped on the
+    way out.
     """
     safe = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if safe and threading.active_count() == 1 else 1
@@ -143,7 +144,7 @@ def forked_blocks(items: Iterable, run: Callable[[list], object]):
             try:
                 r, w = os.pipe()
             except OSError:
-                break           # the blocks left without a child are computed here
+                break           # the blocks left without a child are run here
             try:
                 pid = os.fork()
             except OSError:
@@ -159,15 +160,19 @@ def forked_blocks(items: Iterable, run: Callable[[list], object]):
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
 
-        def reports():
+        def results():
             for i, block in enumerate(blocks):
-                try:
-                    report = marshal.load(children[i - 1][1]) if 0 < i <= len(children) else None
-                except (EOFError, ValueError):
-                    report = None   # a child that sent nothing
-                yield block, report
+                if 0 < i <= len(children):
+                    try:
+                        result = marshal.load(children[i - 1][1])
+                    except (EOFError, ValueError):
+                        pass    # a child that sent nothing: its block is run here
+                    else:
+                        yield result
+                        continue
+                yield run(block)
 
-        yield reports()
+        yield results()
     finally:
         for pid, file in children:
             file.close()
@@ -357,7 +362,7 @@ def _left_out_sets(n: int, rho: int, group: tuple[tuple[int, ...], ...]):
 
 def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[int],
                group: tuple[tuple[int, ...], ...], meter: _Meter,
-               nodes: int, limit: float, left: int = 0,
+               nodes: int, limit: float, left: int,
                ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
     """k = 2 or 3 disjoint parts of size a that no triple meets all of, or
     None, with the running node count, which enters as ``nodes``, and
@@ -510,50 +515,44 @@ def _find_hole(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[in
             return None, nodes, True
 
 
-def _find_hole_by_left_out(n: int, a: int, mate: list[dict[int, int]],
-                           group: tuple[tuple[int, ...], ...], meter: _Meter,
-                           nodes: int, limit: float,
-                           ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
-    """:func:`_find_hole` at k = 3, asked once per orbit of ``group`` on the
-    (n - 3a)-sets of vertices, with that orbit's lowest set left out and its
-    stabilizer as the group.  The first hole found, or the first search left
-    unsettled, ends the level; it is refuted when every search is.  A ladder
-    level splits at its start into blocks, one per CPU, by :func:`forked_blocks`,
-    and folds each child's report in on the true count, as alpha_star says."""
-
-    def walk(block, nodes: int):
-        """Search ``block`` from count ``nodes`` to its first hole or unsettled search."""
-        for left, stab in block:
-            parts, nodes, settled = _find_hole(n, 3, a, mate, [], stab, meter, nodes, limit,
-                                               left)
-            if parts is not None or not settled:
-                return parts, nodes, settled
-        return None, nodes, True
-
-    reps = _left_out_sets(n, n - 3 * a, group)
-    if limit < math.inf:
-        return walk(reps, nodes)    # the probe's slice never splits
+def _search_level(n: int, k: int, a: int, mate: list[dict[int, int]], near: list[int],
+                  searches: Iterable[tuple[int, tuple[tuple[int, ...], ...]]], meter: _Meter,
+                  nodes: int, limit: float,
+                  ) -> tuple[tuple[frozenset[int], ...] | None, int, bool]:
+    """One level of alpha_star: :func:`_find_hole` once per (left-out mask,
+    group) pair of ``searches``, on one running count.  The first hole
+    found, or the first search left unsettled, ends the level; it is refuted
+    when every search is.  The probe's slice walks ``searches`` lazily in one
+    process; a ladder level cuts them into blocks by :func:`forked_blocks`
+    and folds each block's result in on the true count, as alpha_star says."""
     split_stop, start = meter.stop, nodes
 
-    def child(block):
-        parts, count, settled = walk(block, start)
+    def walk(block):
+        """(hole or None, nodes spent, settled, refused by the clock) of the
+        searches of ``block`` from the level's start to the first hole or
+        unsettled search."""
+        parts, count, settled = None, start, True
+        for left, group in block:
+            parts, count, settled = _find_hole(n, k, a, mate, near, group, meter, count, limit,
+                                               left)
+            if parts is not None or not settled:
+                break
         return parts, count - start, settled, not settled and count < meter.max_nodes
 
-    with forked_blocks(reps, child) as blocks:
-        for block, report in blocks:
-            if report is None:
-                parts, nodes, settled = walk(block, nodes)
-            else:
-                # a child's block, folded in on the true count: (parts, nodes
-                # spent, settled, refused by the clock, not the cap)
-                parts, spent, settled, refused = report
-                nodes += spent
-                if not settled or nodes > meter.max_nodes:
+    blocks = forked_blocks(searches, walk) if limit == math.inf else nullcontext([walk(searches)])
+    with blocks as results:
+        for i, (parts, spent, settled, refused) in enumerate(results):
+            nodes += spent
+            if not settled or nodes > meter.max_nodes:
+                if i:
+                    # a later block ran on a count of its own: it ends the
+                    # level at the cap, or at the split stop on a refusal
                     meter.stop = -1
-                    return None, split_stop if refused else meter.max_nodes, False
-                meter.resume(nodes)
-            if parts is not None or not settled:
-                return parts, nodes, settled
+                    nodes = split_stop if refused else meter.max_nodes
+                return None, nodes, False
+            meter.resume(nodes)
+            if parts is not None:
+                return parts, nodes, True
     return None, nodes, True
 
 
@@ -656,19 +655,15 @@ def alpha_star(ts: TripleSystem, k: int,
       hole takes 67,947 nodes against 20,749 on
       ``random_sts(25, 1_000_028)``, 4,285 against 2,035 on skolem(25) and
       868 against 24 on skolem(19), so those keep the plain search.  On
-      more than one usable CPU a ladder level on this route lists its
-      representatives at its start and cuts them into W = min(CPUs,
-      representatives) contiguous blocks, sizes differing by at most one,
-      the larger first; the probe's slice and one CPU walk the lazily built
-      orbits in one process.  The caller walks the first block on the true
-      count, and W - 1 forked children walk one block each on counts of
-      their own.  Each child sends one report for its block, which the
-      caller folds in when it reaches that block.  Values, counts,
-      certificates and the cut at the cap are the one-process run's, though
-      the work over the W processes can reach W times the cap less the
-      count at the start.  A clock refusal in the caller ends the level
-      where one process would, and one in a child at the meter's stop at
-      the start.
+      more than one usable CPU a ladder level on this route cuts its
+      representatives into blocks by :func:`forked_blocks`; the probe's
+      slice walks the lazily built orbits in one process.  Each block is
+      walked from the level's start and folded in on the true count, so
+      values, counts, certificates and the cut at the cap are the
+      one-process run's, though the work over the W processes can reach W
+      times the cap less the count at the start.  A clock refusal in the
+      first block ends the level where one process would, and one in a
+      later block at the meter's stop at the start.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
@@ -715,12 +710,10 @@ def _alpha_star(ts: TripleSystem, k: int, meter: _Meter) -> ParamResult:
         # the probe: the cap level first, within a slice of k * n nodes
         level, limit = ub, k * n
         while len(best[0]) < ub:
-            if level == by_left_out:
-                parts, nodes, settled = _find_hole_by_left_out(n, level, mate, group, meter,
-                                                               nodes, limit)
-            else:
-                parts, nodes, settled = _find_hole(n, k, level, mate, near, group, meter,
-                                                   nodes, limit)
+            searches = (_left_out_sets(n, n - 3 * level, group) if level == by_left_out
+                        else ((0, group),))
+            parts, nodes, settled = _search_level(n, k, level, mate, near, searches, meter,
+                                                  nodes, limit)
             if settled:
                 if parts is None:
                     ub = level - 1
@@ -1119,14 +1112,17 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
     certificate whose largest component, by ``largest_mono_component``,
     differs from it raises ``RuntimeError``, also under ``python -O``.  A
     system that is not Steiner, a hole without a 3-partite
-    :class:`HoleCertificate` and a candidate that is not an
-    :class:`EdgeColoring` of ``ts`` in at most 3 colors raise ``ValueError``.
+    :class:`HoleCertificate` or whose value is not its certificate's int
+    size, and a candidate that is not an :class:`EdgeColoring` of ``ts`` in
+    at most 3 colors raise ``ValueError``.
     """
     if not is_steiner(ts):
         raise ValueError("the decomposition needs a Steiner triple system")
     certificate = getattr(hole, "lower_certificate", None)
     if hole is not None and not (isinstance(certificate, HoleCertificate) and certificate.k == 3):
         raise ValueError("hole must be a 3-partite hole")
+    if hole is not None and (type(hole.value) is not int or hole.value != certificate.a):
+        raise ValueError(f"hole value {hole.value!r} is not the size of its certificate")
     if not all(isinstance(c, EdgeColoring) and (c.system is ts or c.system == ts) and c.r <= 3
                for _, c in candidates):
         raise ValueError("candidate colorings must 3-color this system")

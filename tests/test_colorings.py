@@ -557,6 +557,28 @@ class TestDecomposition:
             check = verify_decomposition(ts, c, claim)
             assert not check and check.failed_clause == clause
 
+    _S9_PARTS = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}), frozenset({6, 7, 8}))
+
+    @pytest.mark.parametrize("claim, clause", [
+        (DecompositionResult(case="L2", role_colors=None, parts=_S9_PARTS),
+         "role colors are not three distinct int colors"),
+        (DecompositionResult(case="L2", role_colors=(0, 1, 2),
+                             parts=([0, 1], [2, 3], [4, 5], [6, 7, 8])),
+         "parts are not vertex sets"),
+        (DecompositionResult(case="L2", role_colors=(0, 1, 2),
+                             parts=_S9_PARTS[:2] + (None, _S9_PARTS[3])),
+         "parts are not vertex sets"),
+        # 8.0 == 8, so the parts still partition range(9)
+        (DecompositionResult(case="L3", role_colors=(0, 1, 2),
+                             parts=_S9_PARTS[:3] + (frozenset({6, 7, 8.0}),)),
+         "parts hold a vertex that is not an int"),
+    ], ids=["none-roles", "list-parts", "none-part", "float-vertex"])
+    def test_malformed_claim_fails_without_type_error(self, s9_sys, claim, clause):
+        # each raised TypeError from len(), | or the mask build
+        c = EdgeColoring(system=s9_sys, r=3, colors=tuple(i % 3 for i in range(s9_sys.m)))
+        check = verify_decomposition(s9_sys, c, claim)
+        assert not check and check.failed_clause == clause
+
     def test_coloring_of_another_system_rejected(self, fano_sys):
         c = EdgeColoring(system=skolem(7), r=3, colors=(0, 1, 2, 0, 1, 2, 0))
         with pytest.raises(ValueError, match="another system"):

@@ -25,7 +25,7 @@ from stsramsey import (
 from stsramsey.randomized import CSV_HEADER, ProcessOutcome, _hill_climb_sts, rows_to_csv
 
 from oracles import stdlib_hill_climb_sts
-from test_search import _assert_no_children, _counted_forks, _no_fork, needs_fork
+from test_search import _assert_no_children, _counted_forks, _cpus, _no_fork, needs_fork
 
 
 class TestSeedDerivation:
@@ -304,10 +304,6 @@ class TestExperiment:
 def _experiment(n, samples, seed=1):
     rows, summary = experiment_discrepancy(n, samples, seed)
     return rows, rows_to_csv(rows), summary
-
-
-def _cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestSampleSplit:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -534,6 +535,11 @@ def _counted_forks(monkeypatch):
     return pids
 
 
+def _cpus(monkeypatch, cpus):
+    """``cpus`` usable CPUs, as os.sched_getaffinity reports them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def _no_fork():
     raise AssertionError("a one-process search forked")
 
@@ -609,10 +615,11 @@ class TestLeftOutRoute:
         a = n // 3 - 1
         mate = search._mates(system)
         group = layer_automorphisms(system)
-        routes = [search._find_hole_by_left_out(n, a, mate, group, search._Meter(None),
-                                                0, float("inf")),
+        routes = [search._search_level(n, 3, a, mate, [],
+                                       search._left_out_sets(n, n - 3 * a, group),
+                                       search._Meter(None), 0, float("inf")),
                   search._find_hole(n, 3, a, mate, [], group, search._Meter(None),
-                                    0, float("inf"))]
+                                    0, float("inf"), 0)]
         for parts, _, settled in routes:
             assert settled and (parts is not None) == found
             if found:
@@ -658,8 +665,7 @@ class TestLeftOutRoute:
         pids = _counted_forks(monkeypatch)
         outcomes = []
         for cpus in cpus_list:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+            _cpus(monkeypatch, cpus)
             pids.clear()
             outcomes.append(_outcome(alpha_star(system, 3, budget)))
             assert len(pids) == (_forks(cpus, left) if cap is None or cap >= at else 0)
@@ -697,8 +703,9 @@ class TestLeftOutRoute:
 
         def level():
             meter = search._Meter(budget)
-            parts, nodes, settled = search._find_hole_by_left_out(21, 6, mate, group, meter,
-                                                                  108, float("inf"))
+            parts, nodes, settled = search._search_level(
+                21, 3, 6, mate, [], search._left_out_sets(21, 3, group), meter, 108,
+                float("inf"))
             return parts, nodes, settled, meter.stop
 
         split = level()
@@ -794,6 +801,62 @@ class TestLeftOutRoute:
             alpha_star(bose(27), 3)
         assert pids
         _assert_no_children()
+
+
+class TestForkedBlocks:
+    """search.forked_blocks hands back run(block) for every block, in block
+    order, wherever the block ran."""
+
+    @needs_fork
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("cpus", range(1, 6))
+    def test_every_block_is_run_once_in_block_order(self, monkeypatch, cpus, m):
+        caller = os.getpid()
+        _cpus(monkeypatch, cpus)
+        pids = _counted_forks(monkeypatch)
+        with search.forked_blocks(range(m), lambda block: (os.getpid(), list(block))) as results:
+            got = list(results)
+        blocks = [block for _, block in got]
+        sizes = list(map(len, blocks))
+        assert sum(blocks, []) == list(range(m))
+        assert len(blocks) == min(cpus, m) and min(sizes) >= 1
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        # the caller runs the first block, a child each later one
+        assert [pid == caller for pid, _ in got] == [True] + [False] * (len(got) - 1)
+        assert len(pids) == min(cpus, m) - 1
+        _assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_a_block_whose_child_raises_is_run_here(self, monkeypatch, cpus):
+        caller = os.getpid()
+
+        def run(block):
+            if os.getpid() != caller and 6 in block:
+                raise RuntimeError("the last block fails in its child")
+            return os.getpid(), list(block)
+
+        _cpus(monkeypatch, cpus)
+        with search.forked_blocks(range(7), run) as results:
+            got = list(results)
+        assert sum((block for _, block in got), []) == list(range(7))
+        assert [pid == caller for pid, _ in got] == [True] + [False] * (cpus - 2) + [True]
+        _assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("make", [lambda: skolem(19), lambda: random_sts(25, 1_000_028)],
+                             ids=["skolem19", "random_sts25"])
+    def test_a_system_off_the_route_never_forks(self, monkeypatch, make):
+        # every level of these has one search, so one block and no child
+        system = make()
+        assert len(layer_automorphisms(system)) < system.n
+        pids = _counted_forks(monkeypatch)
+        outcomes = []
+        for cpus in (1, 5):
+            _cpus(monkeypatch, cpus)
+            outcomes.append(_outcome(alpha_star(system, 3)))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1]
+        assert pids == []
 
 
 class TestMcExact:
@@ -1418,27 +1481,44 @@ class TestMc3ByDecomposition:
             search.mc3_by_decomposition(s9_sys, hole(s9_sys), candidates=candidates)
 
     def test_certificate_that_misses_the_bound_raises(self, s9_sys):
-        # understating alpha*_3 by one raises the bound n - alpha*_3 past
-        # what the hole coloring reaches, and the enumeration runs;
-        # overstating it lowers the bound below, and the enumeration is
-        # skipped
+        # a smaller hole (a = 0 or 1 of s9's 2) claimed exact raises the
+        # bound n - alpha*_3 past what a candidate, the coloring of the
+        # true hole, reaches
         hole = alpha_star(s9_sys, 3)
-        for shift in (-1, 1):
-            wrong = search.ParamResult(hole.value + shift, True, hole.lower_certificate,
-                                       hole.budget_spent)
+        true = [("true", hole_coloring(s9_sys, hole.lower_certificate))]
+        for a in (0, 1):
+            small = HoleCertificate(k=3, a=a, parts=tuple(frozenset(sorted(p)[:a])
+                                                          for p in hole.lower_certificate.parts))
+            wrong = search.ParamResult(a, True, small, hole.budget_spent)
             with pytest.raises(RuntimeError, match="misses the decomposition bound"):
-                search.mc3_by_decomposition(s9_sys, wrong)
+                search.mc3_by_decomposition(s9_sys, wrong, candidates=true)
+
+    @pytest.mark.parametrize("value", [6, 4, True, 5.0, None])
+    def test_value_other_than_the_certificate_size_raises_value_error(self, value):
+        # bose(21)'s exact hole has 5 vertices a part; 6 once raised the
+        # RuntimeError of an internal fault, and 4 with exact=False gave 16
+        system = bose(21)
+        hole = alpha_star(system, 3)
+        assert hole.value == hole.lower_certificate.a == 5
+        for exact in (True, False):
+            wrong = replace(hole, value=value, exact=exact)
+            with pytest.raises(ValueError, match="is not the size of its certificate"):
+                search.mc3_by_decomposition(system, wrong)
 
     def test_bound_check_survives_optimization(self):
         src = str(Path(stsramsey.__file__).resolve().parents[1])
         code = ("import stsramsey, stsramsey.search as search\n"
+                "from stsramsey.colorings import hole_coloring\n"
+                "from stsramsey.core import HoleCertificate\n"
                 "s = stsramsey.s9()\n"
                 "h = search.alpha_star(s, 3)\n"
-                "for shift in (-1, 1):\n"
-                "    wrong = search.ParamResult(h.value + shift, True, h.lower_certificate,"
-                " h.budget_spent)\n"
+                "true = [('true', hole_coloring(s, h.lower_certificate))]\n"
+                "for a in (0, 1):\n"
+                "    small = HoleCertificate(k=3, a=a, parts=tuple(frozenset(sorted(p)[:a])"
+                " for p in h.lower_certificate.parts))\n"
+                "    wrong = search.ParamResult(a, True, small, h.budget_spent)\n"
                 "    try:\n"
-                "        search.mc3_by_decomposition(s, wrong)\n"
+                "        search.mc3_by_decomposition(s, wrong, candidates=true)\n"
                 "    except RuntimeError as exc:\n"
                 "        print(exc)\n")
         out = subprocess.run([sys.executable, "-O", "-c", code],
