@@ -50,6 +50,7 @@ from .core import (
     flood_components,
     mask_vertices,
     pair_counts,
+    part_bits,
     reach,
     shadow,
     vertex_mask,
@@ -62,7 +63,8 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
-    """Color each triple with the smallest part index it avoids.
+    """Color each triple with the smallest part index it avoids: the lowest
+    zero bit of the OR of its vertices' entries in :func:`core.part_bits`.
 
     Such an index exists by the hole property, and every color-i component
     then avoids part i entirely, so no component exceeds n - a vertices.
@@ -76,15 +78,10 @@ def hole_coloring(ts: TripleSystem, h: HoleCertificate) -> EdgeColoring:
         raise InvalidHole(str(exc)) from exc
     if h.k < 2:
         raise InvalidHole("need at least 2 parts")
-    masks = [vertex_mask(part) for part in h.parts]
-    colors = []
-    for a, b, c in ts.triples:
-        t = (1 << a) | (1 << b) | (1 << c)
-        i = 0
-        while t & masks[i]:     # stops: the triple avoids some part
-            i += 1
-        colors.append(i)
-    return EdgeColoring(system=ts, r=h.k, colors=tuple(colors))
+    part = part_bits(ts.n, h.parts)
+    met = [part[a] | part[b] | part[c] for a, b, c in ts.triples]
+    colors = tuple([(m ^ (m + 1)).bit_length() - 1 for m in met])     # lowest zero bits
+    return EdgeColoring(system=ts, r=h.k, colors=colors)
 
 
 def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
@@ -94,27 +91,31 @@ def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
     partition the vertices, no triple meeting three of them.  Color 0 pairs
     W with X and Y with Z, color 1 pairs W with Y and X with Z, and color 2
     pairs W with Z and X with Y, the blue, red and green of case L2 of
-    :func:`decompose_3coloring`.  A triple inside one part gets color 0.
-    Each color's components lie inside the two unions its matching names;
-    in a Steiner system every cross pair is covered, so they are exactly
-    those unions, and the largest component is the sum of the two largest
-    parts.  Parts that do not partition the vertices into four, or a triple
-    meeting three parts, raise ``MalformedCertificate``.
+    :func:`decompose_3coloring`.  A triple meeting parts i and j, the set
+    bits of the OR of its entries in :func:`core.part_bits`, gets color
+    (i ^ j) - 1, and one inside one part color 0.  Each color's components
+    lie inside the two unions its matching names; in a Steiner system every
+    cross pair is covered, so they are exactly those unions, and the largest
+    component is the sum of the two largest parts.  Parts that do not
+    partition the vertices into four, or a triple meeting three parts,
+    raise ``MalformedCertificate``.
     """
-    if not all(type(v) is int and 0 <= v < ts.n for p in parts for v in p):
-        raise MalformedCertificate("an L2 partition needs four non-empty parts of the vertices")
-    masks = [vertex_mask(p) for p in parts]
+    try:    # a part holding a vertex that is not an int in [0, n) gets mask 0
+        masks = [vertex_mask(p) if all(type(v) is int and 0 <= v < ts.n for v in p) else 0
+                 for p in parts]
+    except TypeError:       # parts, or one of them, is not a collection
+        masks = []
     if (len(masks) != 4 or not all(masks) or sum(m.bit_count() for m in masks) != ts.n
             or reduce(or_, masks) != (1 << ts.n) - 1):
         raise MalformedCertificate("an L2 partition needs four non-empty parts of the vertices")
+    part = part_bits(ts.n, parts)
     colors = []
     for a, b, c in ts.triples:
-        t = (1 << a) | (1 << b) | (1 << c)
-        met = [i for i, m in enumerate(masks) if t & m]
-        if len(met) > 2:
+        met = part[a] | part[b] | part[c]
+        if met.bit_count() > 2:
             raise MalformedCertificate(f"triple {(a, b, c)} meets three parts")
-        # parts i and j are paired by color (i ^ j) - 1
-        colors.append(0 if len(met) == 1 else (met[0] ^ met[1]) - 1)
+        low = met & -met
+        colors.append(0 if met == low else ((low.bit_length() - 1) ^ (met.bit_length() - 1)) - 1)
     return EdgeColoring(system=ts, r=3, colors=tuple(colors))
 
 
@@ -323,7 +324,7 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
         return fail("parts do not partition the vertex set")
     # the parts partition range(n) from here on, but 8.0 passes for 8
     try:
-        mW, mX, mY, mZ = masks = [vertex_mask(P) for P in d.parts]
+        mW, mX, mY, mZ = [vertex_mask(P) for P in d.parts]
     except TypeError:
         return fail("parts hold a vertex that is not an int")
     adj = [shadow(n, color_class(ts.triples, c.colors, col)) for col in range(c.r)]
@@ -346,9 +347,9 @@ def verify_decomposition(ts: TripleSystem, c: EdgeColoring,
                                  (W, mZ, green, "[W,Z] green"), (X, mY, green, "[X,Y] green")):
             if joins(A, mB, palette - {col}):
                 return fail(f"L2: {name} violated")
+        part = part_bits(n, d.parts)
         for a, b, cc in ts.triples:
-            t = (1 << a) | (1 << b) | (1 << cc)
-            if sum(1 for m in masks if t & m) >= 3:
+            if (part[a] | part[b] | part[cc]).bit_count() >= 3:
                 return fail("L2: a triple touches three of the parts")
         return CheckResult(ok=True)
 

@@ -21,8 +21,8 @@ edge coloring are components of that class's shadow graph.  One bitmask
 kernel answers every static component question: :func:`shadow` gives each
 vertex the mask of its shadow neighbors, and :func:`reach` and
 :func:`flood_components` flood-fill those masks inside a vertex mask.  Hole
-and partition checks likewise test triple masks against part masks
-(:func:`vertex_mask`).
+and partition checks read each triple once through a per-vertex part table
+(:func:`part_bits`): the OR of its three entries names the parts it meets.
 
 Everything here is immutable after construction and safe to share between
 threads; the operations are pure functions.
@@ -346,6 +346,16 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
+def part_bits(n: int, parts: Iterable[Iterable[int]]) -> list[int]:
+    """Per vertex of [0, n), ``1 << i`` when part i of the disjoint ``parts``
+    holds it, else 0; a triple meets the parts set in its entries' OR."""
+    bits = [0] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            bits[v] = 1 << i
+    return bits
+
+
 def mask_vertices(mask: int) -> frozenset[int]:
     """The vertices whose bits are set in ``mask``."""
     out = []
@@ -477,12 +487,9 @@ def verify_hole(s: TripleSystem, h: HoleCertificate) -> bool:
                 raise MalformedCertificate(f"vertex {v!r} is not an int")
             if not (0 <= v < s.n):
                 raise MalformedCertificate(f"vertex {v} not in [0, {s.n})")
-    masks = [vertex_mask(part) for part in h.parts]
+    part = part_bits(s.n, h.parts)
+    full = (1 << h.k) - 1       # any triple meets all of 0 parts, none meets 4 or more
     for a, b, c in s.triples:
-        t = (1 << a) | (1 << b) | (1 << c)
-        for m in masks:
-            if not t & m:
-                break
-        else:
+        if part[a] | part[b] | part[c] == full:
             return False
     return True

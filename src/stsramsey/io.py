@@ -62,11 +62,12 @@ def parse_system(text: str) -> TripleSystem:
         raise FormatError(f"expected {m} triple lines, found {len(body)}")
     triples = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"triple line must have 3 vertices: {ln!r}")
         try:
-            a, b, c = (int(x) for x in parts)
+            x, y, z = ln.split()
+        except ValueError:
+            raise FormatError(f"triple line must have 3 vertices: {ln!r}") from None
+        try:
+            a, b, c = int(x), int(y), int(z)
         except ValueError as exc:
             raise FormatError(f"non-integer vertex in {ln!r}") from exc
         if not (a < b < c):

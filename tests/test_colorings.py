@@ -50,7 +50,7 @@ from stsramsey.constructions import LABEL_TYPE1, LABEL_TYPE3
 from stsramsey.io import format_system
 from stsramsey.search import l2_partitions
 
-from oracles import brute_decomposition_ok, max_component_size
+from oracles import brute_decomposition_ok, brute_hole_ok, max_component_size
 
 
 class TestHoleColoring:
@@ -72,13 +72,54 @@ class TestHoleColoring:
         bad = HoleCertificate(k=3, a=1, parts=(frozenset([0]), frozenset([1]),
                                                frozenset([3])))
         # (0,1,3) is a line, so it crosses all three parts
-        with pytest.raises(InvalidHole):
+        with pytest.raises(InvalidHole) as err:
             hole_coloring(fano_sys, bad)
+        assert str(err.value) == "certificate admits a crossing triple"
 
     def test_malformed_hole_maps_to_invalid(self, fano_sys):
         bad = HoleCertificate(k=2, a=1, parts=(frozenset([0]), frozenset([0])))
-        with pytest.raises(InvalidHole):
+        with pytest.raises(InvalidHole) as err:
             hole_coloring(fano_sys, bad)
+        assert str(err.value) == "parts must be pairwise disjoint"
+
+    # the checks run in order: a malformed certificate, then a crossing
+    # triple, then too few parts
+    @pytest.mark.parametrize("parts, message", [
+        ((frozenset([3]),), "need at least 2 parts"),
+        ((frozenset([0]),), "certificate admits a crossing triple"),
+        ((frozenset([9]),), "vertex 9 not in [0, 4)"),
+    ], ids=["one-part", "one-crossed-part", "one-malformed-part"])
+    def test_one_part_messages(self, parts, message):
+        ts = build_system(4, [(0, 1, 2)])
+        with pytest.raises(InvalidHole) as err:
+            hole_coloring(ts, HoleCertificate(k=1, a=1, parts=parts))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("make", [lambda: bose(15), lambda: skolem(19), lambda: bose(27),
+                                      lambda: random_sts(21, 5)],
+                             ids=["bose15", "skolem19", "bose27", "random21"])
+    def test_colors_match_smallest_avoided_part(self, make):
+        # the rule with sets: a triple's color is the first part it shares no
+        # vertex with; a certificate that is no hole is refused
+        ts = make()
+        rng = random.Random(ts.n)
+        holes = Counter()
+        for k in (2, 3, 4, 5):
+            for _ in range(60):
+                a = rng.randrange(min(3, ts.n // k) + 1)
+                verts = rng.sample(range(ts.n), k * a)
+                parts = tuple(frozenset(verts[i * a:(i + 1) * a]) for i in range(k))
+                h = HoleCertificate(k=k, a=a, parts=parts)
+                if not brute_hole_ok(ts.n, ts.triples, parts):
+                    with pytest.raises(InvalidHole, match="^certificate admits a crossing triple$"):
+                        hole_coloring(ts, h)
+                    continue
+                holes[k, a > 0] += 1
+                want = tuple(min(i for i, p in enumerate(parts) if not set(t) & p)
+                             for t in ts.triples)
+                assert hole_coloring(ts, h).colors == want
+        # every pair of a Steiner system is covered, so its 2-part holes are empty
+        assert set(holes) == {(2, False)} | {(k, e) for k in (3, 4, 5) for e in (False, True)}
 
     @pytest.mark.parametrize("parts", [([0], [1]), (frozenset([0]), 1), None, 3],
                              ids=["list-parts", "int-part", "none-parts", "int-parts"])
@@ -119,7 +160,11 @@ class TestL2Coloring:
         (s9, [[0, 1], ["a"], [2, 3, 4], [5, 6, 7, 8]]),
         (lambda: bose(21), [[0, 2], [True], [3, 5, 7, 8, 9, 10, 12, 13, 16, 17, 18, 20],
                             [4, 6, 11, 14, 15, 19]]),
-    ], ids=["negative", "str", "bool"])
+        # parts, or one of them, that is no collection at all
+        (s9, None),
+        (s9, [1, 2, 3, 4]),
+        (s9, [[0, 1], [2, 3], [4, 5], None]),
+    ], ids=["negative", "str", "bool", "none-parts", "int-parts", "none-part"])
     def test_non_vertices_rejected(self, make, parts):
         with pytest.raises(MalformedCertificate, match="four non-empty parts"):
             l2_coloring(make(), parts)

@@ -466,6 +466,19 @@ class TestVerifyHole:
         h = HoleCertificate(k=3, a=1, parts=(frozenset([0]), frozenset([1]), frozenset([2])))
         assert verify_hole(ts, h) is False
 
+    # every triple meets all of no parts, and none meets four or more
+    @pytest.mark.parametrize("ts, k, a", [
+        (build_system(3, [(0, 1, 2)]), 0, 0),
+        (build_system(3, []), 0, 0),
+        (fano(), 4, 0),
+        (fano(), 5, 1),
+        (bose(21), 7, 3),
+    ], ids=["no-parts", "no-parts-no-triples", "four-empty-parts", "five-parts", "seven-parts"])
+    def test_part_counts_outside_two_to_three(self, ts, k, a):
+        parts = tuple(frozenset(range(i * a, (i + 1) * a)) for i in range(k))
+        got = verify_hole(ts, HoleCertificate(k=k, a=a, parts=parts))
+        assert got is brute_hole_ok(ts.n, ts.triples, parts) is (k > 0 or not ts.triples)
+
     def test_unequal_sizes_malformed(self, fano_sys):
         h = HoleCertificate(k=2, a=1, parts=(frozenset([0]), frozenset([1, 2])))
         with pytest.raises(MalformedCertificate):

@@ -49,7 +49,13 @@ def test_wrong_triple_count():
     ("a b\n", "non-integer header 'a b'"),
     ("3 1\n0 1\n", "triple line must have 3 vertices: '0 1'"),
     ("3 1\n0 1 x\n", "non-integer vertex in '0 1 x'"),
-], ids=["empty", "header", "two-vertices", "non-integer-vertex"])
+    ("3 1\n0 1 2 3\n", "triple line must have 3 vertices: '0 1 2 3'"),
+    ("3 1\n0 1 2 # c\n", "triple line must have 3 vertices: '0 1 2 # c'"),
+    ("3 1\n2 1 0\n", "triple not sorted ascending: '2 1 0'"),
+    ("7 2\n0 1 2\n", "expected 2 triple lines, found 1"),
+    ("3 1\n0 1 2.0\n", "non-integer vertex in '0 1 2.0'"),
+], ids=["empty", "header", "two-vertices", "non-integer-vertex", "four-vertices",
+        "trailing-comment", "unsorted", "missing-line", "float-vertex"])
 def test_parse_system_error_messages(text, message):
     with pytest.raises(FormatError) as err:
         parse_system(text)
