@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .colorings import Bicoloring, hole_coloring, l2_coloring, verify_bicoloring
 from .constructions import layer_automorphisms
@@ -524,32 +524,30 @@ def _search_level(n: int, k: int, a: int, mate: list[dict[int, int]], near: list
     found, or the first search left unsettled, ends the level; it is refuted
     when every search is.  The probe's slice walks ``searches`` lazily in one
     process; a ladder level cuts them into blocks by :func:`forked_blocks`
-    and folds each block's result in on the true count, as alpha_star says."""
-    split_stop, start = meter.stop, nodes
+    and folds each block's result in on the true count, as alpha_star says:
+    an unsettled block ends the level inexact at the count folded so far, at
+    most ``max_nodes``."""
+    start = nodes
 
     def walk(block):
-        """(hole or None, nodes spent, settled, refused by the clock) of the
-        searches of ``block`` from the level's start to the first hole or
-        unsettled search."""
+        """(hole or None, nodes spent, settled) of the searches of ``block``
+        from the level's start to the first hole or unsettled search."""
         parts, count, settled = None, start, True
         for left, group in block:
             parts, count, settled = _find_hole(n, k, a, mate, near, group, meter, count, limit,
                                                left)
             if parts is not None or not settled:
                 break
-        return parts, count - start, settled, not settled and count < meter.max_nodes
+        return parts, count - start, settled
 
     blocks = forked_blocks(searches, walk) if limit == math.inf else nullcontext([walk(searches)])
     with blocks as results:
-        for i, (parts, spent, settled, refused) in enumerate(results):
+        for i, (parts, spent, settled) in enumerate(results):
             nodes += spent
             if not settled or nodes > meter.max_nodes:
                 if i:
-                    # a later block ran on a count of its own: it ends the
-                    # level at the cap, or at the split stop on a refusal
-                    meter.stop = -1
-                    nodes = split_stop if refused else meter.max_nodes
-                return None, nodes, False
+                    meter.stop = -1     # a later block ran on a count of its own
+                return None, min(nodes, meter.max_nodes), False
             meter.resume(nodes)
             if parts is not None:
                 return parts, nodes, True
@@ -661,9 +659,9 @@ def alpha_star(ts: TripleSystem, k: int,
       walked from the level's start and folded in on the true count, so
       values, counts, certificates and the cut at the cap are the
       one-process run's, though the work over the W processes can reach W
-      times the cap less the count at the start.  A clock refusal in the
-      first block ends the level where one process would, and one in a
-      later block at the meter's stop at the start.
+      times the cap less the count at the start.  An unsettled block ends
+      the level inexact at the count folded so far, at most ``max_nodes``;
+      in the first block that is where one process would stop.
     * The tree is walked with an explicit stack, so search depth is not
       limited by the interpreter's recursion limit.
 
@@ -1081,7 +1079,7 @@ def _least_l2_sum(n: int) -> int:
 
 def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
                          budget: SearchBudget | None = None,
-                         candidates: Sequence[tuple[str, EdgeColoring]] = (),
+                         candidates: Iterable[tuple[str, EdgeColoring]] = (),
                          ) -> tuple[ParamResult, str]:
     """``mc_3`` of a Steiner triple system from ``alpha*_3`` and its L2
     partitions, with no color search.
@@ -1123,6 +1121,7 @@ def mc3_by_decomposition(ts: TripleSystem, hole: ParamResult | None = None,
         raise ValueError("hole must be a 3-partite hole")
     if hole is not None and (type(hole.value) is not int or hole.value != certificate.a):
         raise ValueError(f"hole value {hole.value!r} is not the size of its certificate")
+    candidates = tuple(candidates)
     if not all(isinstance(c, EdgeColoring) and (c.system is ts or c.system == ts) and c.r <= 3
                for _, c in candidates):
         raise ValueError("candidate colorings must 3-color this system")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -168,6 +169,16 @@ class TestL2Coloring:
     def test_non_vertices_rejected(self, make, parts):
         with pytest.raises(MalformedCertificate, match="four non-empty parts"):
             l2_coloring(make(), parts)
+
+    def test_a_generator_of_parts_is_read_once(self):
+        # it colors as the tuple does: a check that consumed it would leave
+        # every triple color 0, largest component 21
+        ts = bose(21)
+        parts = l2_partitions(ts).partitions[0]
+        coloring = l2_coloring(ts, (p for p in parts))
+        assert coloring.colors == l2_coloring(ts, parts).colors
+        assert set(coloring.colors) == {0, 1, 2}
+        assert largest_mono_component(coloring)[0] == 18
 
 
 def bose_span_bound(n):
@@ -451,6 +462,39 @@ class TestDecomposition:
         B = frozenset().union(*d.parts[:2 if case == "L2" else 3])
         _, color, witness = largest_mono_component(c)
         assert (B, d.role_colors[0]) == (witness, color)
+
+    @pytest.mark.parametrize("which, claims", [("l2", 24), ("bose21", 1_160)],
+                             ids=["l2", "bose21"])
+    def test_a_triple_meeting_three_parts_breaks_a_cross_class_clause(self, which, claims):
+        # every vertex moved to each other part of genuine L2 claims, every
+        # part kept non-empty: a claim with a triple meeting three parts
+        # fails on one of the six cross-class clauses
+        if which == "l2":
+            ts = build_system(8, L2_TRIPLES)
+            c = EdgeColoring(system=ts, r=3, colors=L2_COLORS)
+            genuine = [(c, decompose_3coloring(ts, c))]
+        else:
+            ts = bose(21)
+            genuine = [(l2_coloring(ts, parts),
+                        DecompositionResult(case="L2", role_colors=(0, 1, 2), parts=parts))
+                       for parts in l2_partitions(ts).partitions[:20]]
+        met = 0
+        for c, d in genuine:
+            assert d.case == "L2" and verify_decomposition(ts, c, d)
+            for src, dst in permutations(range(4), 2):
+                if len(d.parts[src]) == 1:
+                    continue
+                for v in d.parts[src]:
+                    parts = list(d.parts)
+                    parts[src] = parts[src] - {v}
+                    parts[dst] = parts[dst] | {v}
+                    if not any(sum(1 for p in parts if p & set(t)) == 3 for t in ts.triples):
+                        continue
+                    met += 1
+                    check = verify_decomposition(ts, c, replace(d, parts=tuple(parts)))
+                    assert not check and re.fullmatch(r"L2: \[.*\] .* violated",
+                                                      check.failed_clause), (v, src, dst)
+        assert met == claims
 
     def test_all_one_color_is_spanning(self, fano_sys):
         c = EdgeColoring(system=fano_sys, r=3, colors=(0,) * 7)

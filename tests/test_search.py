@@ -744,15 +744,23 @@ class TestLeftOutRoute:
         assert len(pids) == _forks(len(os.sched_getaffinity(0)), SPLIT_AT[21][1])
         _assert_no_children()
 
-    @needs_two_cpus
-    def test_a_clock_refusal_in_a_child_ends_the_level_at_the_split_stop(self, monkeypatch):
-        # only the children see the deadline pass, each in its first search;
-        # the level ends at 4,095, the meter's next stop at the split (167)
+    @needs_fork
+    @pytest.mark.parametrize("budget, nodes", [
+        (SearchBudget(max_seconds=1.0), 39_019),
+        (SearchBudget(max_seconds=1.0, max_nodes=37_000), 37_000),
+    ], ids=["no-cap", "cap-37000"])
+    def test_a_clock_refusal_in_a_child_ends_the_level_at_the_folded_count(self, monkeypatch,
+                                                                            budget, nodes):
+        # on two CPUs only the child sees the deadline pass, at 4,095, the
+        # meter's next stop after the split at 167; the level ends inexact at
+        # the caller's 35,091 plus the child's 3,928 nodes, at most the cap
         caller = os.getpid()
         monkeypatch.setattr(search.time, "monotonic",
                             lambda: 0.0 if os.getpid() == caller else 1e9)
-        res = alpha_star(bose(27), 3, SearchBudget(max_seconds=1.0))
-        assert (res.value, res.exact, res.budget_spent.nodes) == (7, False, 4_095)
+        _cpus(monkeypatch, 2)
+        res = alpha_star(bose(27), 3, budget)
+        assert (res.value, res.exact, res.budget_spent.nodes) == (7, False, nodes)
+        assert res.budget_spent.nodes >= 35_091
         _assert_no_children()
 
     @needs_two_cpus
@@ -1461,6 +1469,17 @@ class TestMc3ByDecomposition:
         res, name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=5_000),
                                                 candidates=layer)
         assert (res.value, res.exact, name) == (20, False, "hole_coloring")
+
+    @pytest.mark.parametrize("wrap", [list, lambda c: (x for x in c)], ids=["list", "generator"])
+    def test_candidates_are_read_once(self, wrap):
+        # a generator of candidates is read once: a check that consumed it
+        # would leave only the hole coloring's 21
+        from stsramsey import bose_coloring
+        system = bose(21)
+        layer = [("bose_coloring", bose_coloring(system))]
+        res, got_name = search.mc3_by_decomposition(system, budget=SearchBudget(max_nodes=50),
+                                                    candidates=wrap(layer))
+        assert (res.value, res.exact, got_name) == (17, False, "bose_coloring")
 
     def test_bad_inputs_rejected(self, fano_sys, s9_sys):
         with pytest.raises(ValueError, match="Steiner"):
