@@ -101,10 +101,10 @@ def l2_coloring(ts: TripleSystem, parts) -> EdgeColoring:
     raise ``MalformedCertificate``.
     """
     try:    # a part holding a vertex that is not an int in [0, n) gets mask 0
-        parts = tuple(parts)
+        parts = tuple(map(tuple, parts))
         masks = [vertex_mask(p) if all(type(v) is int and 0 <= v < ts.n for v in p) else 0
                  for p in parts]
-    except TypeError:       # parts, or one of them, is not a collection
+    except TypeError:       # parts, or one of them, is not iterable
         masks = []
     if (len(masks) != 4 or not all(masks) or sum(m.bit_count() for m in masks) != ts.n
             or reduce(or_, masks) != (1 << ts.n) - 1):

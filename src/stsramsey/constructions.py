@@ -250,16 +250,16 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
     The Bose and Skolem constructions put point (a, i), a in Z_q and i in
     Z_3, at vertex off + 3a + i: off = 0 when n = 3 (mod 6), and off = 1
     when n = 1 (mod 6), where vertex 0 is fixed.  The element (u, b, r)
-    maps (a, i) to (ua + b, i + r).  The generators are the layer rotation
-    (1, 0, 1), the cell translation (1, 1, 0) and the cell scalings (u, 0, 0)
-    by the units u mod q.  Each is checked once through its permutation
-    against the triples, one lookup per mapped triple in the set of triple
-    codes (a*n + b)*n + c, a < b < c, stopping at the first triple it maps
-    off the system.  The result lists every product of the generators that
-    pass, the identity first; they form a group, and each maps every triple
-    onto a triple.  Labels are not read.
-    Any other order, and any system whose generators all fail, gets the
-    identity alone.
+    maps (a, i) to (ua + b, i + r).  The cell scalings (u, 0, 0) by the
+    units u mod q, the cell translation (1, 1, 0) and the layer rotation
+    (1, 0, 1) are each checked once through its permutation against the
+    triples, one lookup per mapped triple in the set of triple codes
+    (a*n + b)*n + c, a < b < c, stopping at the first triple it maps off
+    the system.  The result is units x shifts x turns, the identity first:
+    the passing scalings with 1, every translation or none, every rotation
+    or none.  That product is the group the passing maps generate, so each
+    element maps every triple onto a triple.  Labels are not read.  Any
+    other order, and any system whose maps all fail, gets the identity alone.
 
     Each element is a tuple g with g[v] the image of vertex v.
     """
@@ -291,19 +291,10 @@ def layer_automorphisms(s: TripleSystem) -> tuple[tuple[int, ...], ...]:
                 return False
         return True
 
-    generators = [(1, 0, 1), (1, 1, 0)] + [(u, 0, 0) for u in range(2, q) if gcd(u, q) == 1]
-    verified = [(gen, g) for gen in generators if maps_triples(g := perm(*gen))]
-    # close under products, deduplicated on the parameters: applying
-    # (u, b, r) after (u', b', r') gives (uu', ub' + b, r' + r), and its
-    # permutation is the generator's composed with the element's
-    params = [(1 % q, 0, 0)]    # the identity, also when q = 1
-    elements = [tuple(range(n))]
-    seen = set(params)
-    for (u1, b1, r1), h in zip(params, elements):  # both grow while walked
-        for (u, b, r), g in verified:
-            key = (u * u1 % q, (u * b1 + b) % q, (r1 + r) % 3)
-            if key not in seen:
-                seen.add(key)
-                params.append(key)
-                elements.append(tuple(map(g.__getitem__, h)))
-    return tuple(elements)
+    # the passing units with 1 are closed under products, every power of a
+    # passing translation passes, and (u, b, r)(u', b', r') = (uu', ub' + b,
+    # r + r') keeps units x shifts x turns closed: the product is the group
+    units = [1 % q] + [u for u in range(2, q) if gcd(u, q) == 1 and maps_triples(perm(u, 0, 0))]
+    shifts = range(q) if maps_triples(perm(1, 1, 0)) else (0,)
+    turns = range(3) if maps_triples(perm(1, 0, 1)) else (0,)
+    return tuple(perm(u, b, r) for u in units for b in shifts for r in turns)

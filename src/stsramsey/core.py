@@ -296,6 +296,7 @@ class EdgeColoring:
     """An r-coloring of a system's triples (some colors may be unused).
 
     ``r`` and each color are ints, not bools, and colors lie in [0, r).
+    ``colors`` may be any iterable; it is kept as a tuple.
     """
 
     system: TripleSystem
@@ -303,12 +304,14 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        colors = tuple(self.colors)
+        object.__setattr__(self, "colors", colors)
         r = self.r
         if type(r) is not int or r < 1:
             raise ValueError(f"color count {r!r} is not an int >= 1")
-        if len(self.colors) != self.system.m:
+        if len(colors) != self.system.m:
             raise ValueError("one color per triple required")
-        for c in self.colors:
+        for c in colors:
             if type(c) is not int or not (0 <= c < r):
                 raise ValueError(f"color {c!r} is not an int in [0, {r})")
 

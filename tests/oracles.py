@@ -5,6 +5,7 @@ bitmasks only, straight enumeration.
 """
 
 from itertools import combinations
+from math import gcd
 
 
 def brute_alpha(n, triples):
@@ -404,3 +405,35 @@ def stdlib_hill_climb_sts(n, rng, max_iters):
     if blocks < target:
         return None
     return sorted({tuple(sorted((u, v, t))) for (u, v), t in third.items()})
+
+
+def layer_group_by_closure(n, triples):
+    """The permutations generated by the layer maps that fix the triples.
+
+    Point (a, i) of Z_q x Z_3 sits at vertex off + 3a + i, with off = 0 for
+    n = 3 (mod 6) and off = 1, vertex 0 fixed, for n = 1 (mod 6).  The
+    rotation (a, i) -> (a, i + 1), the translation (a, i) -> (a + 1, i) and
+    each scaling (a, i) -> (ua, i) by a unit u mod q are kept when they map
+    every triple onto a triple.  Their closure under composition is found
+    breadth first from the identity, one permutation tuple per element, and
+    returned as a set.  Any other order gets the identity alone.
+    """
+    identity = tuple(range(n))
+    if n < 3 or n % 6 not in (1, 3):
+        return {identity}
+    off = 1 if n % 6 == 1 else 0
+    q = (n - off) // 3
+
+    def layer_map(cell, turn):
+        return identity[:off] + tuple(off + 3 * (cell(a) % q) + (i + turn) % 3
+                                      for a in range(q) for i in range(3))
+
+    maps = [layer_map(lambda a: a, 1), layer_map(lambda a: a + 1, 0)]
+    maps += [layer_map(lambda a, u=u: u * a, 0) for u in range(2, q) if gcd(u, q) == 1]
+    blocks = {frozenset(t) for t in triples}
+    kept = [g for g in maps if all(frozenset(g[v] for v in t) in blocks for t in blocks)]
+    group, frontier = {identity}, [identity]
+    while frontier:
+        frontier = list({tuple(g[v] for v in h) for h in frontier for g in kept} - group)
+        group.update(frontier)
+    return group

@@ -171,14 +171,17 @@ class TestL2Coloring:
             l2_coloring(make(), parts)
 
     def test_a_generator_of_parts_is_read_once(self):
-        # it colors as the tuple does: a check that consumed it would leave
-        # every triple color 0, largest component 21
+        # each form colors as the tuple does: a check that consumed the
+        # parts would leave every triple color 0, largest component 21, and
+        # one that consumed a part would reject the partition
         ts = bose(21)
         parts = l2_partitions(ts).partitions[0]
-        coloring = l2_coloring(ts, (p for p in parts))
-        assert coloring.colors == l2_coloring(ts, parts).colors
-        assert set(coloring.colors) == {0, 1, 2}
-        assert largest_mono_component(coloring)[0] == 18
+        expected = l2_coloring(ts, parts).colors
+        for once in ((p for p in parts), [iter(p) for p in parts], (iter(p) for p in parts)):
+            coloring = l2_coloring(ts, once)
+            assert coloring.colors == expected
+            assert largest_mono_component(coloring)[0] == 18
+        assert set(expected) == {0, 1, 2}
 
 
 def bose_span_bound(n):

@@ -46,7 +46,8 @@ from stsramsey.core import (
 )
 from stsramsey.io import format_system, parse_system, read_system, write_system
 
-from oracles import brute_components, brute_hole_ok, brute_pair_degrees
+from oracles import (brute_components, brute_hole_ok, brute_pair_degrees,
+                     layer_group_by_closure)
 
 
 def fano_lines():
@@ -354,6 +355,24 @@ class TestEdgeColoring:
         with pytest.raises(ValueError, match="is not an int >= 1"):
             EdgeColoring(system=fano_sys, r=r, colors=(0,) * 7)
 
+    # a list used to be kept: a caller's later write put a color outside
+    # [0, r) into the coloring, and the coloring did not hash
+    @pytest.mark.parametrize("make", [list, lambda colors: (c for c in colors)],
+                             ids=["list", "generator"])
+    def test_colors_are_kept_as_a_tuple(self, fano_sys, make):
+        colors = (0, 1, 2, 0, 1, 2, 0)
+        c = EdgeColoring(system=fano_sys, r=3, colors=make(colors))
+        same = EdgeColoring(system=fano_sys, r=3, colors=colors)
+        assert type(c.colors) is tuple and c.colors == colors
+        assert c == same and hash(c) == hash(same)
+
+    def test_a_later_write_to_the_callers_list_changes_nothing(self, fano_sys):
+        colors = [0] * 7
+        c = EdgeColoring(system=fano_sys, r=3, colors=colors)
+        colors[0] = 5
+        assert c.colors == (0,) * 7
+        assert largest_mono_component(c) == (7, 0, frozenset(range(7)))
+
 
 class TestMonoComponents:
     def test_single_color_spans_steiner(self, s9_sys):
@@ -623,6 +642,41 @@ def _relabeled(s, seed):
     return build_system(s.n, [(perm[x], perm[y], perm[z]) for x, y, z in s.triples])
 
 
+def _cell_permuted_bose21(seed):
+    """bose(21) with cell a renamed perm[a]: the triples it gives over a
+    seeded random idempotent quasigroup."""
+    perm = list(range(7))
+    random.Random(seed).shuffle(perm)
+    return build_system(21, [[3 * perm[v // 3] + v % 3 for v in t] for t in bose(21).triples])
+
+
+def _orbit_union(seed):
+    """A partial system: a few seeded triples of a Bose or Skolem system,
+    closed under two seeded elements of its layer group."""
+    rng = random.Random(seed)
+    base = rng.choice([bose(15), bose(21), bose(27), skolem(19), skolem(25)])
+    maps = rng.sample(layer_automorphisms(base), 2)
+    triples = set(rng.sample(base.triples, rng.randint(1, 3)))
+    new = set(triples)
+    while new:
+        new = {tuple(sorted(g[v] for v in t)) for t in new for g in maps} - triples
+        triples |= new
+    return build_system(base.n, sorted(triples))
+
+
+LAYER_GROUP_ROWS = (
+    [(f"bose{n}", lambda n=n: bose(n)) for n in range(9, 46, 6)]
+    + [(f"skolem{n}", lambda n=n: skolem(n)) for n in range(7, 44, 6)]
+    + [("fano", fano), ("s9", s9), ("relabeled-bose21", lambda: _relabeled(bose(21), 5))]
+    + [(f"random{n}-{seed}", lambda n=n, seed=seed: random_sts(n, seed))
+       for n, seed in [(19, 1), (21, 2), (25, 3)]]
+    + [(f"cell-permuted-bose21-{seed}", lambda seed=seed: _cell_permuted_bose21(seed))
+       for seed in (1, 2, 3)]
+    + [(f"empty{n}", lambda n=n: TripleSystem(n, ())) for n in (0, 1, 3, 4, 7, 9, 13, 21)]
+    + [(f"orbit-union-{seed}", lambda seed=seed: _orbit_union(seed)) for seed in range(12)]
+)
+
+
 def _is_automorphism(g, s):
     triples = {frozenset(t) for t in s.triples}
     return sorted(g) == list(range(s.n)) and all(
@@ -643,12 +697,13 @@ class TestLayerAutomorphisms:
         assert all(_is_automorphism(g, s) for g in group)
 
     @pytest.mark.parametrize("s, digest", [
-        (bose(21), "0109c081c21577e1"), (bose(27), "a1a16b5c1943bc2f"),
-        (bose(99), "3f4da1a8a3111f20"), (skolem(25), "026a01ad8b7040da"),
+        (bose(21), "b739c885c1846dde"), (bose(27), "5b32da5d89e333a3"),
+        (bose(99), "ce029f0382c119a2"), (skolem(25), "026a01ad8b7040da"),
     ], ids=["bose21", "bose27", "bose99", "skolem25"])
     def test_elements_and_their_order_are_pinned(self, s, digest):
-        # the search's orbits and bans read the elements in this order, so a
-        # faster construction must not reorder them
+        # the elements come as units, then shifts, then turns, the identity
+        # first; the search reads them as a set, which
+        # tests/test_search.py::TestLeftOutRoute::test_search_reads_the_group_as_a_set pins
         group = layer_automorphisms(s)
         assert hashlib.sha256(repr(group).encode()).hexdigest()[:16] == digest
 
@@ -672,16 +727,22 @@ class TestLayerAutomorphisms:
     def test_random_quasigroup_keeps_only_verified_elements(self, seed):
         # the layer rotation holds for every quasigroup; the translation and
         # the scalings hold only where the quasigroup allows them
-        # cell a renamed perm[a]: the triples bose(21) gave over a seeded
-        # random idempotent quasigroup
-        perm = list(range(7))
-        random.Random(seed).shuffle(perm)
-        s = build_system(21, [[3 * perm[v // 3] + v % 3 for v in t] for t in bose(21).triples])
+        s = _cell_permuted_bose21(seed)
         group = layer_automorphisms(s)
         rotation = tuple(3 * (v // 3) + (v + 1) % 3 for v in range(21))
         assert rotation in group
         assert 3 <= len(group) <= 126 and 126 % len(group) == 0
         assert all(_is_automorphism(g, s) for g in group)
+
+    @pytest.mark.parametrize("make", [make for _, make in LAYER_GROUP_ROWS],
+                             ids=[name for name, _ in LAYER_GROUP_ROWS])
+    def test_elements_are_the_closure_of_the_maps_that_pass(self, make):
+        # the closure of an independent oracle, as a set, with the identity
+        # first and no element twice
+        s = make()
+        group, closure = layer_automorphisms(s), layer_group_by_closure(s.n, s.triples)
+        assert set(group) == closure and len(group) == len(closure)
+        assert group[0] == tuple(range(s.n))
 
     @pytest.mark.parametrize("s", [fano(), s9(), build_system(3, [(0, 1, 2)]),
                                    build_system(19, [(0, 1, 2), (3, 4, 5)])],

@@ -797,6 +797,31 @@ class TestLeftOutRoute:
         assert tries == [0]
         _assert_no_children()
 
+    @needs_fork
+    @pytest.mark.parametrize("n, k, cap", [(21, 3, None), (27, 3, None), (25, 3, None),
+                                           (15, 2, None), (27, 3, 40_000)],
+                             ids=["bose21", "bose27", "skolem25", "bose15-k2", "bose27-cap40000"])
+    def test_search_reads_the_group_as_a_set(self, monkeypatch, n, k, cap):
+        # the identity, then the other elements in reverse: an orbit is an OR
+        # of masks and a stabilizer a filter, so nothing the search reports
+        # moves; on two CPUs bose(27)'s cap 40,000 falls in the child's block
+        system = skolem(n) if n % 6 == 1 else bose(n)
+        budget = SearchBudget(max_nodes=cap) if cap else None
+        _cpus(monkeypatch, 2)
+        real = search.layer_automorphisms
+
+        def reordered(ts):
+            group = real(ts)
+            return group[:1] + group[:0:-1]
+
+        runs = []
+        for make in (real, reordered):
+            monkeypatch.setattr(search, "layer_automorphisms", make)
+            res = alpha_star(system, k, budget)
+            runs.append((res.value, res.exact, res.budget_spent.nodes, res.lower_certificate))
+            _assert_no_children()
+        assert runs[1] == runs[0]
+
     @needs_two_cpus
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_an_exception_in_the_caller_reaps_every_child(self, monkeypatch, error):
